@@ -32,7 +32,7 @@ from .discretize import (
 )
 from .geometry import Domain, TestFunctionSpec, ball, box, interval
 from .roots import RootResult, solve_log_ratio, solve_r_ln_r
-from .specfun import NumericsError, SpecialValue, cosint, digamma, ln_gamma
+from .specfun import NumericsError, cosint, digamma, ln_gamma
 from .spectrum import (
     Spectrum,
     counting_function,
@@ -54,7 +54,6 @@ __all__ = [
     "QuadFormMatrix",
     "RootResult",
     "SampledProfile",
-    "SpecialValue",
     "Spectrum",
     "TestFunctionSpec",
     "__version__",

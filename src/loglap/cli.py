@@ -314,7 +314,6 @@ def _cmd_solve(args) -> int:
                 "cells": grid.count,
                 "num_eigs": args.num_eigs,
                 "delta": args.delta,
-                "seed": args.seed,
                 "out": args.out,
             },
             "timings_sec": {
@@ -651,7 +650,6 @@ def _cmd_sweep(args) -> int:
                 "radius": args.radius,
                 "side": args.side,
                 "c0": args.c0,
-                "seed": args.seed,
                 "out": args.out,
             },
             "timings_sec": {"total": elapsed},
@@ -666,19 +664,16 @@ def _cmd_sweep(args) -> int:
 # parser / entry point
 
 
-def _add_common(p: _Parser, *, domain_flags: bool = True) -> None:
+def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="flat key=value file; command-line flags override it")
     p.add_argument("--out", help="output file (CSV or JSON depending on the command)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for any randomized check (default 0)")
-    if domain_flags:
-        p.add_argument("--dim", type=int, help="space dimension")
-        p.add_argument("--domain", choices=("interval", "box", "ball"))
-        p.add_argument("--length", type=float, help="interval length (centered at 0)")
-        p.add_argument("--radius", type=float, help="ball radius")
-        p.add_argument("--side", help="box side lengths: A for a square or A,B")
-        p.add_argument("--h", type=float, help="grid cell side (snapped to the domain)")
-        p.add_argument("--cells", type=int, help="cells along the first axis instead of --h")
+    p.add_argument("--dim", type=int, help="space dimension")
+    p.add_argument("--domain", choices=("interval", "box", "ball"))
+    p.add_argument("--length", type=float, help="interval length (centered at 0)")
+    p.add_argument("--radius", type=float, help="ball radius")
+    p.add_argument("--side", help="box side lengths: A for a square or A,B")
+    p.add_argument("--h", type=float, help="grid cell side (snapped to the domain)")
+    p.add_argument("--cells", type=int, help="cells along the first axis instead of --h")
 
 
 def _build_parser() -> _Parser:
@@ -690,7 +685,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--config", help="flat key=value file; command-line flags override it")
     p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("roots", help="solve the scalar root equations")
@@ -699,7 +693,6 @@ def _build_parser() -> _Parser:
                    help="target value(s), comma-separated")
     p.add_argument("--config")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("bounds", help="closed-form bound report for a domain (JSON)")
@@ -725,7 +718,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--config")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the randomized checks (default 0)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="evaluate bounds/eigenvalues over a parameter range")
@@ -735,8 +729,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--c0", type=float)
-    p.add_argument("--variant", choices=("statement", "proof", "corrected"),
-                   default="statement")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -17,27 +17,26 @@ above is exact.
 
 In 1D everything is closed form.  In 2D, entries depend only on the
 integer offset between cells and scale like h^2, so a small offset table is
-computed once at unit scale: touching offsets by adaptive pair subdivision
-with Richardson extrapolation, separated offsets by a fixed tensor Gauss
-rule, and the diagonal by a closed form (the lattice analogue of the 1D
-one; its constant term involves Catalan's constant).
+computed once at unit scale: the diagonal and the two touching offsets
+(shared edge, shared corner) by closed forms in Catalan's constant and the
+inverse tangent integral, separated offsets by a fixed tensor Gauss rule.
 
-Assembly is vectorized row-block by row-block from the shared table; rows
-are independent, so the fill is trivially parallel in principle, but a
-single process is plenty at the target sizes (dense, <= ~2000 cells for
-eigensolves).
+Assembly is vectorized row-block by row-block from the shared table into a
+dense matrix; a matrix that would not fit in physical memory is refused
+before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import DimensionConstants, dimension_constants
 from .geometry import Domain
-from .specfun import CATALAN, EULER_GAMMA, NumericsError, cosint
+from .specfun import CATALAN, EULER_GAMMA, TI2_HALF, cosint
 
 __all__ = [
     "Grid",
@@ -50,15 +49,21 @@ __all__ = [
 
 MAX_CELL_SIDE = 0.5
 
-# 2D quadrature controls (unit-scale offset table).
-_SEPARATED_GAUSS_N = 4  # tensor rule per axis once center distance >= 2h
-_LEAF_GAUSS_N = 6  # leaves of the adaptive scheme for touching cells
-_RICHARDSON_RTOL = 1e-8
-_MAX_SUBDIVISION_DEPTH = 12
+# Tensor Gauss rule per axis for separated cells (center distance >= 2h).
+_SEPARATED_GAUSS_N = 4
 
 # Unit-cell constant of the 2D diagonal inner integral:
 # int_C int_{B_1(x)\C} |x-y|^(-2) = h^2 * (2*pi*(1 - ln h) + _DIAG_UNIT_2D).
 _DIAG_UNIT_2D = 4.0 * CATALAN - 2.0 * math.pi * math.log(2.0) + 2.0 * math.log(2.0)
+
+# Integrals of |x-y|^(-2) over two unit squares sharing an edge or a corner.
+# Four unit cells tile a side-2 square, and the regularized self-interaction
+# of a side-s square is s^2 times the unit one plus 2*pi*s^2*ln s, so
+# 8*edge + 4*corner = 8*pi*ln 2.
+_EDGE_UNIT_2D = (
+    6.0 * math.log(2.0) - 2.5 * math.log(5.0) + 4.0 * CATALAN - 4.0 * TI2_HALF
+)
+_CORNER_UNIT_2D = 2.0 * math.pi * math.log(2.0) - 2.0 * _EDGE_UNIT_2D
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +74,6 @@ class Grid:
     h: float
     indices: np.ndarray  # (count, dim) integer lattice coordinates
     centers: np.ndarray  # (count, dim) cell centers
-    origin: np.ndarray  # lattice anchor (bounding-box corner)
 
     @property
     def count(self) -> int:
@@ -132,7 +136,7 @@ def build_grid(domain: Domain, h: float) -> Grid:
 
     if idx.shape[0] == 0:
         raise ValueError("no cell of this size fits inside the domain")
-    return Grid(domain=domain, h=h_eff, indices=idx, centers=centers, origin=lo)
+    return Grid(domain=domain, h=h_eff, indices=idx, centers=centers)
 
 
 # ---------------------------------------------------------------------------
@@ -164,84 +168,26 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _pair_batch_gauss(corners_a: np.ndarray, corners_b: np.ndarray, size: float, n: int) -> np.ndarray:
-    """Tensor-Gauss integrals of |x-y|^(-2) over batches of square-cell pairs.
+def _pair_batch_gauss(offsets: np.ndarray, n: int) -> np.ndarray:
+    """Tensor-Gauss integrals of |x-y|^(-2) over batches of unit-cell pairs.
 
-    ``corners_a``/``corners_b`` hold the lower corners of the two cells of
-    each pair; all cells share the side length ``size``.
+    ``offsets`` holds the lattice offset of the second cell of each pair
+    from the first; the rule is accurate only for separated cells.
     """
     g, w = _gauss01(n)
-    d = corners_b - corners_a
     # y - x separations per axis, laid out as (pair, node_y, node_x)
-    sep = size * (g[None, :, None] - g[None, None, :])
-    du = d[:, 0][:, None, None] + sep
-    dv = d[:, 1][:, None, None] + sep
-    out = np.empty(len(d))
+    sep = g[None, :, None] - g[None, None, :]
+    du = offsets[:, 0][:, None, None] + sep
+    dv = offsets[:, 1][:, None, None] + sep
+    out = np.empty(len(offsets))
     chunk = max(1, 4_000_000 // max(n**4, 1))
-    for s in range(0, len(d), chunk):
-        e = min(s + chunk, len(d))
+    for s in range(0, len(offsets), chunk):
+        e = min(s + chunk, len(offsets))
         k = 1.0 / (
             du[s:e, :, :, None, None] ** 2 + dv[s:e, None, None, :, :] ** 2
         )  # axes (pair, y1, x1, y2, x2)
         out[s:e] = np.einsum("maibj,a,i,b,j->m", k, w, w, w, w)
-    return out * size**4
-
-
-_touching_cache: dict[tuple[int, int], float] = {}
-
-
-def _touching_unit_integral(da: int, db: int) -> float:
-    """Kernel integral over a touching unit-cell pair (offset with max = 1).
-
-    Both cells are recursively quartered; child pairs that come apart are
-    integrated with a fixed Gauss rule and accumulated, still-touching
-    pairs recurse.  Truncating at depth L and Gauss-integrating the
-    touching remainder gives I_L with error ~ 2^-L, so the extrapolation
-    2*I_L - I_{L-1} is used, stopping when its increment falls below
-    a relative tolerance.
-    """
-    key = (min(abs(da), abs(db)), max(abs(da), abs(db)))
-    if key in _touching_cache:
-        return _touching_cache[key]
-
-    size = 1.0
-    pairs = np.array([[0.0, 0.0, float(key[0]), float(key[1])]])
-    sep_acc = 0.0
-    prev_i = prev_rich = None
-    for _level in range(_MAX_SUBDIVISION_DEPTH + 1):
-        t_val = float(
-            np.sum(_pair_batch_gauss(pairs[:, :2], pairs[:, 2:], size, _LEAF_GAUSS_N))
-        )
-        i_val = sep_acc + t_val
-        if prev_i is not None:
-            rich = 2.0 * i_val - prev_i
-            if prev_rich is not None and abs(rich - prev_rich) <= _RICHARDSON_RTOL * abs(rich):
-                _touching_cache[key] = rich
-                return rich
-            prev_rich = rich
-        prev_i = i_val
-
-        half = size / 2.0
-        shifts = np.array([[0.0, 0.0], [half, 0.0], [0.0, half], [half, half]])
-        ca = (pairs[:, None, :2] + shifts[None, :, :])[:, :, None, :]  # (m,4,1,2)
-        cb = (pairs[:, None, 2:] + shifts[None, :, :])[:, None, :, :]  # (m,1,4,2)
-        children = np.concatenate(np.broadcast_arrays(ca, cb), axis=-1).reshape(-1, 4)
-        gap = np.max(np.abs(children[:, 2:] - children[:, :2]), axis=1)
-        # dyadic corners are exact floats, so these comparisons are too
-        touch = gap == half
-        sep_acc += float(
-            np.sum(
-                _pair_batch_gauss(
-                    children[~touch, :2], children[~touch, 2:], half, _LEAF_GAUSS_N
-                )
-            )
-        )
-        pairs, size = children[touch], half
-
-    raise NumericsError(
-        f"adaptive cell-pair quadrature for offset {key} did not reach "
-        f"relative tolerance {_RICHARDSON_RTOL:g} within depth {_MAX_SUBDIVISION_DEPTH}"
-    )
+    return out
 
 
 def _offset_table_2d(max_a: int, max_b: int) -> np.ndarray:
@@ -250,6 +196,8 @@ def _offset_table_2d(max_a: int, max_b: int) -> np.ndarray:
     Entry (0, 0) is left NaN; the diagonal has its own closed form.
     """
     table = np.full((max_a + 1, max_b + 1), np.nan)
+    touching = np.array([[np.nan, _EDGE_UNIT_2D], [_EDGE_UNIT_2D, _CORNER_UNIT_2D]])
+    table[:2, :2] = touching[: max_a + 1, : max_b + 1]
     offsets = [
         (a, b)
         for a in range(max_a + 1)
@@ -258,11 +206,8 @@ def _offset_table_2d(max_a: int, max_b: int) -> np.ndarray:
     ]
     if offsets:
         offs = np.array(offsets, dtype=float)
-        vals = _pair_batch_gauss(np.zeros_like(offs), offs, 1.0, _SEPARATED_GAUSS_N)
+        vals = _pair_batch_gauss(offs, _SEPARATED_GAUSS_N)
         table[tuple(np.array(offsets, dtype=int).T)] = vals
-    for a, b in ((0, 1), (1, 0), (1, 1)):
-        if a <= max_a and b <= max_b:
-            table[a, b] = _touching_unit_integral(a, b)
     return table
 
 
@@ -278,7 +223,8 @@ def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> Qu
     offset table is built once and the matrix is filled from it in row
     blocks; symmetric positions read the same table slot, making the
     matrix equal to its transpose bit for bit.  Off-diagonal entries are
-    strictly negative (the kernel is positive).
+    strictly negative (the kernel is positive).  Raises ``ValueError`` when
+    the dense matrix would not fit in physical memory.
     """
     if constants is None:
         constants = dimension_constants(grid.dim)
@@ -287,6 +233,12 @@ def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> Qu
             f"constants are for dimension {constants.dim}, grid has dimension {grid.dim}"
         )
     n = grid.count
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 8 * n * n > ram:
+        raise ValueError(
+            f"a dense {n} x {n} matrix needs {8 * n * n / 2**30:.1f} GiB, "
+            f"more than the {ram / 2**30:.1f} GiB of physical memory"
+        )
     h = grid.h
     idx = grid.indices
     if grid.dim == 1:

@@ -9,7 +9,6 @@ documented accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy import special as _sp
 
@@ -21,21 +20,14 @@ EULER_GAMMA = 0.57721566490153286061
 # the square-cell self-interaction integral (see discretize).
 CATALAN = 0.91596559417721901505
 
+# Inverse tangent integral Ti2(1/2) = integral_0^(1/2) atan(t)/t dt, 20
+# significant digits.  Enters the closed forms of the touching square-cell
+# pair integrals (see discretize).
+TI2_HALF = 0.48722235829452235711
+
 
 class NumericsError(RuntimeError):
     """A numerical routine failed to meet its accuracy/iteration contract."""
-
-
-@dataclass(frozen=True)
-class SpecialValue:
-    """A special-function evaluation together with a conservative error bar.
-
-    ``abs_error_estimate`` is an a-priori bound on the absolute error of
-    ``value`` (library accuracy plus rounding), not an exact error.
-    """
-
-    value: float
-    abs_error_estimate: float
 
 
 def ln_gamma(x: float) -> float:
@@ -61,26 +53,3 @@ def cosint(t: float) -> float:
         raise ValueError(f"cosint requires t > 0, got {t!r}")
     _, ci = _sp.sici(t)
     return float(ci)
-
-
-_DISPATCH = {
-    "ln_gamma": ln_gamma,
-    "digamma": digamma,
-    "cosint": cosint,
-}
-
-
-def special_value(name: str, x: float) -> SpecialValue:
-    """Evaluate one of the named special functions with an error estimate.
-
-    The estimates are conservative for the ranges exercised here
-    (arguments in roughly [1e-6, 1e6]); scipy's implementations are
-    accurate to a few ulps.
-    """
-    try:
-        fn = _DISPATCH[name]
-    except KeyError:
-        raise ValueError(f"unknown special function {name!r}") from None
-    v = fn(x)
-    est = 8.0 * (abs(v) + 1.0) * 2.220446049250313e-16
-    return SpecialValue(value=v, abs_error_estimate=est)

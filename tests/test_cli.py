@@ -151,6 +151,13 @@ def test_solve_usage_errors(tmp_path):
     assert main(["solve", "--cells", "8", "--num-eigs", "2"]) == 1  # no domain
 
 
+def test_solve_refuses_matrix_larger_than_memory(capsys):
+    # 2,000,000 cells: the dense matrix would need 29 TiB
+    assert main(["solve", "--domain", "interval", "--length", "1000000",
+                 "--h", "0.5", "--num-eigs", "1"]) == 1
+    assert "loglap: error:" in capsys.readouterr().err
+
+
 def test_solve_dump_matrix_and_envelope(tmp_path):
     out = tmp_path / "spec.csv"
     mat = tmp_path / "matrix.csv"
@@ -368,6 +375,16 @@ def test_version_and_usage(capsys):
     assert main(["--version"]) == 0
     assert "loglap" in capsys.readouterr().out
     assert main([]) == 1                              # subcommand required
+
+
+def test_seed_and_sweep_variant_flags_rejected():
+    # only verify has randomized checks, so only verify takes --seed
+    assert main(["constants", "--dim", "1", "--seed", "1"]) == 1
+    assert main(["solve", "--domain", "interval", "--length", "2",
+                 "--cells", "8", "--num-eigs", "2", "--seed", "1"]) == 1
+    # a sweep prints every variant
+    assert main(["sweep", "--parameter", "radius", "--start", "2", "--stop", "4",
+                 "--steps", "2", "--variant", "proof"]) == 1
 
 
 def test_subprocess_smoke():

@@ -154,8 +154,13 @@ def test_2d_entries_match_reduced_oracles():
         got = entry(oa, ob)
         ref = -c2.kernel_constant * frozen
         assert abs(got - ref) <= 1e-4 * abs(ref)
-    # mirrored offsets are computed as separate table entries (the axis roles
-    # swap inside the quadrature), so they agree to rounding, not bitwise
+    # touching offsets are closed forms, exact to rounding
+    for (oa, ob), pair in (((0, 1), oracles.edge_pair_2d), ((1, 0), oracles.edge_pair_2d),
+                           ((1, 1), oracles.corner_pair_2d)):
+        ref = -c2.kernel_constant * pair(h)
+        assert abs(entry(oa, ob) - ref) <= 1e-12 * abs(ref)
+    # mirrored separated offsets are computed as separate table entries (the
+    # axis roles swap inside the quadrature), so they agree to rounding, not bitwise
     assert entry(1, 2) == pytest.approx(entry(2, 1), rel=1e-12)
 
     diag_ref = (

@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from loglap.specfun import (
     CATALAN,
     EULER_GAMMA,
-    SpecialValue,
+    TI2_HALF,
     cosint,
     digamma,
     ln_gamma,
-    special_value,
 )
 from oracles import cosint_ref, digamma_ref, ln_gamma_ref
 
@@ -82,18 +82,10 @@ def test_cosint_against_quadrature_oracle():
     assert worst <= 1e-10
 
 
-def test_special_value_dispatch():
-    sv = special_value("digamma", 2.0)
-    assert isinstance(sv, SpecialValue)
-    assert sv.value == digamma(2.0)
-    assert sv.abs_error_estimate > 0.0
-    assert special_value("ln_gamma", 3.0).value == ln_gamma(3.0)
-    assert special_value("cosint", 1.0).value == cosint(1.0)
-    with pytest.raises(ValueError):
-        special_value("airy", 1.0)
-
-
 def test_constants_literals():
-    # both constants are stored to 20 digits; spot-check against math/identities
+    # the constants are stored to 20 digits; spot-check against math/identities
     assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-16)
     assert CATALAN == pytest.approx(0.915965594177219, abs=1e-15)
+    # inverse tangent integral Ti2(1/2) by direct quadrature of its definition
+    ti2 = quad(lambda t: math.atan(t) / t, 0.0, 0.5, epsabs=0.0, epsrel=1e-13)[0]
+    assert TI2_HALF == pytest.approx(ti2, rel=1e-15)
