@@ -1,6 +1,8 @@
 """Grid construction and energy-form assembly against quadrature oracles."""
 
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -105,6 +107,27 @@ def test_1d_entries_match_quadrature_oracle():
                 assert abs(a[i, j] - ref) <= 1e-8 * abs(ref)
 
 
+def test_1d_far_entries_match_exact_second_difference():
+    # The pair integral at center offset m*h is h times the second difference
+    # [(m+1) ln(m+1) - 2m ln m + (m-1) ln(m-1)], evaluated here in 40-digit
+    # decimal arithmetic.  Differencing t ln t - t in floating point instead
+    # loses eps*m^2, which is 2.5e-9 relative at m = 4095.
+    g = build_grid(interval(-1.0, 1.0), 2.0 / 4096.0)
+    assert g.count == 4096
+    a = assemble_form(g).entries
+    c1 = dimension_constants(1)
+
+    def x_ln_x(k):
+        return Decimal(k) * Decimal(k).ln() if k > 0 else Decimal(0)
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for m in (1, 2, 10, 1000, 4095):
+            second_diff = x_ln_x(m + 1) - 2 * x_ln_x(m) + x_ln_x(m - 1)
+            ref = -c1.kernel_constant * g.h * float(second_diff)
+            assert abs(a[0, m] - ref) <= 1e-13 * abs(ref), m
+
+
 def test_structure_invariants():
     for dom, h in [
         (interval(-1.0, 1.0), 0.125),
@@ -159,14 +182,23 @@ def test_2d_entries_match_reduced_oracles():
                            ((1, 1), oracles.corner_pair_2d)):
         ref = -c2.kernel_constant * pair(h)
         assert abs(entry(oa, ob) - ref) <= 1e-12 * abs(ref)
-    # mirrored separated offsets are computed as separate table entries (the
-    # axis roles swap inside the quadrature), so they agree to rounding, not bitwise
-    assert entry(1, 2) == pytest.approx(entry(2, 1), rel=1e-12)
+    # mirrored offsets read the same integral, so they agree bitwise
+    assert entry(1, 2) == entry(2, 1)
 
     diag_ref = (
         c2.kernel_constant * oracles.diagonal_inner_2d(h) + c2.zero_order_shift * h * h
     )
     assert abs(a[0, 0] - diag_ref) <= 1e-4 * abs(diag_ref)
+
+
+def test_ball_matrix_invariant_under_swapping_axes():
+    # the ball's cell set is symmetric under (i, j) -> (j, i), and so is the
+    # kernel; the matrix must be too, bit for bit
+    g = build_grid(ball((0.0, 0.0), 4.0), 0.125)
+    a = assemble_form(g).entries
+    position = {(int(i), int(j)): k for k, (i, j) in enumerate(g.indices)}
+    swap = [position[(int(j), int(i))] for i, j in g.indices]
+    assert np.array_equal(a[np.ix_(swap, swap)], a)
 
 
 def test_2d_frozen_oracle_values_reproduce():
@@ -190,6 +222,25 @@ def test_2d_offdiagonal_scales_quadratically():
     small = assemble_form(build_grid(box((0.0, 0.0), (0.375, 0.375)), 0.125)).entries
     ratio = small[0, 1] / big[0, 1]
     assert ratio == pytest.approx(0.25, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "domain, h",
+    [(interval(-1.0, 1.0), 2.0 / 4096.0), (ball((0.0, 0.0), 4.0), 0.125)],
+    ids=["interval-4096", "ball-3080"],
+)
+def test_assembly_peak_memory_is_the_matrix_plus_a_small_block(domain, h):
+    # the memory guard counts 8*n*n bytes; the fill's index temporaries must
+    # not add another matrix-sized array on top of that
+    grid = build_grid(domain, h)
+    n = grid.count
+    tracemalloc.start()
+    try:
+        assemble_form(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n + 16 * 2**20
 
 
 # -------------------------------------------------- Rayleigh quotients
