@@ -185,16 +185,17 @@ def upper_bound_smallest_large(
         inner *= n
     slope = 2.0 if variant == "corrected" else om
     z1 = rho + slope * math.log(2.0) + (4.0 * c0 / radius) * (1.0 + inner)
+    threshold = max(2.0, n * c0 / (2.0 * om))
     return BoundReport(
         context={
             "dim": n,
             "radius": radius,
             "c0": c0,
             "variant": variant,
-            "radius_threshold": max(2.0, n * c0 / (2.0 * om)),
+            "radius_threshold": threshold,
         },
         values={"upper_bound": slope * math.log(1.0 / radius) + z1, "z1": z1},
-        admissible={"upper_bound": radius >= max(2.0, n * c0 / (2.0 * om))},
+        admissible={"upper_bound": bool(radius >= threshold)},
     )
 
 

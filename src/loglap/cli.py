@@ -22,6 +22,7 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -47,7 +48,7 @@ from .discretize import assemble_form, build_grid, plane_wave_symbol_1d, rayleig
 from .geometry import Domain, TestFunctionSpec, ball, box, interval
 from .roots import solve_log_ratio, solve_r_ln_r
 from .specfun import EULER_GAMMA, NumericsError
-from .spectrum import eig_symmetric, spectrum_from_values, weyl_diagnostics
+from .spectrum import _growth_table, eig_symmetric, spectrum_from_values, weyl_diagnostics
 
 __all__ = ["main"]
 
@@ -162,11 +163,9 @@ def _resolve_h(args, domain: Domain) -> float:
     return domain.sides[0] / args.cells
 
 
-def _default_c0(domain: Domain, c0: float | None) -> float | None:
-    """Explicit --c0 wins; otherwise derive the minimal admissible constant
-    from the foliation measures (only defined in dimension >= 2)."""
-    if c0 is not None:
-        return c0
+def _default_c0(domain: Domain) -> float | None:
+    """The minimal admissible foliation constant in the domain's inradius
+    regime; None in dimension 1, where it is not defined (pass --c0)."""
     if domain.dim < 2:
         return None
     regime = "large" if domain.inradius >= 2.0 else "small"
@@ -208,37 +207,28 @@ def _cmd_roots(args) -> int:
     return 0
 
 
-def _report_dict(report) -> dict:
-    return json.loads(report.to_json())
-
-
 def _cmd_bounds(args) -> int:
     domain = _domain_from_args(args)
     constants = dimension_constants(domain.dim)
-    c0 = _default_c0(domain, args.c0)
+    c0 = args.c0 if args.c0 is not None else _default_c0(domain)
     radius = domain.inradius
+    reports = {"lower_smallest": lower_bound_smallest(constants, domain.volume)}
+    if c0 is not None:
+        reports["upper_large"] = upper_bound_smallest_large(constants, radius, c0,
+                                                            variant=args.variant)
+        if radius < 0.25:
+            reports["upper_small"] = upper_bound_smallest_small(constants, radius, c0)
+    if args.num_eigs is not None:
+        k = args.num_eigs
+        reports["lower_sum"] = lower_bound_sum(constants, domain.volume, k)
+        reports["lower_eigenvalue"] = lower_bound_eigenvalue(constants, domain.volume, k)
+        reports["upper_sum"] = upper_bound_sum(constants, domain.volume, k, variant=args.variant)
     payload: dict = {
         "domain": {"kind": domain.kind, "dim": domain.dim,
                    "volume": domain.volume, "inradius": radius},
         "c0": c0,
-        "reports": {
-            "lower_smallest": _report_dict(lower_bound_smallest(constants, domain.volume)),
-        },
+        "reports": {name: dataclasses.asdict(r) for name, r in reports.items()},
     }
-    if c0 is not None:
-        payload["reports"]["upper_large"] = _report_dict(
-            upper_bound_smallest_large(constants, radius, c0, variant=args.variant))
-        if radius < 0.25:
-            payload["reports"]["upper_small"] = _report_dict(
-                upper_bound_smallest_small(constants, radius, c0))
-    if args.num_eigs is not None:
-        k = args.num_eigs
-        payload["reports"]["lower_sum"] = _report_dict(
-            lower_bound_sum(constants, domain.volume, k))
-        payload["reports"]["lower_eigenvalue"] = _report_dict(
-            lower_bound_eigenvalue(constants, domain.volume, k))
-        payload["reports"]["upper_sum"] = _report_dict(
-            upper_bound_sum(constants, domain.volume, k, variant=args.variant))
     if args.sigma is not None:
         # Rayleigh quotient of the ramp test function on a grid: a computable
         # upper bound for the true smallest eigenvalue, for comparison with
@@ -258,16 +248,6 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _solve_columns(eigenvalues: np.ndarray) -> list[list]:
-    ks = np.arange(1, eigenvalues.size + 1, dtype=float)
-    psum = np.cumsum(eigenvalues)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(ks > 1, eigenvalues / np.log(ks), np.nan)
-        r2 = np.where(ks > 1, psum / (ks * np.log(ks)), np.nan)
-    return [[int(k), ev, a, s, b]
-            for k, ev, a, s, b in zip(ks, eigenvalues, r1, psum, r2)]
-
-
 def _cmd_solve(args) -> int:
     if args.num_eigs is None or args.num_eigs < 1:
         raise ValueError("--num-eigs is required and must be >= 1")
@@ -280,9 +260,14 @@ def _cmd_solve(args) -> int:
     t2 = time.perf_counter()
     spectrum = eig_symmetric(matrix, args.num_eigs)
     t3 = time.perf_counter()
+    if args.delta is None:
+        table = _growth_table(spectrum)
+    else:
+        table = weyl_diagnostics(spectrum, delta=args.delta, dim=domain.dim)
 
     header = ["k", "lambda", "lambda_over_log_k", "partial_sum", "partial_sum_over_k_log_k"]
-    _emit_csv(args.out, header, _solve_columns(spectrum.eigenvalues))
+    columns = ("k", "eigenvalue", "eigenvalue_over_log_k", "partial_sum", "partial_sum_ratio")
+    _emit_csv(args.out, header, [list(r) for r in zip(*(table[c] for c in columns))])
 
     if args.dump_matrix:
         _emit_csv(args.dump_matrix,
@@ -290,7 +275,6 @@ def _cmd_solve(args) -> int:
                   [list(row) for row in matrix.entries])
 
     if args.delta is not None:
-        table = weyl_diagnostics(spectrum, delta=args.delta, dim=domain.dim)
         env_out = None
         if args.out:
             env_out = str(Path(args.out).with_name(Path(args.out).stem + "_envelope.csv"))
@@ -571,12 +555,8 @@ def _sweep_radius(args, values: np.ndarray) -> tuple[list[str], list[list]]:
     rows = []
     for radius in values:
         radius = float(radius)
-        if args.c0 is not None:
-            c0 = args.c0
-        elif dim >= 2:
-            regime = "large" if radius >= 2.0 else "small"
-            c0 = ball((0.0,) * dim, radius).minimal_c0(regime)
-        else:
+        c0 = args.c0 if args.c0 is not None else _default_c0(ball((0.0,) * dim, radius))
+        if c0 is None:
             raise ValueError("radius sweep in dimension 1 needs an explicit --c0")
         # lower bound for any domain inside the enclosing ball of radius 2R
         vol = constants.sphere_measure / dim * (2.0 * radius) ** dim

@@ -216,6 +216,16 @@ def _diagonal_entry_2d(h: float, constants: DimensionConstants) -> float:
     return constants.kernel_constant * inner + constants.zero_order_shift * h * h
 
 
+def _require_memory(nbytes: int, what: str) -> None:
+    """Raise ``ValueError`` when ``nbytes`` exceed the physical memory."""
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > ram:
+        raise ValueError(
+            f"{what} needs {nbytes / 2**30:.1f} GiB, "
+            f"more than the {ram / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> QuadFormMatrix:
     """Assemble the dense symmetric energy matrix on a grid.
 
@@ -233,12 +243,7 @@ def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> Qu
             f"constants are for dimension {constants.dim}, grid has dimension {grid.dim}"
         )
     n = grid.count
-    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if 8 * n * n > ram:
-        raise ValueError(
-            f"a dense {n} x {n} matrix needs {8 * n * n / 2**30:.1f} GiB, "
-            f"more than the {ram / 2**30:.1f} GiB of physical memory"
-        )
+    _require_memory(8 * n * n, f"a dense {n} x {n} matrix")
     h = grid.h
     cols = grid.indices.T  # (dim, n) lattice coordinates
     spans = np.ptp(cols, axis=1).tolist()

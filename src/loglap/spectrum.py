@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import QuadFormMatrix
+from .discretize import QuadFormMatrix, _require_memory
 from .specfun import NumericsError
 
 __all__ = [
@@ -66,7 +66,9 @@ def eig_symmetric(matrix, k: int, *, mass_scale: float | None = None, with_vecto
 
     ``matrix`` may be a :class:`QuadFormMatrix` or a plain symmetric array
     (then ``mass_scale`` defaults to 1).  Ties keep LAPACK's index order;
-    eigenvectors, when requested, are orthonormal columns.
+    eigenvectors, when requested, are orthonormal columns.  LAPACK works on
+    a copy of the matrix, so the solve needs 16*n*n bytes; raises
+    ``ValueError`` when that exceeds physical memory.
     """
     if isinstance(matrix, QuadFormMatrix):
         a = matrix.entries
@@ -89,6 +91,7 @@ def eig_symmetric(matrix, k: int, *, mass_scale: float | None = None, with_vecto
     n = a.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    _require_memory(16 * n * n, f"the eigensolve of a dense {n} x {n} matrix plus LAPACK's copy")
     try:
         if with_vectors:
             vals, vecs = np.linalg.eigh(a)
@@ -123,6 +126,24 @@ def counting_function(spectrum: Spectrum, t: float) -> int:
     return int(np.searchsorted(ev, t, side="left"))
 
 
+def _growth_table(spectrum: Spectrum) -> dict:
+    """The columns of :func:`weyl_diagnostics` without envelopes, for any k >= 1."""
+    ev = spectrum.eigenvalues
+    ks = np.arange(1, ev.size + 1, dtype=float)
+    logk = np.log(ks)
+    psum = np.cumsum(ev)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_eig = np.where(ks > 1, ev / logk, np.nan)
+        ratio_sum = np.where(ks > 1, psum / (ks * logk), np.nan)
+    return {
+        "k": np.arange(1, ev.size + 1),
+        "eigenvalue": ev.copy(),
+        "eigenvalue_over_log_k": ratio_eig,
+        "partial_sum": psum,
+        "partial_sum_ratio": ratio_sum,
+    }
+
+
 def weyl_diagnostics(spectrum: Spectrum, *, delta: float | None = None, dim: int | None = None) -> dict:
     """Growth diagnostics: eigenvalue/log-index and partial-sum ratios per index.
 
@@ -131,22 +152,9 @@ def weyl_diagnostics(spectrum: Spectrum, *, delta: float | None = None, dim: int
     ln 1 = 0).  With ``delta`` given, counting-staircase envelope samples
     exp(-(N/2 +- delta) t) * count(t) are included over [lambda_2, lambda_k].
     """
-    ev = spectrum.eigenvalues
-    if ev.size < 3:
-        raise ValueError(f"diagnostics need at least 3 eigenvalues, got {ev.size}")
-    ks = np.arange(1, ev.size + 1, dtype=float)
-    logk = np.log(ks)
-    psum = np.cumsum(ev)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_eig = np.where(ks > 1, ev / logk, np.nan)
-        ratio_sum = np.where(ks > 1, psum / (ks * logk), np.nan)
-    out = {
-        "k": np.arange(1, ev.size + 1),
-        "eigenvalue": ev.copy(),
-        "eigenvalue_over_log_k": ratio_eig,
-        "partial_sum": psum,
-        "partial_sum_ratio": ratio_sum,
-    }
+    if spectrum.k < 3:
+        raise ValueError(f"diagnostics need at least 3 eigenvalues, got {spectrum.k}")
+    out = _growth_table(spectrum)
     if delta is not None:
         n = dim if dim is not None else spectrum.source.get("dim")
         if n is None:

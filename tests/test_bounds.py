@@ -180,6 +180,13 @@ def test_upper_large_admissibility():
         upper_bound_smallest_large(C2, -4.0, 2.0 * math.pi)
 
 
+def test_upper_large_report_serializes_numpy_c0():
+    # a numpy c0 must not turn the admissibility flag into an unserializable np.bool_
+    rep = upper_bound_smallest_large(C2, 4.0, np.float64(20.0))
+    assert rep.admissible["upper_bound"] is True
+    assert json.loads(rep.to_json())["admissible"]["upper_bound"] is True
+
+
 def test_upper_small_pinned():
     c0 = 4.0 * math.pi
     rep = upper_bound_smallest_small(C2, 0.1, c0)

@@ -8,6 +8,7 @@ against the library so the 17-digit formatting contract stays honest.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -158,6 +159,32 @@ def test_solve_refuses_matrix_larger_than_memory(capsys):
     assert "loglap: error:" in capsys.readouterr().err
 
 
+def test_solve_refuses_eigensolve_larger_than_memory(monkeypatch, capsys):
+    # 64 cells: the matrix takes 32 KiB, the eigensolve (matrix plus LAPACK's
+    # copy) 64 KiB; with 48 KiB of memory assembly fits but the solve does not
+    real_sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": 12, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
+    grid = ["--domain", "interval", "--length", "2", "--cells", "64"]
+    assert main(["solve", *grid, "--num-eigs", "1"]) == 1
+    assert "LAPACK's copy" in capsys.readouterr().err
+    assert main(["bounds", *grid, "--sigma", "0.5"]) == 0   # one matvec, no copy
+    assert json.loads(capsys.readouterr().out)["rayleigh"]["cells"] == 64
+
+
+def test_solve_fewer_than_three_eigenvalues(tmp_path):
+    base = ["solve", "--domain", "interval", "--length", "2", "--cells", "64"]
+    for k in (1, 2):
+        out = tmp_path / f"k{k}.csv"
+        assert main(base + ["--num-eigs", str(k), "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert len(rows) == k
+        assert rows[0][header.index("lambda_over_log_k")] == "nan"
+        assert rows[0][header.index("partial_sum_over_k_log_k")] == "nan"
+    # the envelope diagnostics need at least three eigenvalues
+    assert main(base + ["--num-eigs", "2", "--delta", "0.1"]) == 1
+
+
 def test_solve_dump_matrix_and_envelope(tmp_path):
     out = tmp_path / "spec.csv"
     mat = tmp_path / "matrix.csv"
@@ -213,6 +240,14 @@ def test_bounds_json_ball_with_rayleigh(tmp_path):
     # the quotient is an upper bound for lambda_1, which the volume bound floors
     floor = payload["reports"]["lower_smallest"]["values"]["volume_term"]
     assert floor <= ray["quotient"] < 25.0
+
+
+def test_bounds_small_box_reports_exact_c0(capsys):
+    # inradius 1/4 is the small regime; the sheets peak at 4, so c0 = 4 / (1/4)
+    assert main(["bounds", "--domain", "box", "--side", "0.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["c0"] == 16.0
+    assert payload["reports"]["upper_large"]["admissible"]["upper_bound"] is False
 
 
 def test_bounds_domain_required():

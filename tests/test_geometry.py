@@ -134,12 +134,13 @@ def test_minimal_c0_two_sided_inequality():
     for dom, regime, nu_hi in [
         (ball((0.0, 0.0), 4.0), "large", 0.5 - 1e-9),
         (ball((0.0, 0.0), 0.1), "small", 0.1 / 4.0),
+        (box((0.0, 0.0), (0.2, 0.2)), "small", 0.05 / 4.0),
     ]:
         c0 = dom.minimal_c0(regime)
         assert c0 >= 1.0
         rin = dom.inradius
         scale = rin ** (dom.dim - 1)
-        for nu in np.linspace(0.0, nu_hi, 100):
+        for nu in [*np.linspace(0.0, nu_hi, 100), 1e-12]:
             side = "inner" if regime == "large" else "both"
             m = dom.foliation_measure(float(nu), side)
             assert m <= c0 * scale * (1.0 + 1e-9)
