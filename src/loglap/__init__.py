@@ -27,6 +27,7 @@ from .discretize import (
     QuadFormMatrix,
     assemble_form,
     build_grid,
+    offset_form,
     plane_wave_symbol_1d,
     rayleigh_quotient,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "lower_bound_eigenvalue",
     "lower_bound_smallest",
     "lower_bound_sum",
+    "offset_form",
     "plane_wave_symbol_1d",
     "rayleigh_quotient",
     "solve_log_ratio",

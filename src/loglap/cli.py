@@ -44,7 +44,13 @@ from .bounds import (
     upper_bound_sum,
 )
 from .constants import dimension_constants
-from .discretize import assemble_form, build_grid, plane_wave_symbol_1d, rayleigh_quotient
+from .discretize import (
+    assemble_form,
+    build_grid,
+    offset_form,
+    plane_wave_symbol_1d,
+    rayleigh_quotient,
+)
 from .geometry import Domain, TestFunctionSpec, ball, box, interval
 from .roots import solve_log_ratio, solve_r_ln_r
 from .specfun import EULER_GAMMA, NumericsError
@@ -163,6 +169,12 @@ def _resolve_h(args, domain: Domain) -> float:
     return domain.sides[0] / args.cells
 
 
+def _solver_record(spectrum) -> dict:
+    """Which solver served a form's eigensolve and, for ARPACK, its convergence."""
+    keys = ("cells", "solver", "matvecs", "max_residual")
+    return {key: spectrum.source[key] for key in keys if key in spectrum.source}
+
+
 def _default_c0(domain: Domain) -> float | None:
     """The minimal admissible foliation constant in the domain's inradius
     regime; None in dimension 1, where it is not defined (pass --c0)."""
@@ -256,7 +268,9 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     grid = build_grid(domain, h)
     t1 = time.perf_counter()
-    matrix = assemble_form(grid)
+    matrix = offset_form(grid)
+    if args.dump_matrix:
+        matrix.entries  # gather now: a matrix too large for memory is refused before any output
     t2 = time.perf_counter()
     spectrum = eig_symmetric(matrix, args.num_eigs)
     t3 = time.perf_counter()
@@ -310,6 +324,7 @@ def _cmd_solve(args) -> int:
                 "lambda_1": float(spectrum.eigenvalues[0]),
                 "lambda_k": float(spectrum.eigenvalues[-1]),
             },
+            "eigensolve": _solver_record(spectrum),
         }
         _emit_json(_manifest_path(args.out), manifest)
         print(f"wrote {args.out} ({args.num_eigs} rows, {grid.count} cells) "
@@ -458,7 +473,7 @@ def _suite_sandwich() -> list[dict]:
     for length in (0.5, 1.0, 2.0, 4.0):
         domain = interval(-length / 2.0, length / 2.0)
         grid = build_grid(domain, 1.0 / 128.0)
-        lam1 = eig_symmetric(assemble_form(grid), 1).eigenvalues[0]
+        lam1 = eig_symmetric(offset_form(grid), 1).eigenvalues[0]
         floor = -c1.volume_coefficient * length
         ok = lam1 >= floor - 1e-10
         if length == 1.0:
@@ -484,7 +499,7 @@ def _suite_weyl() -> list[dict]:
 
     domain = interval(-1.0, 1.0)
     grid = build_grid(domain, 1.0 / 512.0)
-    spectrum = eig_symmetric(assemble_form(grid), 100)
+    spectrum = eig_symmetric(offset_form(grid), 100)
     table = weyl_diagnostics(spectrum)
     window = slice(49, 100)
     med = float(np.median(table["eigenvalue_over_log_k"][window]))
@@ -594,25 +609,27 @@ def _sweep_k(args, values: np.ndarray) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _sweep_h(args, values: np.ndarray) -> tuple[list[str], list[list]]:
+def _sweep_h(args, values: np.ndarray, solves: list[dict]) -> tuple[list[str], list[list]]:
     domain = _domain_from_args(args)
     rows = []
     for h in values:
         grid = build_grid(domain, float(h))
-        lam1 = eig_symmetric(assemble_form(grid), 1).eigenvalues[0]
-        rows.append([float(h), grid.h, grid.count, lam1])
+        spectrum = eig_symmetric(offset_form(grid), 1)
+        solves.append(_solver_record(spectrum))
+        rows.append([float(h), grid.h, grid.count, spectrum.eigenvalues[0]])
     return ["h_requested", "h_effective", "cells", "lambda_1"], rows
 
 
 def _cmd_sweep(args) -> int:
     values = _sweep_values(args)
+    solves: list[dict] = []
     t0 = time.perf_counter()
     if args.parameter == "radius":
         header, rows = _sweep_radius(args, values)
     elif args.parameter == "k":
         header, rows = _sweep_k(args, values)
     else:
-        header, rows = _sweep_h(args, values)
+        header, rows = _sweep_h(args, values, solves)
     elapsed = time.perf_counter() - t0
     _emit_csv(args.out, header, rows)
     if args.out:
@@ -634,6 +651,7 @@ def _cmd_sweep(args) -> int:
             },
             "timings_sec": {"total": elapsed},
             "rows": len(rows),
+            "eigensolves": solves,
         }
         _emit_json(_manifest_path(args.out), manifest)
         print(f"wrote {args.out} ({len(rows)} rows) and {_manifest_path(args.out)}")

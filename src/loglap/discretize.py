@@ -21,17 +21,25 @@ offset table per grid with the diagonal in slot (0, ..., 0).  In 1D every
 slot is closed form.  In 2D the diagonal is closed form, and the other slots
 scale like h^2 and are computed once at unit scale: touching offsets (shared
 edge, shared corner) by closed forms in Catalan's constant and the inverse
-tangent integral, separated offsets by a fixed tensor Gauss rule.  One
-row-blocked gather fills the dense matrix in every dimension, so assembly
-needs the 8*n*n-byte matrix plus a small fixed block; a matrix larger than
-physical memory is refused first.
+tangent integral, separated offsets by a fixed tensor Gauss rule.
+
+The table is the operator.  :func:`offset_form` builds it and nothing else;
+it is the size of the lattice's bounding box.  ``QuadFormMatrix.matvec``
+applies the matrix without forming it: the table is embedded in a circulant
+twice the bounding box per axis (rounded up to a fast FFT length) and
+applied with one FFT pair (Chan & Jin, *An Introduction to Iterative
+Toeplitz Solvers*, SIAM 2007).  The dense matrix is a view, gathered on
+first use in row blocks, the same way in every dimension; it needs the
+8*n*n-byte matrix plus a small fixed block, and a matrix larger than
+physical memory is refused first.  :func:`assemble_form` is
+:func:`offset_form` plus that gather.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +51,7 @@ __all__ = [
     "Grid",
     "QuadFormMatrix",
     "build_grid",
+    "offset_form",
     "assemble_form",
     "rayleigh_quotient",
     "plane_wave_symbol_1d",
@@ -90,17 +99,50 @@ class Grid:
         return self.domain.dim
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class QuadFormMatrix:
-    """Dense symmetric Galerkin matrix of the energy form on a grid.
+    """Symmetric Galerkin matrix of the energy form on a grid, given by its offset table.
 
+    Entry (i, j) is ``table[|p_i - p_j|]`` for the lattice indices p of the
+    grid's cells (absolute offset per axis, diagonal in slot (0, ..., 0)).
     The generalized eigenproblem is A v = lambda * mass_scale * v with
     mass_scale = h^N (the indicator basis is orthogonal with that norm).
+    ``dense`` holds the gathered matrix once :attr:`entries` has been read,
+    and ``symbol`` the circulant's spectrum once :meth:`matvec` has run.
     """
 
     grid: Grid
-    entries: np.ndarray
+    table: np.ndarray
     mass_scale: float
+    dense: np.ndarray | None = field(default=None, repr=False)
+    symbol: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n x n matrix, gathered from the table on first use.
+
+        Raises ``ValueError`` when its 8*n*n bytes exceed physical memory.
+        """
+        if self.dense is None:
+            self.dense = _gather(self.grid.indices, self.table)
+        return self.dense
+
+    def matvec(self, v) -> np.ndarray:
+        """The product A v, by one FFT pair on the circulant embedding of the table."""
+        v = np.asarray(v, dtype=float).ravel()
+        if v.shape[0] != self.grid.count:
+            raise ValueError(
+                f"vector has length {v.shape[0]}, grid has {self.grid.count} cells"
+            )
+        axes = tuple(range(self.table.ndim))
+        shape = tuple(_fft_length(2 * size - 1) for size in self.table.shape)
+        if self.symbol is None:
+            self.symbol = np.fft.rfftn(_circulant(self.table, shape), axes=axes)
+        cells = tuple((self.grid.indices - self.grid.indices.min(axis=0)).T)
+        x = np.zeros(shape)
+        x[cells] = v
+        y = np.fft.irfftn(np.fft.rfftn(x, axes=axes) * self.symbol, s=shape, axes=axes)
+        return y[cells]
 
 
 def build_grid(domain: Domain, h: float) -> Grid:
@@ -226,15 +268,11 @@ def _require_memory(nbytes: int, what: str) -> None:
         )
 
 
-def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> QuadFormMatrix:
-    """Assemble the dense symmetric energy matrix on a grid.
+def offset_form(grid: Grid, constants: DimensionConstants | None = None) -> QuadFormMatrix:
+    """The energy form on a grid as its offset table, without the dense matrix.
 
-    One offset table (diagonal in slot 0) is built per grid and gathered
-    into the matrix in row blocks, the same way in every dimension, so
-    symmetric positions read the same slot and the matrix equals its
-    transpose bit for bit.  Off-diagonal entries are strictly negative (the
-    kernel is positive).  Peak memory is the matrix plus one block; raises
-    ``ValueError`` when the matrix would not fit in physical memory.
+    The table is the size of the lattice's bounding box; its off-diagonal
+    slots are strictly negative (the kernel is positive).
     """
     if constants is None:
         constants = dimension_constants(grid.dim)
@@ -242,11 +280,8 @@ def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> Qu
         raise ValueError(
             f"constants are for dimension {constants.dim}, grid has dimension {grid.dim}"
         )
-    n = grid.count
-    _require_memory(8 * n * n, f"a dense {n} x {n} matrix")
     h = grid.h
-    cols = grid.indices.T  # (dim, n) lattice coordinates
-    spans = np.ptp(cols, axis=1).tolist()
+    spans = np.ptp(grid.indices, axis=0).tolist()
     if grid.dim == 1:
         table = _entry_row_1d(spans[0], h, constants)
     elif grid.dim == 2:
@@ -254,12 +289,62 @@ def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> Qu
         table[0, 0] = _diagonal_entry_2d(h, constants)
     else:
         raise ValueError(f"assembly supports dimensions 1 and 2, got {grid.dim}")
+    return QuadFormMatrix(grid=grid, table=table, mass_scale=h**grid.dim)
+
+
+def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> QuadFormMatrix:
+    """:func:`offset_form` with the dense matrix gathered.
+
+    Raises ``ValueError`` when the matrix would not fit in physical memory.
+    """
+    form = offset_form(grid, constants)
+    form.entries  # gathers the matrix into ``form.dense``
+    return form
+
+
+def _gather(indices: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Fill the dense matrix from the offset table in row blocks.
+
+    Symmetric positions read the same slot, so the matrix equals its
+    transpose bit for bit.  Peak memory is the matrix plus one block.
+    """
+    n = indices.shape[0]
+    _require_memory(8 * n * n, f"a dense {n} x {n} matrix")
+    cols = indices.T  # (dim, n) lattice coordinates
     entries = np.empty((n, n))
     block = max(1, _FILL_BLOCK_ENTRIES // n)
     for s in range(0, n, block):
         offsets = (np.abs(c[s : s + block, None] - c) for c in cols)
         entries[s : s + block] = table[tuple(offsets)]
-    return QuadFormMatrix(grid=grid, entries=entries, mass_scale=h**grid.dim)
+    return entries
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth integer >= n: an FFT size pocketfft handles fast."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+def _circulant(table: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """First column of a circulant of ``shape`` that embeds the table.
+
+    Slot j of an axis of length L holds offset min(j, L - j).  With
+    L >= 2m + 1 for the largest offset m on that axis, every lattice
+    difference lands on its own offset; slots past m hold zero.
+    """
+    padded = np.pad(table, [(0, 1)] * table.ndim)
+    folds = []
+    for size, length in zip(table.shape, shape):
+        j = np.arange(length)
+        folds.append(np.minimum(np.minimum(j, length - j), size))
+    return padded[np.ix_(*folds)]
 
 
 def rayleigh_quotient(matrix: QuadFormMatrix, coefficients) -> float:

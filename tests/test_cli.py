@@ -131,6 +131,7 @@ def test_solve_csv_and_manifest(tmp_path):
     assert manifest["config"]["h_effective"] == pytest.approx(2.0 / 64.0, rel=1e-15)
     assert manifest["results"]["lambda_1"] == lam[0]
     assert manifest["timings_sec"]["total"] > 0.0
+    assert manifest["eigensolve"] == {"cells": 64, "solver": "lapack"}
 
 
 def test_solve_rerun_is_byte_identical(tmp_path):
@@ -152,11 +153,16 @@ def test_solve_usage_errors(tmp_path):
     assert main(["solve", "--cells", "8", "--num-eigs", "2"]) == 1  # no domain
 
 
-def test_solve_refuses_matrix_larger_than_memory(capsys):
-    # 2,000,000 cells: the dense matrix would need 29 TiB
-    assert main(["solve", "--domain", "interval", "--length", "1000000",
-                 "--h", "0.5", "--num-eigs", "1"]) == 1
-    assert "loglap: error:" in capsys.readouterr().err
+def test_solve_refuses_matrix_larger_than_memory(tmp_path, capsys):
+    # 2,000,000 cells: the dense matrix would need 29 TiB.  A few eigenvalues
+    # are served without it; the paths that need it refuse before any output.
+    grid = ["--domain", "interval", "--length", "1000000", "--h", "0.5"]
+    assert main(["solve", *grid, "--num-eigs", "200001"]) == 1   # above n/10: LAPACK
+    assert "LAPACK's copy" in capsys.readouterr().err
+    assert main(["solve", *grid, "--num-eigs", "1", "--out", str(tmp_path / "run.csv"),
+                 "--dump-matrix", str(tmp_path / "matrix.csv")]) == 1
+    assert "a dense 2000000 x 2000000 matrix" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_refuses_eigensolve_larger_than_memory(monkeypatch, capsys):
@@ -170,6 +176,40 @@ def test_solve_refuses_eigensolve_larger_than_memory(monkeypatch, capsys):
     assert "LAPACK's copy" in capsys.readouterr().err
     assert main(["bounds", *grid, "--sigma", "0.5"]) == 0   # one matvec, no copy
     assert json.loads(capsys.readouterr().out)["rayleigh"]["cells"] == 64
+
+
+def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
+    # 2048 cells: the matrix takes 32 MiB; with 16 MiB of memory the dense
+    # paths refuse and k <= n/10 is solved by ARPACK on the matvec
+    real_sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": 4096, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
+    grid = ["--domain", "interval", "--length", "2", "--cells", "2048"]
+    out = tmp_path / "run.csv"
+    assert main(["solve", *grid, "--num-eigs", "10", "--out", str(out)]) == 0
+    record = json.loads((tmp_path / "run.json").read_text())["eigensolve"]
+    assert record["cells"] == 2048 and record["solver"] == "arpack"
+    assert record["matvecs"] > 10 and 0.0 <= record["max_residual"] <= 1e-13
+    assert main(["solve", *grid, "--num-eigs", "205"]) == 1
+    assert main(["solve", *grid, "--num-eigs", "1", "--dump-matrix", str(tmp_path / "m.csv")]) == 1
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", "--parameter", "h", "--domain", "interval", "--length", "2",
+                 "--start", str(2 / 2048), "--stop", str(2 / 2048), "--steps", "1",
+                 "--out", str(sweep)]) == 0
+    solves = json.loads((tmp_path / "sweep.json").read_text())["eigensolves"]
+    assert [(s["cells"], s["solver"]) for s in solves] == [(2048, "arpack")]
+
+
+def test_arpack_failure_exits_2(monkeypatch, capsys):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    assert main(["solve", "--domain", "interval", "--length", "2", "--cells", "2048",
+                 "--num-eigs", "1"]) == 2
+    assert "loglap: numerical failure: ARPACK" in capsys.readouterr().err
 
 
 def test_solve_fewer_than_three_eigenvalues(tmp_path):
@@ -355,6 +395,8 @@ def test_sweep_h(tmp_path):
     assert np.array_equal(cells, [16.0, 32.0, 64.0, 128.0])
     lam1 = column(header, rows, "lambda_1")
     assert np.all(np.diff(lam1) <= 1e-12)             # refinement never increases it
+    solves = json.loads((tmp_path / "h.json").read_text())["eigensolves"]
+    assert solves == [{"cells": c, "solver": "lapack"} for c in (16, 32, 64, 128)]
 
 
 def test_sweep_range_errors(tmp_path):

@@ -11,6 +11,7 @@ from loglap.constants import dimension_constants
 from loglap.discretize import (
     assemble_form,
     build_grid,
+    offset_form,
     plane_wave_symbol_1d,
     rayleigh_quotient,
 )
@@ -241,6 +242,29 @@ def test_assembly_peak_memory_is_the_matrix_plus_a_small_block(domain, h):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * n * n + 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "domain, h",
+    [
+        (interval(-1.0, 1.0), 2.0 / 2048.0),
+        (box((0.0, 0.0), (3.0, 2.0)), 1.0 / 16.0),
+        (ball((0.0, 0.0), 4.0), 0.125),
+        (ball((0.3, -0.1), 1.3), 0.1),  # lattice indices start above zero
+    ],
+    ids=["interval", "box", "ball", "offcenter-ball"],
+)
+def test_matvec_matches_dense_product(domain, h):
+    form = offset_form(build_grid(domain, h))
+    assert form.dense is None  # no matrix until one is asked for
+    v = np.random.default_rng(5).standard_normal((2, form.grid.count))
+    got = [form.matvec(x) for x in v]
+    assert form.dense is None
+    for x, y in zip(v, got):
+        want = form.entries @ x
+        assert np.linalg.norm(y - want) <= 1e-14 * np.linalg.norm(want)
+    with pytest.raises(ValueError):
+        form.matvec(np.ones(form.grid.count + 1))
 
 
 # -------------------------------------------------- Rayleigh quotients

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from loglap.discretize import assemble_form, build_grid
-from loglap.geometry import interval
+from loglap import spectrum as spectrum_module
+from loglap.discretize import assemble_form, build_grid, offset_form
+from loglap.geometry import ball, box, interval
 from loglap.spectrum import (
     Spectrum,
     counting_function,
@@ -53,6 +54,7 @@ def test_mass_scale_and_residuals():
         assert float(np.linalg.norm(r)) <= bound
     assert s.source["cells"] == m.grid.count
     assert s.source["dim"] == 1
+    assert s.source["solver"] == "lapack"
 
 
 def test_eigensolver_deterministic():
@@ -60,6 +62,79 @@ def test_eigensolver_deterministic():
     a = eig_symmetric(m, 10).eigenvalues
     b = eig_symmetric(m, 10).eigenvalues
     assert np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def ball_3080():
+    """The R=4, h=1/8 ball (3,080 cells) with LAPACK's 30 smallest eigenvalues."""
+    form = offset_form(build_grid(ball((0.0, 0.0), 4.0), 0.125))
+    lapack = np.linalg.eigvalsh(form.entries)[:30] / form.mass_scale
+    form.dense = None  # the solves below must not find a gathered matrix
+    return form, lapack
+
+
+def test_arpack_matches_lapack_on_double_eigenvalues(ball_3080):
+    form, lapack = ball_3080
+    s = eig_symmetric(form, 30, with_vectors=True)
+    assert s.source["solver"] == "arpack" and form.dense is None
+    # the ball's symmetry makes seven of these eigenvalues double; both copies come back
+    assert np.sum(np.diff(lapack) < 1e-9) == 7
+    assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
+    assert s.source["matvecs"] > 30
+    assert s.source["max_residual"] <= 1e-12 * form.mass_scale
+    assert np.allclose(s.eigenvectors.T @ s.eigenvectors, np.eye(30), atol=1e-12)
+
+
+def test_arpack_matches_lapack_on_an_interval():
+    form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048.0))
+    s = eig_symmetric(form, 10)
+    assert s.source["solver"] == "arpack" and s.eigenvectors is None
+    lapack = np.linalg.eigvalsh(form.entries)[:10] / form.mass_scale
+    assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
+
+
+def test_repeated_arpack_solves_are_bit_identical(ball_3080):
+    form, _ = ball_3080
+    a = eig_symmetric(form, 10, with_vectors=True)
+    b = eig_symmetric(form, 10, with_vectors=True)
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    assert a.source == b.source
+
+
+@pytest.mark.parametrize("cells, k, solver", [
+    (2047, 10, "lapack"), (2048, 10, "arpack"), (2048, 204, "arpack"), (2048, 205, "lapack"),
+])
+def test_solver_choice_at_the_limits(monkeypatch, cells, k, solver):
+    ran = []
+
+    def fake(name):
+        def solve(*args):
+            ran.append(name)
+            return (np.zeros(k), None) if name == "lapack" else (np.zeros(k), None, {})
+        return solve
+
+    monkeypatch.setattr(spectrum_module, "_lapack", fake("lapack"))
+    monkeypatch.setattr(spectrum_module, "_arpack", fake("arpack"))
+    form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / cells))
+    assert eig_symmetric(form, k).source["solver"] == solver
+    assert ran == [solver]
+
+
+@pytest.mark.parametrize("small, large, k", [
+    (interval(-0.5, 0.5), interval(-1.0, 1.0), 8),        # LAPACK, 64 cells
+    (ball((0.0, 0.0), 1.0), ball((0.0, 0.0), 2.0), 8),    # LAPACK, 180 cells
+    (box((0.0, 0.0), (4.0, 4.0)), box((0.0, 0.0), (8.0, 8.0)), 10),  # ARPACK, 4,096 cells
+], ids=["interval", "ball", "box-arpack"])
+def test_discrete_dilation_identity(small, large, k):
+    # dilating the domain and the grid by R = 2 shifts every discrete
+    # eigenvalue by exactly -2 ln 2
+    h = {1: 1.0 / 64.0, 2: 1.0 / 16.0}[small.dim]
+    a = eig_symmetric(offset_form(build_grid(small, h)), k)
+    b = eig_symmetric(offset_form(build_grid(large, 2.0 * h)), k)
+    assert a.source["solver"] == b.source["solver"]
+    assert a.source["cells"] == b.source["cells"]
+    assert np.max(np.abs(b.eigenvalues - (a.eigenvalues - 2.0 * math.log(2.0)))) <= 1e-12
 
 
 def test_eigensolver_validation():
