@@ -13,14 +13,13 @@ reports always name the variant used.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import DimensionConstants
-from .spectrum import Spectrum, envelope_samples
+from .spectrum import Spectrum, _envelope_pair
 
 __all__ = [
     "BoundReport",
@@ -47,15 +46,6 @@ class BoundReport:
     values: dict
     admissible: dict
     verdicts: dict = field(default_factory=dict)
-
-    def to_json(self, indent: int | None = None) -> str:
-        payload = {
-            "context": self.context,
-            "values": self.values,
-            "admissible": self.admissible,
-            "verdicts": self.verdicts,
-        }
-        return json.dumps(payload, sort_keys=True, indent=indent)
 
 
 def _check_volume(volume: float) -> None:
@@ -350,11 +340,7 @@ def counting_envelope(spectrum: Spectrum, delta: float, constants: DimensionCons
     """
     if spectrum.k < 10:
         raise ValueError(f"envelope trends need at least 10 eigenvalues, got {spectrum.k}")
-    if not (delta >= 0.0) or not math.isfinite(delta):
-        raise ValueError(f"delta must be >= 0, got {delta!r}")
-    half = constants.dim / 2.0
-    _, upper = envelope_samples(spectrum, half + delta)
-    _, lower = envelope_samples(spectrum, half - delta)
+    _, upper, lower = _envelope_pair(spectrum, constants.dim, delta)
     q = upper.size // 4
     vals = {
         "upper_first_quartile_mean": float(np.mean(upper[:q])),

@@ -21,7 +21,9 @@ offset table per grid with the diagonal in slot (0, ..., 0).  In 1D every
 slot is closed form.  In 2D the diagonal is closed form, and the other slots
 scale like h^2 and are computed once at unit scale: touching offsets (shared
 edge, shared corner) by closed forms in Catalan's constant and the inverse
-tangent integral, separated offsets by a fixed tensor Gauss rule.
+tangent integral, separated offsets by a Gauss rule on the pair integral
+reduced to the difference variable (a tent weight per axis).  Every slot of
+the table, in 1D and 2D, is within 1e-12 relative of the exact integral.
 
 The table is the operator.  :func:`offset_form` builds it and nothing else;
 it is the size of the lattice's bounding box.  ``QuadFormMatrix.matvec``
@@ -59,8 +61,8 @@ __all__ = [
 
 MAX_CELL_SIDE = 0.5
 
-# Tensor Gauss rule per axis for separated cells (center distance >= 2h).
-_SEPARATED_GAUSS_N = 4
+# Gauss points per half-axis for separated cells; see _pair_batch_gauss.
+_SEPARATED_GAUSS_N = 10
 
 # Matrix entries gathered per row block; the index temporaries are a few
 # times this size.  Of 2^14..2^18 it gave the lowest peak RSS on every
@@ -209,30 +211,27 @@ def _entry_row_1d(m_max: int, h: float, constants: DimensionConstants) -> np.nda
     return row
 
 
-def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _pair_batch_gauss(offsets: np.ndarray, n: int) -> np.ndarray:
-    """Tensor-Gauss integrals of |x-y|^(-2) over batches of unit-cell pairs.
+    """Integrals of |x-y|^(-2) over batches of separated unit-cell pairs.
 
-    ``offsets`` holds the lattice offset of the second cell of each pair
-    from the first; the rule is accurate only for separated cells.
+    ``offsets`` holds the lattice offsets (a, b), max(a, b) >= 2, of the pairs.
+    Per axis the difference of two uniform points on a unit cell has the tent
+    density 1 - |s| on [-1, 1], so each pair integral is the integral of
+    (1 - |s|)(1 - |t|) / ((a + s)^2 + (b + t)^2) over [-1, 1]^2.  That is
+    analytic on each quadrant, and n Gauss-Legendre points per half-axis
+    converge geometrically: at n = 10 every offset meets the 1e-12 contract
+    (7.8e-15 at worst).  Looping over one axis's 2n nodes keeps temporaries
+    at (pairs, 2n).
     """
-    g, w = _gauss01(n)
-    # y - x separations per axis, laid out as (pair, node_y, node_x)
-    sep = g[None, :, None] - g[None, None, :]
-    du = offsets[:, 0][:, None, None] + sep
-    dv = offsets[:, 1][:, None, None] + sep
-    out = np.empty(len(offsets))
-    chunk = max(1, 4_000_000 // max(n**4, 1))
-    for s in range(0, len(offsets), chunk):
-        e = min(s + chunk, len(offsets))
-        k = 1.0 / (
-            du[s:e, :, :, None, None] ** 2 + dv[s:e, None, None, :, :] ** 2
-        )  # axes (pair, y1, x1, y2, x2)
-        out[s:e] = np.einsum("maibj,a,i,b,j->m", k, w, w, w, w)
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes = 0.5 * np.concatenate((-1.0 - x, 1.0 + x))  # n per half-axis
+    weights = (1.0 - np.abs(nodes)) * np.tile(0.5 * w, 2)
+    du2, dv2 = ((offsets[:, i, None] + nodes) ** 2 for i in (0, 1))
+    kernel = np.empty_like(dv2)  # reused: a fresh array per node doubles the time
+    out = np.zeros(len(offsets))
+    for j, ws in enumerate(weights):
+        np.divide(1.0, np.add(du2[:, j, None], dv2, out=kernel), out=kernel)
+        out += ws * (kernel @ weights)
     return out
 
 

@@ -12,6 +12,7 @@ results are reproducible bit for bit across runs on one machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,8 +217,9 @@ def weyl_diagnostics(spectrum: Spectrum, *, delta: float | None = None, dim: int
 
     Returns arrays keyed ``k``, ``eigenvalue``, ``eigenvalue_over_log_k``,
     ``partial_sum``, ``partial_sum_ratio`` (the k = 1 ratios are NaN since
-    ln 1 = 0).  With ``delta`` given, counting-staircase envelope samples
-    exp(-(N/2 +- delta) t) * count(t) are included over [lambda_2, lambda_k].
+    ln 1 = 0).  With a finite ``delta`` >= 0, counting-staircase envelope
+    samples exp(-(N/2 +- delta) t) * count(t) are included over
+    [lambda_2, lambda_k].
     """
     if spectrum.k < 3:
         raise ValueError(f"diagnostics need at least 3 eigenvalues, got {spectrum.k}")
@@ -226,12 +228,19 @@ def weyl_diagnostics(spectrum: Spectrum, *, delta: float | None = None, dim: int
         n = dim if dim is not None else spectrum.source.get("dim")
         if n is None:
             raise ValueError("envelope samples need the dimension (pass dim=...)")
-        t, upper = envelope_samples(spectrum, n / 2.0 + delta)
-        _, lower = envelope_samples(spectrum, n / 2.0 - delta)
-        out["envelope_t"] = t
-        out["envelope_upper"] = upper
-        out["envelope_lower"] = lower
+        out["envelope_t"], out["envelope_upper"], out["envelope_lower"] = _envelope_pair(
+            spectrum, n, delta
+        )
     return out
+
+
+def _envelope_pair(spectrum: Spectrum, dim: int, delta: float) -> tuple[np.ndarray, ...]:
+    """Samples t and the envelopes at exponents N/2 + delta and N/2 - delta."""
+    if not (delta >= 0.0) or not math.isfinite(delta):
+        raise ValueError(f"delta must be >= 0 and finite, got {delta!r}")
+    t, upper = envelope_samples(spectrum, dim / 2.0 + delta)
+    _, lower = envelope_samples(spectrum, dim / 2.0 - delta)
+    return t, upper, lower
 
 
 def envelope_samples(spectrum: Spectrum, exponent: float, num: int = 201) -> tuple[np.ndarray, np.ndarray]:

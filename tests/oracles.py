@@ -4,12 +4,14 @@ Everything here deliberately takes a different route than the package:
 digamma comes from the recurrence + Bernoulli tail, lgamma from libm,
 the cosine integral from panel quadrature / its large-argument series,
 eigenvalues from a characteristic-polynomial solve, and the kernel pair
-integrals from 1D quadrature of reduced (correlation) forms.  Slower and
-cruder than the production code, but fair as cross-checks.
+integrals from 1D quadrature of reduced (correlation) forms, in mpmath where
+double precision would cancel.  Slower and cruder than the production code,
+but fair as cross-checks.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -112,7 +114,8 @@ def eigvals_charpoly(matrix):
 # For two cells of side h the kernel integral becomes an integral of the
 # indicator correlation (a tent per axis) against the kernel.  The 1D case
 # is a single tent; in 2D one axis is integrated in closed form and the
-# other handed to adaptive quadrature.
+# other handed to adaptive quadrature (scipy in double precision, or mpmath
+# at 32 digits for the separated offsets at every distance).
 
 
 def pair_integral_1d(m, h):
@@ -174,7 +177,12 @@ def corner_pair_2d(h):
 
 
 def separated_pair_2d(h, a, b):
-    """Integral of |x-y|^(-2) over side-h squares with center offset (a*h, b*h)."""
+    """Integral of |x-y|^(-2) over side-h squares with center offset (a*h, b*h).
+
+    Double precision throughout: the antiderivative differences cancel like
+    eps*m^2 at offset m (1.2e-8 relative at (0, 255)), so this is a reference
+    only at near offsets.  :func:`separated_pair_unit_2d_mp` serves far ones.
+    """
     c1, c2 = a * h, b * h
 
     def inner(u):
@@ -192,6 +200,37 @@ def separated_pair_2d(h, a, b):
     v1 = quad(f, c1 - h, c1, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
     v2 = quad(f, c1, c1 + h, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
     return v1 + v2
+
+
+def separated_pair_unit_2d_mp(a, b, digits=32):
+    """Integral of |x-y|^(-2) over unit squares at lattice offset (a, b), max >= 2.
+
+    Reduced to the difference variable: the integral over [-1, 1]^2 of
+    (1 - |s|)(1 - |t|) / ((a + s)^2 + (b + t)^2).  The t-integral is done in
+    closed form, each atan difference folded into one atan so nothing cancels
+    near u = a + s = 0, and the s-integral by tanh-sinh quadrature on each
+    half-axis, all at ``digits`` significant digits.  Returns a float.
+    """
+    a, b = sorted((abs(a), abs(b)))
+    if b < 2:
+        raise ValueError("separated offsets need max(|a|, |b|) >= 2")
+    with mpmath.workdps(digits):
+        b = mpmath.mpf(b)
+
+        def atan_over_u(u, c):  # atan(u / c) / u, continuous at u = 0
+            return mpmath.atan(u / c) / u if u else 1 / c
+
+        def inner(u):
+            # int (1 - |t|) / (u^2 + (b + t)^2) dt over [-1, 1], b >= 2
+            u2 = u * u
+            return (
+                (b + 1) * atan_over_u(u, u2 + b * (b + 1))
+                - (b - 1) * atan_over_u(u, u2 + b * (b - 1))
+                + mpmath.log((u2 + b * b) ** 2 / ((u2 + (b + 1) ** 2) * (u2 + (b - 1) ** 2))) / 2
+            )
+
+        value = mpmath.quad(lambda s: (1 - abs(s)) * inner(a + s), [-1, 0, 1])
+        return float(value)
 
 
 def diagonal_inner_2d(h, angular=2048, levels=16, gauss_n=8):

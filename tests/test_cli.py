@@ -225,6 +225,17 @@ def test_solve_fewer_than_three_eigenvalues(tmp_path):
     assert main(base + ["--num-eigs", "2", "--delta", "0.1"]) == 1
 
 
+def test_solve_rejects_negative_or_nonfinite_delta(tmp_path):
+    # a negative delta would swap the envelope columns; nan and inf fill them
+    # with nan, 0 or inf: each exits 1 before any CSV is written
+    base = ["solve", "--domain", "interval", "--length", "2", "--cells", "64",
+            "--num-eigs", "12"]
+    for bad in ("-0.25", "nan", "inf"):
+        out = tmp_path / "run.csv"
+        assert main(base + [f"--delta={bad}", "--out", str(out)]) == 1, bad
+        assert list(tmp_path.iterdir()) == [], bad
+
+
 def test_solve_dump_matrix_and_envelope(tmp_path):
     out = tmp_path / "spec.csv"
     mat = tmp_path / "matrix.csv"

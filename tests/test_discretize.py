@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loglap.constants import dimension_constants
 from loglap.discretize import (
@@ -192,6 +193,24 @@ def test_2d_entries_match_reduced_oracles():
     assert abs(a[0, 0] - diag_ref) <= 1e-4 * abs(diag_ref)
 
 
+@pytest.mark.parametrize(
+    "offsets",
+    [[(0, 2), (1, 2), (2, 2), (0, 3)], [(0, 100), (0, 255), (17, 255), (255, 255)]],
+    ids=["near", "far"],
+)
+def test_2d_separated_entries_exact_to_rounding(offsets):
+    # the entry-accuracy contract, 1e-12 relative, against 32-digit integrals;
+    # a 256 x 256 box holds every offset up to (255, 255) in its table
+    h = 0.5
+    c2 = dimension_constants(2)
+    table = offset_form(build_grid(box((0.0, 0.0), (128.0, 128.0)), h)).table
+    assert table.shape == (256, 256)
+    for oa, ob in offsets:
+        ref = -c2.kernel_constant * h * h * oracles.separated_pair_unit_2d_mp(oa, ob)
+        for slot in ((oa, ob), (ob, oa)):
+            assert abs(table[slot] - ref) <= 1e-12 * abs(ref), slot
+
+
 def test_ball_matrix_invariant_under_swapping_axes():
     # the ball's cell set is symmetric under (i, j) -> (j, i), and so is the
     # kernel; the matrix must be too, bit for bit
@@ -265,6 +284,31 @@ def test_matvec_matches_dense_product(domain, h):
         assert np.linalg.norm(y - want) <= 1e-14 * np.linalg.norm(want)
     with pytest.raises(ValueError):
         form.matvec(np.ones(form.grid.count + 1))
+
+
+@st.composite
+def small_grids(draw):
+    """Intervals, boxes and off-center balls of at most about 600 cells."""
+    h = draw(st.sampled_from([0.5, 0.25, 0.125, 0.1]))
+    corner = draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["interval", "box", "ball"]))
+    if kind == "interval":
+        return build_grid(interval(corner, corner + draw(st.integers(1, 600)) * h), h)
+    if kind == "box":
+        nx = draw(st.integers(1, 40))
+        ny = draw(st.integers(1, 600 // nx))
+        return build_grid(box((corner, -corner), (nx * h, ny * h)), h)
+    radius = draw(st.floats(1.5, 13.0)) * h  # pi r^2 / h^2 <= 531 cells
+    return build_grid(ball((corner, draw(st.floats(-3.0, 3.0))), radius), h)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(grid=small_grids(), seed=st.integers(0, 2**32 - 1))
+def test_matvec_matches_dense_product_on_random_grids(grid, seed):
+    form = offset_form(grid)
+    v = np.random.default_rng(seed).standard_normal(grid.count)
+    want = form.entries @ v
+    assert np.linalg.norm(form.matvec(v) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 # -------------------------------------------------- Rayleigh quotients
