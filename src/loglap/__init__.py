@@ -2,7 +2,7 @@
 
 The package splits into small layers: validated special functions
 (`specfun`), dimension constants (`constants`), the two scalar root equations
-(`roots`), domain geometry with collar test functions (`geometry`),
+(`roots`), domain geometry with the collar ramp test function (`geometry`),
 piecewise-constant Galerkin assembly (`discretize`), eigensolves and
 spectral diagnostics (`spectrum`), the closed-form bound formulas
 (`bounds`), and a CLI harness (`cli`).
@@ -11,7 +11,6 @@ spectral diagnostics (`spectrum`), the closed-form bound formulas
 from .bounds import (
     BallProfile,
     BoundReport,
-    SampledProfile,
     counting_envelope,
     log_moment_check,
     lower_bound_eigenvalue,
@@ -54,7 +53,6 @@ __all__ = [
     "NumericsError",
     "QuadFormMatrix",
     "RootResult",
-    "SampledProfile",
     "Spectrum",
     "TestFunctionSpec",
     "__version__",

@@ -24,7 +24,6 @@ from .spectrum import Spectrum, _envelope_pair
 __all__ = [
     "BoundReport",
     "BallProfile",
-    "SampledProfile",
     "lower_bound_smallest",
     "lower_bound_sum",
     "lower_bound_eigenvalue",
@@ -264,16 +263,6 @@ class BallProfile:
             raise ValueError("ball profile needs positive radius and height")
 
 
-@dataclass(frozen=True, eq=False)
-class SampledProfile:
-    """Density given by samples on a grid of common cell volume, capped by ``height``."""
-
-    points: np.ndarray
-    values: np.ndarray
-    cell_volume: float
-    height: float
-
-
 def _profile_moments(constants: DimensionConstants, profile) -> tuple[float, float, float]:
     """Return (height bound M1, mass, doubled log-moment M2) of the profile."""
     n, om = constants.dim, constants.sphere_measure
@@ -281,19 +270,6 @@ def _profile_moments(constants: DimensionConstants, profile) -> tuple[float, flo
         a, m1 = profile.radius, profile.height
         shell = om * a**n / n
         return m1, m1 * shell, 2.0 * m1 * shell * (math.log(a) - 1.0 / n)
-    if isinstance(profile, SampledProfile):
-        pts = np.atleast_2d(np.asarray(profile.points, dtype=float))
-        vals = np.asarray(profile.values, dtype=float).ravel()
-        m1 = float(profile.height)
-        if np.any(vals < -1e-12) or np.any(vals > m1 * (1.0 + 1e-12)):
-            raise ValueError("profile samples must lie in [0, height]")
-        r = np.linalg.norm(pts, axis=1)
-        if np.any((r == 0.0) & (vals > 0.0)):
-            raise ValueError("profile samples at the origin make the log moment singular")
-        mass = float(np.sum(vals)) * profile.cell_volume
-        with np.errstate(divide="ignore"):
-            logs = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)), 0.0)
-        return m1, mass, 2.0 * float(np.sum(logs * vals)) * profile.cell_volume
     raise ValueError(f"unsupported profile type {type(profile)!r}")
 
 

@@ -54,7 +54,13 @@ from .discretize import (
 from .geometry import Domain, TestFunctionSpec, ball, box, interval
 from .roots import solve_log_ratio, solve_r_ln_r
 from .specfun import EULER_GAMMA, NumericsError
-from .spectrum import _growth_table, eig_symmetric, spectrum_from_values, weyl_diagnostics
+from .spectrum import (
+    _check_weyl_args,
+    _growth_table,
+    eig_symmetric,
+    spectrum_from_values,
+    weyl_diagnostics,
+)
 
 __all__ = ["main"]
 
@@ -263,6 +269,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_solve(args) -> int:
     if args.num_eigs is None or args.num_eigs < 1:
         raise ValueError("--num-eigs is required and must be >= 1")
+    if args.delta is not None:
+        _check_weyl_args(args.num_eigs, args.delta)  # refuse before the eigensolve, not after
     domain = _domain_from_args(args)
     h = _resolve_h(args, domain)
     t0 = time.perf_counter()

@@ -2,8 +2,9 @@
 
 The spectral bounds need a small amount of exact geometry: signed distance
 to the boundary, the measure of the level sets of that distance (the
-"foliation" sheets), collar volumes, and ramp test functions supported in a
-boundary collar.  All of it is closed form for the three supported shapes.
+"foliation" sheets), the foliation regularity constant, and the clamp ramp
+test function of a boundary collar.  All of it is closed form for the
+three supported shapes.
 
 Sign convention: ``signed_distance`` is positive inside the domain,
 negative outside, zero on the boundary, and 1-Lipschitz.
@@ -25,41 +26,13 @@ Regime = Literal["large", "small"]
 
 @dataclass(frozen=True)
 class TestFunctionSpec:
-    """Recipe for a boundary-collar ramp function w(x) = profile(rho(x)/sigma).
-
-    ``profile`` is either ``"clamp"`` (piecewise linear, slope bound 1) or
-    ``"smoothstep"`` (C^1 cubic, slope bound 3/2).  The reference boundary
-    is the domain's own boundary, or the boundary of the concentric inner
-    copy holding ``inner_fraction`` of the volume.
-    """
+    """Collar width of the ramp w(x) = clip(signed_distance(x)/sigma, 0, 1)."""
 
     sigma: float
-    profile: Literal["clamp", "smoothstep"] = "clamp"
-    reference_boundary: Literal["domain", "inner_subdomain"] = "domain"
-    inner_fraction: float = 0.75
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if self.profile not in ("clamp", "smoothstep"):
-            raise ValueError(f"unknown profile {self.profile!r}")
-        if self.reference_boundary not in ("domain", "inner_subdomain"):
-            raise ValueError(f"unknown reference boundary {self.reference_boundary!r}")
-        if not (0.0 < self.inner_fraction < 1.0):
-            raise ValueError(f"inner_fraction must lie in (0, 1), got {self.inner_fraction!r}")
-
-    @property
-    def slope_bound(self) -> float:
-        """Bound on |profile'|; the ramp is (slope_bound/sigma)-Lipschitz."""
-        return 1.0 if self.profile == "clamp" else 1.5
-
-    def apply(self, t):
-        """Evaluate the profile at t = rho/sigma (vectorized)."""
-        t = np.asarray(t, dtype=float)
-        if self.profile == "clamp":
-            return np.clip(t, 0.0, 1.0)
-        s = np.clip(t, 0.0, 1.0)
-        return s * s * (3.0 - 2.0 * s)
 
 
 @dataclass(frozen=True)
@@ -137,10 +110,6 @@ class Domain:
             rho = np.where(outside > 0.0, -outside, inside)
         return rho.reshape(shape) if shape else float(rho[0])
 
-    def contains(self, x):
-        d = self.signed_distance(x)
-        return d > 0.0
-
     # -- foliation by the signed distance --------------------------------
 
     def foliation_measure(self, nu: float, side: Side = "inner") -> float:
@@ -185,18 +154,6 @@ class Domain:
             return 2.0 * math.pi * (self.radius + nu)
         return 2.0 * float(np.sum(self.sides)) + 2.0 * math.pi * nu
 
-    def collar_volume(self, sigma: float) -> float:
-        """Volume of the inner collar {0 < signed distance < sigma}."""
-        if not (sigma >= 0.0) or not math.isfinite(sigma):
-            raise ValueError(f"sigma must be >= 0, got {sigma!r}")
-        if sigma == 0.0:
-            return 0.0
-        if self.kind == "ball" and self.dim == 2:
-            core = max(self.radius - sigma, 0.0)
-            return math.pi * (self.radius**2 - core**2)
-        core_sides = np.maximum(self.sides - 2.0 * sigma, 0.0)
-        return float(np.prod(self.sides) - np.prod(core_sides))
-
     # -- foliation regularity constant ------------------------------------
 
     def minimal_c0(self, regime: Regime) -> float:
@@ -233,82 +190,15 @@ class Domain:
             c0 = max(c0, m / scale, scale / m)
         return c0
 
-    # -- shrunken copies and ramp functions -------------------------------
-
-    def inner_subdomain(self, fraction: float) -> "Domain":
-        """Concentric copy of the same kind holding exactly ``fraction`` of the volume."""
-        if not (0.0 < fraction < 1.0):
-            raise ValueError(f"fraction must lie in (0, 1), got {fraction!r}")
-        scale = fraction ** (1.0 / self.dim)
-        c = self.center
-        if self.kind == "ball":
-            r = self.radius * scale
-            return Domain(
-                kind="ball",
-                dim=self.dim,
-                lo=tuple(c - r),
-                hi=tuple(c + r),
-                radius=r,
-            )
-        half = self.sides / 2.0 * scale
-        return Domain(kind=self.kind, dim=self.dim, lo=tuple(c - half), hi=tuple(c + half))
-
-    def _reference(self, spec: TestFunctionSpec) -> "Domain":
-        if spec.reference_boundary == "domain":
-            return self
-        return self.inner_subdomain(spec.inner_fraction)
+    # -- ramp test function -----------------------------------------------
 
     def test_function(self, spec: TestFunctionSpec, x):
-        """Evaluate the collar ramp w(x) = profile(signed_distance(x)/sigma).
+        """Evaluate the collar ramp w(x) = clip(signed_distance(x)/sigma, 0, 1).
 
-        Vanishes outside the reference region, equals 1 at depth >= sigma,
-        and is (slope_bound/sigma)-Lipschitz.
+        Vanishes outside the domain, equals 1 at depth >= sigma, and is
+        (1/sigma)-Lipschitz.
         """
-        ref = self._reference(spec)
-        rho = np.asarray(ref.signed_distance(x), dtype=float)
-        return spec.apply(rho / spec.sigma)
-
-    def test_function_mass(self, spec: TestFunctionSpec) -> float:
-        """Exact L2 mass integral of the squared collar ramp.
-
-        Computed by the coarea formula: the deep core contributes its
-        volume, the collar contributes a 1D integral of
-        profile(nu/sigma)^2 against the inner sheet measure.
-        """
-        ref = self._reference(spec)
-        sig = min(spec.sigma, ref.inradius)
-        core = ref.volume - ref.collar_volume(sig)
-        g, w = np.polynomial.legendre.leggauss(64)
-        nus = 0.5 * sig * (g + 1.0)
-        wts = 0.5 * sig * w
-        sheet = np.array([ref._inner_sheet(nu) for nu in nus])
-        prof = np.asarray(spec.apply(nus / spec.sigma))
-        return core + float(np.sum(wts * prof**2 * sheet))
-
-    def sigma_for_half_mass(self, profile: str = "clamp") -> float:
-        """Largest collar width sigma <= inradius with ramp mass >= volume/2.
-
-        Found by decreasing bisection starting from the inradius; the mass
-        is a decreasing function of sigma.
-        """
-        target = self.volume / 2.0
-
-        def mass(s: float) -> float:
-            return self.test_function_mass(TestFunctionSpec(sigma=s, profile=profile))
-
-        hi = self.inradius
-        if mass(hi) >= target:
-            return hi
-        lo = hi * 1e-12
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mass(mid) >= target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * self.inradius:
-                break
-        return lo
+        return np.clip(self.signed_distance(x) / spec.sigma, 0.0, 1.0)
 
 
 def _check_finite(name: str, *vals: float) -> None:

@@ -67,7 +67,7 @@ class Spectrum:
         return self.k == self.total_dim
 
 
-def spectrum_from_values(values, total_dim: int | None = None, source: dict | None = None) -> Spectrum:
+def spectrum_from_values(values, total_dim: int | None = None) -> Spectrum:
     """Wrap an explicit list of eigenvalues (synthetic or externally computed).
 
     Without ``total_dim`` the list is taken to be complete.
@@ -79,7 +79,7 @@ def spectrum_from_values(values, total_dim: int | None = None, source: dict | No
         total_dim = ev.size
     if total_dim < ev.size:
         raise ValueError(f"total_dim {total_dim} smaller than the {ev.size} values given")
-    return Spectrum(eigenvalues=ev, total_dim=int(total_dim), source=dict(source or {}))
+    return Spectrum(eigenvalues=ev, total_dim=int(total_dim))
 
 
 def _uses_arpack(n: int, k: int) -> bool:
@@ -87,11 +87,11 @@ def _uses_arpack(n: int, k: int) -> bool:
     return n >= _ARPACK_MIN_CELLS and k * _ARPACK_CELLS_PER_EIGENVALUE <= n
 
 
-def eig_symmetric(matrix, k: int, *, mass_scale: float | None = None, with_vectors: bool = False) -> Spectrum:
+def eig_symmetric(matrix, k: int, *, with_vectors: bool = False) -> Spectrum:
     """Smallest ``k`` eigenvalues of (1/massScale)*A for symmetric A, ascending.
 
-    ``matrix`` may be a :class:`QuadFormMatrix` or a plain symmetric array
-    (then ``mass_scale`` defaults to 1).  A form of n >= 2048 cells with
+    ``matrix`` may be a :class:`QuadFormMatrix` or a plain symmetric array,
+    whose massScale is 1.  A form of n >= 2048 cells with
     k <= n/10 is solved by ARPACK on its matvec, started from a fixed-seed random
     vector; ``source`` then records the matvec count and the largest
     residual ||A v - lambda * massScale * v|| of the unit eigenvectors.
@@ -113,7 +113,7 @@ def eig_symmetric(matrix, k: int, *, mass_scale: float | None = None, with_vecto
         }
     else:
         a = np.asarray(matrix, dtype=float)
-        ms = 1.0 if mass_scale is None else float(mass_scale)
+        ms = 1.0
         source = {"dim": None}
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -221,8 +221,7 @@ def weyl_diagnostics(spectrum: Spectrum, *, delta: float | None = None, dim: int
     samples exp(-(N/2 +- delta) t) * count(t) are included over
     [lambda_2, lambda_k].
     """
-    if spectrum.k < 3:
-        raise ValueError(f"diagnostics need at least 3 eigenvalues, got {spectrum.k}")
+    _check_weyl_args(spectrum.k, delta)
     out = _growth_table(spectrum)
     if delta is not None:
         n = dim if dim is not None else spectrum.source.get("dim")
@@ -234,20 +233,27 @@ def weyl_diagnostics(spectrum: Spectrum, *, delta: float | None = None, dim: int
     return out
 
 
+def _check_weyl_args(k: int, delta: float | None) -> None:
+    """Raise ``ValueError`` unless :func:`weyl_diagnostics` can serve k eigenvalues and delta."""
+    if k < 3:
+        raise ValueError(f"diagnostics need at least 3 eigenvalues, got {k}")
+    if delta is not None and (not (delta >= 0.0) or not math.isfinite(delta)):
+        raise ValueError(f"delta must be >= 0 and finite, got {delta!r}")
+
+
 def _envelope_pair(spectrum: Spectrum, dim: int, delta: float) -> tuple[np.ndarray, ...]:
     """Samples t and the envelopes at exponents N/2 + delta and N/2 - delta."""
-    if not (delta >= 0.0) or not math.isfinite(delta):
-        raise ValueError(f"delta must be >= 0 and finite, got {delta!r}")
+    _check_weyl_args(spectrum.k, delta)
     t, upper = envelope_samples(spectrum, dim / 2.0 + delta)
     _, lower = envelope_samples(spectrum, dim / 2.0 - delta)
     return t, upper, lower
 
 
-def envelope_samples(spectrum: Spectrum, exponent: float, num: int = 201) -> tuple[np.ndarray, np.ndarray]:
-    """Sample count(t) * exp(-exponent * t) on [lambda_2, lambda_max]."""
+def envelope_samples(spectrum: Spectrum, exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample count(t) * exp(-exponent * t) at 201 points of [lambda_2, lambda_max]."""
     ev = spectrum.eigenvalues
     if ev.size < 2:
         raise ValueError("envelope sampling needs at least 2 eigenvalues")
-    t = np.linspace(ev[1], ev[-1], num)
+    t = np.linspace(ev[1], ev[-1], 201)
     counts = np.searchsorted(ev, t, side="left").astype(float)
     return t, counts * np.exp(-exponent * t)

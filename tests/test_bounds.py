@@ -10,7 +10,6 @@ import pytest
 from loglap.bounds import (
     BallProfile,
     BoundReport,
-    SampledProfile,
     counting_envelope,
     log_moment_check,
     lower_bound_eigenvalue,
@@ -304,44 +303,11 @@ def test_moment_random_profiles():
             assert rep.values["slack_mass_loglog"] >= -1e-10
 
 
-def test_moment_sampled_profile_matches_closed_form():
-    # midpoint raster of a 1D ball indicator reproduces the closed moments
-    a, m1 = 2.0, 1.5
-    dx = 1.0 / 512.0
-    x = np.arange(-3.0 + dx / 2.0, 3.0, dx)
-    vals = np.where(np.abs(x) < a, m1, 0.0)
-    sampled = SampledProfile(points=x[:, None], values=vals, cell_volume=dx, height=m1)
-    rep = log_moment_check(C1, sampled)
-    closed = log_moment_check(C1, BallProfile(radius=a, height=m1))
-    assert rep.values["mass"] == pytest.approx(closed.values["mass"], rel=1e-3)
-    assert rep.values["log_moment"] == pytest.approx(closed.values["log_moment"], rel=1e-2)
-    assert rep.values["slack_lower_moment"] >= -1e-10
-    assert rep.values["slack_mass_affine"] >= -1e-10
-
-
 def test_moment_profile_validation():
     with pytest.raises(ValueError):
         BallProfile(radius=0.0, height=1.0)
     with pytest.raises(ValueError):
         BallProfile(radius=1.0, height=-2.0)
-    bad = SampledProfile(
-        points=np.array([[0.0], [1.0]]),
-        values=np.array([0.5, 0.5]),
-        cell_volume=0.1,
-        height=1.0,
-    )
-    with pytest.raises(ValueError):
-        log_moment_check(C1, bad)  # positive mass at the origin
-    negative = SampledProfile(
-        points=np.array([[1.0]]), values=np.array([-0.5]), cell_volume=0.1, height=1.0
-    )
-    with pytest.raises(ValueError):
-        log_moment_check(C1, negative)
-    overflow = SampledProfile(
-        points=np.array([[1.0]]), values=np.array([2.0]), cell_volume=0.1, height=1.0
-    )
-    with pytest.raises(ValueError):
-        log_moment_check(C1, overflow)
     with pytest.raises(ValueError):
         log_moment_check(C1, object())
 

@@ -1,8 +1,9 @@
 """End-to-end checks of the command-line interface.
 
-Everything drives ``loglap.cli.main`` in process with exit-code assertions;
-a single subprocess smoke test at the end confirms the module works the way
-a shell would invoke it.  CSV outputs are parsed back and cross-checked
+Everything drives ``loglap.cli.main`` in process with exit-code assertions,
+except two subprocess runs: a smoke test at the end confirms the module works
+the way a shell would invoke it, and an ARPACK solve is repeated under two
+BLAS thread counts, which are fixed at process start.  CSV outputs are parsed back and cross-checked
 against the library so the 17-digit formatting contract stays honest.
 """
 
@@ -11,10 +12,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loglap
 from loglap.bounds import lower_bound_sum
 from loglap.cli import main
 from loglap.constants import dimension_constants
@@ -234,6 +237,41 @@ def test_solve_rejects_negative_or_nonfinite_delta(tmp_path):
         out = tmp_path / "run.csv"
         assert main(base + [f"--delta={bad}", "--out", str(out)]) == 1, bad
         assert list(tmp_path.iterdir()) == [], bad
+
+
+def test_solve_checks_delta_before_the_eigensolve(monkeypatch, tmp_path):
+    # an invalid --delta, or --delta with fewer than three eigenvalues, is
+    # refused before any eigensolve runs, not after it
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eig_symmetric ran for a request that cannot be served")
+
+    monkeypatch.setattr("loglap.cli.eig_symmetric", no_solve)
+    base = ["solve", "--domain", "interval", "--length", "2", "--cells", "64",
+            "--out", str(tmp_path / "run.csv")]
+    for flags in (["--num-eigs", "12", "--delta=-1"], ["--num-eigs", "12", "--delta=nan"],
+                  ["--num-eigs", "12", "--delta=inf"], ["--num-eigs", "2", "--delta", "0.1"]):
+        assert main(base + flags) == 1, flags
+        assert list(tmp_path.iterdir()) == [], flags
+
+
+def test_arpack_solve_is_independent_of_blas_threads(tmp_path):
+    # the same ARPACK solve under 1 and 2 OpenBLAS threads writes the same bytes
+    src = str(Path(loglap.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from loglap.cli import main; import sys; sys.exit(main(sys.argv[1:]))",
+             "solve", "--domain", "interval", "--length", "2", "--cells", "2048",
+             "--num-eigs", "10", "--out", str(out)],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.with_suffix(".json").read_text())["eigensolve"]["solver"] == "arpack"
+        runs.append(out.read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_solve_dump_matrix_and_envelope(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loglap import spectrum as spectrum_module
 from loglap.discretize import assemble_form, build_grid, offset_form
@@ -135,6 +136,50 @@ def test_discrete_dilation_identity(small, large, k):
     assert a.source["solver"] == b.source["solver"]
     assert a.source["cells"] == b.source["cells"]
     assert np.max(np.abs(b.eigenvalues - (a.eigenvalues - 2.0 * math.log(2.0)))) <= 1e-12
+
+
+@st.composite
+def dilation_cases(draw):
+    """(domain builder taking R, h, R) for a domain of at most 600 cells, h and R*h <= 1/2."""
+    r = draw(st.floats(0.5, 3.5))
+    h = draw(st.floats(0.02, 0.5 / max(1.0, r)))
+    x0, y0 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["interval", "box", "ball"]))
+    if kind == "interval":
+        n = draw(st.integers(8, 600))
+        return (lambda s: interval(s * x0, s * (x0 + n * h))), h, r
+    if kind == "box":
+        nx = draw(st.integers(3, 40))
+        ny = draw(st.integers(3, 600 // nx))
+        return (lambda s: box((s * x0, s * y0), (s * nx * h, s * ny * h))), h, r
+    m = draw(st.integers(3, 13))  # pi m^2 <= 531 cells
+    return (lambda s: ball((s * x0, s * y0), s * m * h)), h, r
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(case=dilation_cases())
+def test_discrete_dilation_identity_property(case):
+    # lambda_k(R*Omega, R*h) = lambda_k(Omega, h) - 2 ln R for any R, not only R = 2
+    domain, h, r = case
+    # h only picks the cell count; rounding must not push R*h past the 1/2 cap
+    a = eig_symmetric(offset_form(build_grid(domain(1.0), h)), 5)
+    b = eig_symmetric(offset_form(build_grid(domain(r), min(r * h, 0.5))), 5)
+    assert a.source["cells"] == b.source["cells"]
+    assert np.max(np.abs(b.eigenvalues - (a.eigenvalues - 2.0 * math.log(r)))) <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [0.3, -1.7, 12.345])
+@pytest.mark.parametrize("make", [
+    lambda s: interval(s - 1.0, s + 1.0),
+    lambda s: box((s, -s), (2.0, 1.5)),
+    lambda s: ball((s, 2.0 * s), 2.0),
+], ids=["interval", "box", "ball"])
+def test_translation_invariance(make, shift):
+    h = 1.0 / 16.0
+    a = eig_symmetric(offset_form(build_grid(make(0.0), h)), 5)
+    b = eig_symmetric(offset_form(build_grid(make(shift), h)), 5)
+    assert a.source["cells"] == b.source["cells"]
+    assert np.max(np.abs(b.eigenvalues - a.eigenvalues)) <= 1e-12
 
 
 def test_eigensolver_validation():
