@@ -176,8 +176,10 @@ def _resolve_h(args, domain: Domain) -> float:
 
 
 def _solver_record(spectrum) -> dict:
-    """Which solver served a form's eigensolve and, for ARPACK, its convergence."""
-    keys = ("cells", "solver", "matvecs", "max_residual")
+    """Which solver served a form's eigensolve: for LAPACK on a centrally
+    symmetric grid the sizes of its even and odd blocks, for ARPACK its
+    convergence."""
+    keys = ("cells", "solver", "sectors", "matvecs", "max_residual")
     return {key: spectrum.source[key] for key in keys if key in spectrum.source}
 
 

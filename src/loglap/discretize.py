@@ -34,7 +34,10 @@ Toeplitz Solvers*, SIAM 2007).  The dense matrix is a view, gathered on
 first use in row blocks, the same way in every dimension; it needs the
 8*n*n-byte matrix plus a small fixed block, and a matrix larger than
 physical memory is refused first.  :func:`assemble_form` is
-:func:`offset_form` plus that gather.
+:func:`offset_form` plus that gather.  Every grid :func:`build_grid` makes
+is centrally symmetric, and ``QuadFormMatrix.sector`` gathers the even or
+odd block of its matrix, about n/2 wide, by the same row blocks without the
+n x n matrix; the eigensolver works on those.
 """
 
 from __future__ import annotations
@@ -100,6 +103,14 @@ class Grid:
     def dim(self) -> int:
         return self.domain.dim
 
+    @property
+    def centrally_symmetric(self) -> bool:
+        """Whether the point reflection through the bounding box's center maps
+        the cells onto themselves.  It reverses the lexicographic order, so
+        cell i and cell count-1-i are mirror images."""
+        idx = self.indices
+        return bool(np.array_equal(idx[::-1], idx.min(axis=0) + idx.max(axis=0) - idx))
+
 
 @dataclass(eq=False)
 class QuadFormMatrix:
@@ -128,6 +139,26 @@ class QuadFormMatrix:
         if self.dense is None:
             self.dense = _gather(self.grid.indices, self.table)
         return self.dense
+
+    def sector(self, parity: int) -> np.ndarray:
+        """The even (``parity=1``) or odd (``parity=-1``) block of a centrally
+        symmetric grid's matrix, gathered from the table without the n x n matrix.
+
+        With the exchange J (cell i -> cell n-1-i) the matrix commutes with J,
+        so in the orthonormal basis (e_i + parity*e_{n-1-i})/sqrt(2), i < n//2,
+        plus the middle cell e_{n//2} for odd n in the even block, it splits
+        into two blocks whose entries are A_ij + parity*A_{i,n-1-j}, the even
+        block's middle row and column for odd n scaled by 1/sqrt(2) (Cantoni
+        & Butler, Linear Algebra Appl. 13, 1976).  The even block has
+        n - n//2 rows, the odd one n//2; their eigenvalues together are A's.
+        Raises ``ValueError`` for another parity, a grid that is not
+        centrally symmetric, or a block larger than physical memory.
+        """
+        if parity not in (1, -1):
+            raise ValueError(f"parity must be 1 or -1, got {parity!r}")
+        if not self.grid.centrally_symmetric:
+            raise ValueError("the grid is not centrally symmetric")
+        return _gather(self.grid.indices, self.table, mirror=parity)
 
     def matvec(self, v) -> np.ndarray:
         """The product A v, by one FFT pair on the circulant embedding of the table."""
@@ -301,20 +332,33 @@ def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> Qu
     return form
 
 
-def _gather(indices: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _gather(indices: np.ndarray, table: np.ndarray, mirror: int = 0) -> np.ndarray:
     """Fill the dense matrix from the offset table in row blocks.
 
-    Symmetric positions read the same slot, so the matrix equals its
-    transpose bit for bit.  Peak memory is the matrix plus one block.
+    With ``mirror`` = +1 or -1 it fills the even or odd block of
+    :meth:`QuadFormMatrix.sector` instead: the leading rows and columns of
+    A + mirror*A*J, whose mirrored entry reads the offset of p_i from the
+    reflection s - p_j of p_j (s = min + max per axis).  For odd n the even
+    block's middle row and column are scaled by 1/sqrt(2).  Symmetric
+    positions read the same slots, so the result equals its transpose bit
+    for bit.  Peak memory is the result plus one block.
     """
     n = indices.shape[0]
-    _require_memory(8 * n * n, f"a dense {n} x {n} matrix")
-    cols = indices.T  # (dim, n) lattice coordinates
-    entries = np.empty((n, n))
-    block = max(1, _FILL_BLOCK_ENTRIES // n)
-    for s in range(0, n, block):
-        offsets = (np.abs(c[s : s + block, None] - c) for c in cols)
-        entries[s : s + block] = table[tuple(offsets)]
+    size = (n + (mirror > 0)) // 2 if mirror else n
+    _require_memory(8 * size * size, f"a dense {size} x {size} matrix")
+    cols = indices[:size].T  # (dim, size) lattice coordinates
+    reflect = indices.min(axis=0) + indices.max(axis=0)
+    entries = np.empty((size, size))
+    block = max(1, _FILL_BLOCK_ENTRIES // max(size, 1))
+    for s in range(0, size, block):
+        rows = [c[s : s + block, None] for c in cols]
+        entries[s : s + block] = table[tuple(np.abs(r - c) for r, c in zip(rows, cols))]
+        if mirror:
+            offsets = (np.abs(r + c - t) for r, c, t in zip(rows, cols, reflect))
+            entries[s : s + block] += mirror * table[tuple(offsets)]
+    if mirror > 0 and n % 2:
+        entries[-1] *= math.sqrt(0.5)
+        entries[:, -1] *= math.sqrt(0.5)
     return entries
 
 

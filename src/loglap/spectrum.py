@@ -6,8 +6,14 @@ A / massScale.  :func:`eig_symmetric` picks its solver from the problem's
 size: ARPACK's implicitly restarted Lanczos method (Lehoucq, Sorensen and
 Yang, *ARPACK Users' Guide*, SIAM 1998) on the form's FFT matvec for a few
 eigenvalues of a large grid, with no dense matrix, and LAPACK's dense
-solver on the gathered matrix otherwise.  Both are deterministic, so
-results are reproducible bit for bit across runs on one machine.
+solver otherwise.  Every grid :func:`~loglap.discretize.build_grid` makes
+is centrally symmetric, so its matrix commutes with the exchange of cell i
+and cell n-1-i; LAPACK then runs on the even and odd blocks of
+:meth:`~loglap.discretize.QuadFormMatrix.sector`, each about n/2 wide,
+which takes about a quarter of the time and memory of the n x n solve and
+gives the same eigenvalues to rounding.  Other grids and plain arrays go to
+LAPACK whole.  All solvers are deterministic, so results are reproducible
+bit for bit across runs on one machine.
 """
 
 from __future__ import annotations
@@ -31,20 +37,25 @@ __all__ = [
 
 # Solver policy: ARPACK on the matvec when n >= _ARPACK_MIN_CELLS and
 # k <= n / _ARPACK_CELLS_PER_EIGENVALUE, LAPACK otherwise.  Seconds per solve,
-# ARPACK against LAPACK, on two cores with OpenBLAS (single runs; ARPACK
-# includes the ~0.35 s import of scipy.sparse.linalg, LAPACK the gather):
-#   k = 10:  n = 512: 0.10 vs 0.02;  1,024: 0.13 vs 0.12;  2,048: 0.12 vs 0.61;
-#            3,080 (ball): 0.25 vs 1.8;  7,020 (ball): 0.33 vs 18.7
-#   n = 2,048 (interval): k = 100: 0.50 vs 0.57;  150: 0.66 vs 0.55;
-#            204: 1.0 vs 0.61;  300: 2.3 vs 0.55
-#   n = 3,080 (ball): k = 150: 1.1 vs 1.8;  308: 3.4 vs 1.7
-#   n = 4,096 (interval): k = 200: 2.4 vs 3.7;  409: 5.8 vs 3.8
-# At k = 10 ARPACK wins from about n = 1,024 on.  At a fixed share k/n the
-# crossover lies near k = n/16 for n = 2,048 to 4,096, so between n/16 and
-# n/10 ARPACK is up to 2x slower there; in exchange no solve of up to n/10
-# eigenvalues needs the 16*n*n bytes of the dense path.
+# ARPACK against LAPACK on the even and odd blocks, on two cores with
+# OpenBLAS (best of two in one process; the LAPACK time includes the block
+# gather and does not depend on k; ARPACK excludes the 0.25-0.4 s import of
+# scipy.sparse.linalg, which a fresh process pays once):
+#   n = 2,048 (interval), LAPACK 0.21:  k = 20: 0.05;  40: 0.08;  60: 0.17;
+#            70: 0.24;  100: 0.41
+#   n = 3,080 (ball R=4), LAPACK 0.62-0.68:  k = 10: 0.16;  40: 0.29;
+#            60: 0.52;  80: 0.76;  110: 0.85
+#   n = 4,096 (interval), LAPACK 1.33:  k = 100: 0.62;  150: 1.20;  200: 1.69
+#   n = 7,020 (ball R=6), LAPACK 5.79:  k = 100: 1.63;  200: 4.21;  250: 5.61
+#   n = 8,192 (interval), LAPACK 7.4-8.0:  k = 200: 3.58;  300: 6.58;
+#            400: 12.3
+# The crossover lies near k = n/31, n/45, n/25, n/27 and n/25: it grows
+# with n and is lower in 2D, whose matvec is the dearer.  With n/28 the
+# solver chosen is at most about 1.4x slower than the other on each of
+# these grids (3,080-cell ball, k = 110: 0.85 s against 0.62 s).  At k = 10
+# ARPACK wins from n = 2,048 on.
 _ARPACK_MIN_CELLS = 2048
-_ARPACK_CELLS_PER_EIGENVALUE = 10
+_ARPACK_CELLS_PER_EIGENVALUE = 28
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +102,20 @@ def eig_symmetric(matrix, k: int, *, with_vectors: bool = False) -> Spectrum:
     """Smallest ``k`` eigenvalues of (1/massScale)*A for symmetric A, ascending.
 
     ``matrix`` may be a :class:`QuadFormMatrix` or a plain symmetric array,
-    whose massScale is 1.  A form of n >= 2048 cells with
-    k <= n/10 is solved by ARPACK on its matvec, started from a fixed-seed random
-    vector; ``source`` then records the matvec count and the largest
-    residual ||A v - lambda * massScale * v|| of the unit eigenvectors.
-    Everything else goes to LAPACK, whose ties keep LAPACK's index order; it
-    works on a copy of the dense matrix, so it needs 16*n*n bytes and raises
-    ``ValueError`` when that exceeds physical memory.  ``source["solver"]``
-    names the solver that ran.  Eigenvectors, when requested, are
-    orthonormal columns.  Raises ``NumericsError`` when a solver fails.
+    whose massScale is 1.  A form of n >= 2048 cells with k <= n/28 is
+    solved by ARPACK on its matvec, started from a fixed-seed random vector;
+    ``source`` then records the matvec count and the largest residual
+    ||A v - lambda * massScale * v|| of the unit eigenvectors.  Everything
+    else goes to LAPACK.  A form on a centrally symmetric grid is solved as
+    its even and odd blocks, gathered from the offset table one at a time;
+    the larger block plus LAPACK's copy needs about 4*n*n bytes, ``source``
+    records the block sizes as ``sectors`` = [even, odd], and ties keep the
+    even block's values first.  A plain array, or a form on any other grid,
+    is solved whole on a copy of the dense matrix, which needs 16*n*n bytes;
+    ties keep LAPACK's index order.  The LAPACK paths raise ``ValueError``
+    when their bytes exceed physical memory.  ``source["solver"]`` names
+    the solver that ran.  Eigenvectors, when requested, are orthonormal
+    columns.  Raises ``NumericsError`` when a solver fails.
     """
     if isinstance(matrix, QuadFormMatrix):
         n = matrix.grid.count
@@ -125,6 +141,9 @@ def eig_symmetric(matrix, k: int, *, with_vectors: bool = False) -> Spectrum:
     if isinstance(matrix, QuadFormMatrix) and _uses_arpack(n, k):
         vals, vecs, stats = _arpack(matrix, k)
         source.update(solver="arpack", **stats)
+    elif isinstance(matrix, QuadFormMatrix) and matrix.grid.centrally_symmetric:
+        vals, vecs, sectors = _lapack_sectors(matrix, k, with_vectors)
+        source.update(solver="lapack", sectors=sectors)
     else:
         _require_memory(16 * n * n, f"the eigensolve of a dense {n} x {n} matrix plus LAPACK's copy")
         if isinstance(matrix, QuadFormMatrix):
@@ -149,6 +168,37 @@ def _lapack(a: np.ndarray, with_vectors: bool) -> tuple[np.ndarray, np.ndarray |
         return np.linalg.eigvalsh(a), None
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NumericsError(f"symmetric eigensolver failed to converge: {exc}") from exc
+
+
+def _lapack_sectors(form: QuadFormMatrix, k: int,
+                    with_vectors: bool) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
+    """The k smallest eigenpairs of a centrally symmetric grid's A, ascending,
+    by LAPACK on its even and odd blocks in turn, and the two block sizes.
+
+    Ties keep the even block's values first.  A block vector u maps back to
+    [u; parity * J u] / sqrt(2), J reversing the order, with the middle
+    entry of an even vector for odd n taken over unscaled.
+    """
+    n = form.grid.count
+    half = n // 2
+    even = n - half
+    _require_memory(16 * even * even,
+                    f"the eigensolve of a dense {even} x {even} block plus LAPACK's copy")
+    vals, vecs = [], []
+    for parity in (1, -1):
+        w, u = _lapack(form.sector(parity), with_vectors)
+        vals.append(w[:k])
+        if with_vectors:
+            u = u[:, :k]
+            v = np.empty((n, u.shape[1]))
+            v[:half] = math.sqrt(0.5) * u[:half]
+            v[n - half :] = parity * math.sqrt(0.5) * u[:half][::-1]
+            if n % 2:
+                v[half] = u[half] if parity > 0 else 0.0
+            vecs.append(v)
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")[:k]
+    return vals[order], (np.hstack(vecs)[:, order] if with_vectors else None), [even, half]
 
 
 def _arpack(form: QuadFormMatrix, k: int) -> tuple[np.ndarray, np.ndarray, dict]:

@@ -134,7 +134,7 @@ def test_solve_csv_and_manifest(tmp_path):
     assert manifest["config"]["h_effective"] == pytest.approx(2.0 / 64.0, rel=1e-15)
     assert manifest["results"]["lambda_1"] == lam[0]
     assert manifest["timings_sec"]["total"] > 0.0
-    assert manifest["eigensolve"] == {"cells": 64, "solver": "lapack"}
+    assert manifest["eigensolve"] == {"cells": 64, "solver": "lapack", "sectors": [32, 32]}
 
 
 def test_solve_rerun_is_byte_identical(tmp_path):
@@ -169,23 +169,29 @@ def test_solve_refuses_matrix_larger_than_memory(tmp_path, capsys):
 
 
 def test_solve_refuses_eigensolve_larger_than_memory(monkeypatch, capsys):
-    # 64 cells: the matrix takes 32 KiB, the eigensolve (matrix plus LAPACK's
-    # copy) 64 KiB; with 48 KiB of memory assembly fits but the solve does not
+    # 64 cells: the matrix takes 32 KiB; the eigensolve runs on a 32 x 32 block
+    # at a time and needs the block plus LAPACK's copy, 16 KiB.  48 KiB of
+    # memory, where the whole matrix plus its copy (64 KiB) did not fit, serves
+    # the solve; 12 KiB, where only the block fits, does not
     real_sysconf = os.sysconf
     fake = {"SC_PHYS_PAGES": 12, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
     grid = ["--domain", "interval", "--length", "2", "--cells", "64"]
-    assert main(["solve", *grid, "--num-eigs", "1"]) == 1
-    assert "LAPACK's copy" in capsys.readouterr().err
+    assert main(["solve", *grid, "--num-eigs", "1"]) == 0
+    assert capsys.readouterr().out.startswith("#schema=1\n")
     assert main(["bounds", *grid, "--sigma", "0.5"]) == 0   # one matvec, no copy
     assert json.loads(capsys.readouterr().out)["rayleigh"]["cells"] == 64
+    fake["SC_PHYS_PAGES"] = 3
+    assert main(["solve", *grid, "--num-eigs", "1"]) == 1
+    assert "32 x 32 block plus LAPACK's copy" in capsys.readouterr().err
 
 
 def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
-    # 2048 cells: the matrix takes 32 MiB; with 16 MiB of memory the dense
-    # paths refuse and k <= n/10 is solved by ARPACK on the matvec
+    # 2048 cells: the matrix takes 32 MiB and the solve on its even and odd
+    # blocks 16 MiB; with 8 MiB of memory the dense paths refuse and
+    # k <= n/28 is solved by ARPACK on the matvec
     real_sysconf = os.sysconf
-    fake = {"SC_PHYS_PAGES": 4096, "SC_PAGE_SIZE": 4096}
+    fake = {"SC_PHYS_PAGES": 2048, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
     grid = ["--domain", "interval", "--length", "2", "--cells", "2048"]
     out = tmp_path / "run.csv"
@@ -193,7 +199,7 @@ def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
     record = json.loads((tmp_path / "run.json").read_text())["eigensolve"]
     assert record["cells"] == 2048 and record["solver"] == "arpack"
     assert record["matvecs"] > 10 and 0.0 <= record["max_residual"] <= 1e-13
-    assert main(["solve", *grid, "--num-eigs", "205"]) == 1
+    assert main(["solve", *grid, "--num-eigs", "74"]) == 1
     assert main(["solve", *grid, "--num-eigs", "1", "--dump-matrix", str(tmp_path / "m.csv")]) == 1
     sweep = tmp_path / "sweep.csv"
     assert main(["sweep", "--parameter", "h", "--domain", "interval", "--length", "2",
@@ -445,7 +451,8 @@ def test_sweep_h(tmp_path):
     lam1 = column(header, rows, "lambda_1")
     assert np.all(np.diff(lam1) <= 1e-12)             # refinement never increases it
     solves = json.loads((tmp_path / "h.json").read_text())["eigensolves"]
-    assert solves == [{"cells": c, "solver": "lapack"} for c in (16, 32, 64, 128)]
+    assert solves == [{"cells": c, "solver": "lapack", "sectors": [c // 2, c // 2]}
+                      for c in (16, 32, 64, 128)]
 
 
 def test_sweep_range_errors(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from loglap.constants import dimension_constants
 from loglap.discretize import (
+    Grid,
     assemble_form,
     build_grid,
     offset_form,
@@ -309,6 +310,43 @@ def test_matvec_matches_dense_product_on_random_grids(grid, seed):
     v = np.random.default_rng(seed).standard_normal(grid.count)
     want = form.entries @ v
     assert np.linalg.norm(form.matvec(v) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def _reflection_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the even and odd vectors under i -> n-1-i."""
+    half = n // 2
+    even, odd = np.zeros((n, n - half)), np.zeros((n, half))
+    for i in range(half):
+        even[i, i] = even[n - 1 - i, i] = odd[i, i] = math.sqrt(0.5)
+        odd[n - 1 - i, i] = -math.sqrt(0.5)
+    if n % 2:
+        even[half, half] = 1.0
+    return even, odd
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(grid=small_grids())
+def test_sectors_are_the_matrix_in_the_even_and_odd_bases(grid):
+    # every grid build_grid makes is centrally symmetric, off-center balls included
+    assert grid.centrally_symmetric
+    form = offset_form(grid)
+    a = form.entries
+    for parity, basis in zip((1, -1), _reflection_bases(grid.count)):
+        block = form.sector(parity)
+        assert np.array_equal(block, block.T)
+        assert np.allclose(block, basis.T @ a @ basis, rtol=0.0, atol=1e-15 * np.abs(a).max())
+
+
+def test_sector_needs_a_centrally_symmetric_grid():
+    grid = build_grid(ball((0.0, 0.0), 1.0), 0.25)
+    keep = np.arange(grid.count) != 1
+    lopsided = Grid(domain=grid.domain, h=grid.h, indices=grid.indices[keep],
+                    centers=grid.centers[keep])
+    assert not lopsided.centrally_symmetric
+    with pytest.raises(ValueError, match="not centrally symmetric"):
+        offset_form(lopsided).sector(1)
+    with pytest.raises(ValueError, match="parity"):
+        offset_form(grid).sector(0)
 
 
 # -------------------------------------------------- Rayleigh quotients

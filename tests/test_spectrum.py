@@ -1,13 +1,14 @@
 """Eigensolver, counting function, and growth diagnostics."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loglap import spectrum as spectrum_module
-from loglap.discretize import assemble_form, build_grid, offset_form
+from loglap.discretize import Grid, assemble_form, build_grid, offset_form
 from loglap.geometry import ball, box, interval
 from loglap.spectrum import (
     Spectrum,
@@ -104,7 +105,7 @@ def test_repeated_arpack_solves_are_bit_identical(ball_3080):
 
 
 @pytest.mark.parametrize("cells, k, solver", [
-    (2047, 10, "lapack"), (2048, 10, "arpack"), (2048, 204, "arpack"), (2048, 205, "lapack"),
+    (2047, 10, "lapack"), (2048, 10, "arpack"), (2048, 73, "arpack"), (2048, 74, "lapack"),
 ])
 def test_solver_choice_at_the_limits(monkeypatch, cells, k, solver):
     ran = []
@@ -119,7 +120,77 @@ def test_solver_choice_at_the_limits(monkeypatch, cells, k, solver):
     monkeypatch.setattr(spectrum_module, "_arpack", fake("arpack"))
     form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / cells))
     assert eig_symmetric(form, k).source["solver"] == solver
-    assert ran == [solver]
+    # LAPACK runs once on each of the interval's even and odd blocks
+    assert ran == {"lapack": ["lapack", "lapack"], "arpack": ["arpack"]}[solver]
+
+
+SPLIT_GRIDS = {
+    "interval-even": (interval(-1.0, 1.0), 2.0 / 64.0),
+    "interval-odd": (interval(-1.0, 1.0), 2.0 / 63.0),
+    "box": (box((0.0, 0.0), (2.0, 1.5)), 0.125),
+    "ball": (ball((0.3, -1.0), 2.0), 0.125),
+}
+
+
+def _without_cell(grid: Grid, i: int) -> Grid:
+    keep = np.arange(grid.count) != i
+    return Grid(domain=grid.domain, h=grid.h, indices=grid.indices[keep],
+                centers=grid.centers[keep])
+
+
+@pytest.mark.parametrize("name", SPLIT_GRIDS)
+def test_split_matches_the_full_lapack_solve(name):
+    form = offset_form(build_grid(*SPLIT_GRIDS[name]))
+    n = form.grid.count
+    full = np.linalg.eigvalsh(form.entries) / form.mass_scale
+    form.dense = None
+    s = eig_symmetric(form, n)
+    assert s.source["solver"] == "lapack" and s.source["sectors"] == [n - n // 2, n // 2]
+    assert form.dense is None  # served from the two blocks, no n x n matrix
+    assert np.max(np.abs(s.eigenvalues - full) / np.abs(full)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", SPLIT_GRIDS)
+def test_split_eigenvectors_are_even_or_odd_eigenvectors(name):
+    form = offset_form(build_grid(*SPLIT_GRIDS[name]))
+    k = 40
+    s = eig_symmetric(form, k, with_vectors=True)
+    vecs = s.eigenvectors
+    assert np.allclose(vecs.T @ vecs, np.eye(k), rtol=0.0, atol=1e-12)
+    parities = []
+    for lam, v in zip(s.eigenvalues, vecs.T):
+        residual = form.matvec(v) - lam * form.mass_scale * v
+        assert np.linalg.norm(residual) <= 1e-10 * form.mass_scale
+        parity = 1 if np.array_equal(v[::-1], v) else -1
+        assert np.array_equal(v[::-1], parity * v)
+        parities.append(parity)
+    assert set(parities) == {1, -1}
+
+
+def test_asymmetric_grid_takes_the_full_lapack_path():
+    grid = _without_cell(build_grid(*SPLIT_GRIDS["ball"]), 0)
+    assert not grid.centrally_symmetric
+    form = offset_form(grid)
+    s = eig_symmetric(form, grid.count)
+    assert s.source["solver"] == "lapack" and "sectors" not in s.source
+    assert np.array_equal(s.eigenvalues, np.linalg.eigvalsh(form.entries) / form.mass_scale)
+
+
+def test_split_needs_a_quarter_of_the_memory(monkeypatch):
+    # 64 cells: the full path needs the 32 KiB matrix plus LAPACK's copy, 64 KiB;
+    # the split needs a 32 x 32 block plus its copy, 16 KiB
+    real_sysconf = os.sysconf
+    ram = {"SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: ram.get(name) or real_sysconf(name))
+    grid = build_grid(interval(-1.0, 1.0), 2.0 / 64.0)
+    lopsided = _without_cell(grid, 1)
+    ram["SC_PHYS_PAGES"] = 12  # 48 KiB
+    assert eig_symmetric(offset_form(grid), 5).source["sectors"] == [32, 32]
+    with pytest.raises(ValueError, match="63 x 63 matrix plus LAPACK's copy"):
+        eig_symmetric(offset_form(lopsided), 5)
+    ram["SC_PHYS_PAGES"] = 3  # 12 KiB: the 8 KiB block fits, its copy does not
+    with pytest.raises(ValueError, match="32 x 32 block plus LAPACK's copy"):
+        eig_symmetric(offset_form(grid), 5)
 
 
 @pytest.mark.parametrize("small, large, k", [
