@@ -177,9 +177,9 @@ def _resolve_h(args, domain: Domain) -> float:
 
 def _solver_record(spectrum) -> dict:
     """Which solver served a form's eigensolve: for LAPACK on a centrally
-    symmetric grid the sizes of its even and odd blocks, for ARPACK its
+    symmetric grid the sizes of its even and odd blocks, for Lanczos its
     convergence."""
-    keys = ("cells", "solver", "sectors", "matvecs", "max_residual")
+    keys = ("cells", "solver", "sectors", "matvecs", "restarts", "max_residual")
     return {key: spectrum.source[key] for key in keys if key in spectrum.source}
 
 
@@ -512,7 +512,8 @@ def _suite_weyl() -> list[dict]:
     spectrum = eig_symmetric(offset_form(grid), 100)
     table = weyl_diagnostics(spectrum)
     window = slice(49, 100)
-    med = float(np.median(table["eigenvalue_over_log_k"][window]))
+    # the middle of the 51 sorted ratios; np.median would load numpy.ma
+    med = float(np.sort(table["eigenvalue_over_log_k"][window])[25])
     checks.append(_check("weyl.eigenvalue_ratio_window", 0.65 * 2.0 <= med <= 1.35 * 2.0,
                          f"median lambda_k/ln k over k=50..100 = {med:.6f} "
                          f"(target band [1.3, 2.7])"))

@@ -47,6 +47,8 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.fft  # loaded with the module, not inside the first matvec or table
+import numpy.polynomial.legendre
 
 from .constants import DimensionConstants, dimension_constants
 from .geometry import Domain
@@ -67,9 +69,10 @@ MAX_CELL_SIDE = 0.5
 # Gauss points per half-axis for separated cells; see _pair_batch_gauss.
 _SEPARATED_GAUSS_N = 10
 
-# Matrix entries gathered per row block; the index temporaries are a few
-# times this size.  Of 2^14..2^18 it gave the lowest peak RSS on every
-# benchmark workload and a 1D fill twice as fast as 2^16 and up.
+# Matrix entries gathered per row block; the gather's three block buffers
+# are this size.  From 2^13 to 2^17 the fill times of the 2,048-cell
+# interval's blocks and the 7,020-cell ball's matrix agree within the run
+# to run spread, and peak RSS grows with the size.
 _FILL_BLOCK_ENTRIES = 2**15
 
 # Unit-cell constant of the 2D diagonal inner integral:
@@ -120,8 +123,9 @@ class QuadFormMatrix:
     grid's cells (absolute offset per axis, diagonal in slot (0, ..., 0)).
     The generalized eigenproblem is A v = lambda * mass_scale * v with
     mass_scale = h^N (the indicator basis is orthogonal with that norm).
-    ``dense`` holds the gathered matrix once :attr:`entries` has been read,
-    and ``symbol`` the circulant's spectrum once :meth:`matvec` has run.
+    ``dense`` holds the gathered matrix once :attr:`entries` has been read;
+    ``symbol`` the circulant's spectrum and ``scatter`` the cells' flat
+    positions in the circulant's lattice once :meth:`matvec` has run.
     """
 
     grid: Grid
@@ -129,6 +133,7 @@ class QuadFormMatrix:
     mass_scale: float
     dense: np.ndarray | None = field(default=None, repr=False)
     symbol: np.ndarray | None = field(default=None, repr=False)
+    scatter: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def entries(self) -> np.ndarray:
@@ -170,12 +175,16 @@ class QuadFormMatrix:
         axes = tuple(range(self.table.ndim))
         shape = tuple(_fft_length(2 * size - 1) for size in self.table.shape)
         if self.symbol is None:
-            self.symbol = np.fft.rfftn(_circulant(self.table, shape), axes=axes)
-        cells = tuple((self.grid.indices - self.grid.indices.min(axis=0)).T)
-        x = np.zeros(shape)
-        x[cells] = v
-        y = np.fft.irfftn(np.fft.rfftn(x, axes=axes) * self.symbol, s=shape, axes=axes)
-        return y[cells]
+            # The circulant's first column is even, so its spectrum is real;
+            # the imaginary part is rounding.
+            self.symbol = np.fft.rfftn(_circulant(self.table, shape), axes=axes).real.copy()
+            cells = (self.grid.indices - self.grid.indices.min(axis=0)).T
+            self.scatter = np.ravel_multi_index(tuple(cells), shape)
+        x = np.zeros(math.prod(shape))
+        x[self.scatter] = v
+        x = np.fft.rfftn(x.reshape(shape), axes=axes)
+        x *= self.symbol
+        return np.fft.irfftn(x, s=shape, axes=axes).ravel()[self.scatter]
 
 
 def build_grid(domain: Domain, h: float) -> Grid:
@@ -341,21 +350,40 @@ def _gather(indices: np.ndarray, table: np.ndarray, mirror: int = 0) -> np.ndarr
     reflection s - p_j of p_j (s = min + max per axis).  For odd n the even
     block's middle row and column are scaled by 1/sqrt(2).  Symmetric
     positions read the same slots, so the result equals its transpose bit
-    for bit.  Peak memory is the result plus one block.
+    for bit.  Peak memory is the result plus three blocks (two unmirrored).
     """
     n = indices.shape[0]
     size = (n + (mirror > 0)) // 2 if mirror else n
     _require_memory(8 * size * size, f"a dense {size} x {size} matrix")
     cols = indices[:size].T  # (dim, size) lattice coordinates
-    reflect = indices.min(axis=0) + indices.max(axis=0)
+    # the columns' own coordinates, then those of their reflections s - p_j
+    partners = [cols] + ([(indices.min(axis=0) + indices.max(axis=0))[:, None] - cols]
+                         if mirror else [])
+    strides = [math.prod(table.shape[d + 1 :]) for d in range(table.ndim)]  # C order
     entries = np.empty((size, size))
-    block = max(1, _FILL_BLOCK_ENTRIES // max(size, 1))
+    block = max(1, min(size, _FILL_BLOCK_ENTRIES // max(size, 1)))
+    # Buffers reused by every block: fresh temporaries per block can make the
+    # allocator return pages to the system and fault them in again each time.
+    slot = np.empty((block, size), dtype=np.intp)  # flat table index per entry
+    part = np.empty_like(slot)
+    mirrored = np.empty((block if mirror else 0, size))
     for s in range(0, size, block):
-        rows = [c[s : s + block, None] for c in cols]
-        entries[s : s + block] = table[tuple(np.abs(r - c) for r, c in zip(rows, cols))]
+        k = min(block, size - s)
+        for partner, out in zip(partners, (entries[s : s + k], mirrored[:k])):
+            for d, stride in enumerate(strides):
+                offset = slot[:k] if d == 0 else part[:k]
+                np.subtract(cols[d, s : s + k, None], partner[d], out=offset)
+                np.abs(offset, out=offset)
+                if stride != 1:
+                    offset *= stride
+                if d:
+                    slot[:k] += offset
+            # every offset lies inside the table, so "clip" never clips; it
+            # also spares the buffered copy that the default "raise" makes
+            np.take(table, slot[:k], out=out, mode="clip")
         if mirror:
-            offsets = (np.abs(r + c - t) for r, c, t in zip(rows, cols, reflect))
-            entries[s : s + block] += mirror * table[tuple(offsets)]
+            mirrored[:k] *= mirror
+            entries[s : s + k] += mirrored[:k]
     if mirror > 0 and n % 2:
         entries[-1] *= math.sqrt(0.5)
         entries[:, -1] *= math.sqrt(0.5)

@@ -3,12 +3,13 @@
 The generalized problem A v = lambda * massScale * v with the identity-like
 mass of the indicator basis reduces to a standard symmetric problem for
 A / massScale.  :func:`eig_symmetric` picks its solver from the problem's
-size: ARPACK's implicitly restarted Lanczos method (Lehoucq, Sorensen and
-Yang, *ARPACK Users' Guide*, SIAM 1998) on the form's FFT matvec for a few
-eigenvalues of a large grid, with no dense matrix, and LAPACK's dense
-solver otherwise.  Every grid :func:`~loglap.discretize.build_grid` makes
-is centrally symmetric, so its matrix commutes with the exchange of cell i
-and cell n-1-i; LAPACK then runs on the even and odd blocks of
+size.  For a few eigenvalues of a large grid it runs thick-restart Lanczos
+(Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000) on the form's FFT matvec,
+with no dense matrix: the symmetric counterpart of ARPACK's implicit
+restart, in numpy alone.  Otherwise it runs LAPACK's dense solver.  Every
+grid :func:`~loglap.discretize.build_grid` makes is centrally symmetric, so
+its matrix commutes with the exchange of cell i and cell n-1-i; LAPACK then
+runs on the even and odd blocks of
 :meth:`~loglap.discretize.QuadFormMatrix.sector`, each about n/2 wide,
 which takes about a quarter of the time and memory of the n x n solve and
 gives the same eigenvalues to rounding.  Other grids and plain arrays go to
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # loaded with the module, not inside the first solve
 
 from .discretize import QuadFormMatrix, _require_memory
 from .specfun import NumericsError
@@ -35,27 +37,26 @@ __all__ = [
     "envelope_samples",
 ]
 
-# Solver policy: ARPACK on the matvec when n >= _ARPACK_MIN_CELLS and
-# k <= n / _ARPACK_CELLS_PER_EIGENVALUE, LAPACK otherwise.  Seconds per solve,
-# ARPACK against LAPACK on the even and odd blocks, on two cores with
+# Solver policy: Lanczos on the matvec when n >= _LANCZOS_MIN_CELLS and
+# k <= n / _LANCZOS_CELLS_PER_EIGENVALUE, LAPACK otherwise.  Seconds per
+# solve, Lanczos against LAPACK on the even and odd blocks, on two cores with
 # OpenBLAS (best of two in one process; the LAPACK time includes the block
-# gather and does not depend on k; ARPACK excludes the 0.25-0.4 s import of
-# scipy.sparse.linalg, which a fresh process pays once):
-#   n = 2,048 (interval), LAPACK 0.21:  k = 20: 0.05;  40: 0.08;  60: 0.17;
-#            70: 0.24;  100: 0.41
-#   n = 3,080 (ball R=4), LAPACK 0.62-0.68:  k = 10: 0.16;  40: 0.29;
-#            60: 0.52;  80: 0.76;  110: 0.85
-#   n = 4,096 (interval), LAPACK 1.33:  k = 100: 0.62;  150: 1.20;  200: 1.69
-#   n = 7,020 (ball R=6), LAPACK 5.79:  k = 100: 1.63;  200: 4.21;  250: 5.61
-#   n = 8,192 (interval), LAPACK 7.4-8.0:  k = 200: 3.58;  300: 6.58;
-#            400: 12.3
-# The crossover lies near k = n/31, n/45, n/25, n/27 and n/25: it grows
-# with n and is lower in 2D, whose matvec is the dearer.  With n/28 the
-# solver chosen is at most about 1.4x slower than the other on each of
-# these grids (3,080-cell ball, k = 110: 0.85 s against 0.62 s).  At k = 10
-# ARPACK wins from n = 2,048 on.
-_ARPACK_MIN_CELLS = 2048
-_ARPACK_CELLS_PER_EIGENVALUE = 28
+# gather and does not depend on k):
+#   n = 2,048 (interval), LAPACK 0.25:  k = 20: 0.03;  40: 0.09;  60: 0.10;
+#            73: 0.18;  90: 0.26;  110: 0.33
+#   n = 3,080 (ball R=4), LAPACK 0.51:  k = 10: 0.06;  40: 0.19;  60: 0.33;
+#            80: 0.39;  110: 0.50;  140: 1.34
+#   n = 4,096 (interval), LAPACK 1.08:  k = 60: 0.24;  100: 0.47;  146: 0.73;
+#            180: 1.04;  220: 1.40
+# The crossover lies near k = n/23, n/28 and n/22, lower in 2D, whose matvec
+# is the dearer.  With n/28 the solver chosen is at most about 1.3x slower
+# than the other on each of these grids (2,048-cell interval, k = 74: LAPACK
+# 0.25 s against about 0.19 s).  At k = 10 Lanczos wins from n = 2,048 on.
+_LANCZOS_MIN_CELLS = 2048
+_LANCZOS_CELLS_PER_EIGENVALUE = 28
+# The grids above converge in 3-28 restarts, the R=16, h=1/8 ball (50,920
+# cells) at k = 10 in 33.
+_LANCZOS_MAX_RESTARTS = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +94,9 @@ def spectrum_from_values(values, total_dim: int | None = None) -> Spectrum:
     return Spectrum(eigenvalues=ev, total_dim=int(total_dim))
 
 
-def _uses_arpack(n: int, k: int) -> bool:
-    """Whether :func:`eig_symmetric` serves k of n eigenvalues of a form by ARPACK."""
-    return n >= _ARPACK_MIN_CELLS and k * _ARPACK_CELLS_PER_EIGENVALUE <= n
+def _uses_lanczos(n: int, k: int) -> bool:
+    """Whether :func:`eig_symmetric` serves k of n eigenvalues of a form by Lanczos."""
+    return n >= _LANCZOS_MIN_CELLS and k * _LANCZOS_CELLS_PER_EIGENVALUE <= n
 
 
 def eig_symmetric(matrix, k: int, *, with_vectors: bool = False) -> Spectrum:
@@ -103,14 +104,14 @@ def eig_symmetric(matrix, k: int, *, with_vectors: bool = False) -> Spectrum:
 
     ``matrix`` may be a :class:`QuadFormMatrix` or a plain symmetric array,
     whose massScale is 1.  A form of n >= 2048 cells with k <= n/28 is
-    solved by ARPACK on its matvec, started from a fixed-seed random vector;
-    ``source`` then records the matvec count and the largest residual
-    ||A v - lambda * massScale * v|| of the unit eigenvectors.  Everything
-    else goes to LAPACK.  A form on a centrally symmetric grid is solved as
-    its even and odd blocks, gathered from the offset table one at a time;
-    the larger block plus LAPACK's copy needs about 4*n*n bytes, ``source``
-    records the block sizes as ``sectors`` = [even, odd], and ties keep the
-    even block's values first.  A plain array, or a form on any other grid,
+    solved by thick-restart Lanczos on its matvec, started from a fixed-seed
+    random vector; ``source`` then records the matvec and restart counts and
+    the largest residual ||A v - lambda * massScale * v|| of the unit
+    eigenvectors.  Everything else goes to LAPACK.  A form on a centrally
+    symmetric grid is solved as its even and odd blocks, gathered from the
+    offset table one at a time; the larger block plus LAPACK's copy needs
+    about 4*n*n bytes, ``source`` records the block sizes as ``sectors`` =
+    [even, odd], and ties keep the even block's values first.  A plain array, or a form on any other grid,
     is solved whole on a copy of the dense matrix, which needs 16*n*n bytes;
     ties keep LAPACK's index order.  The LAPACK paths raise ``ValueError``
     when their bytes exceed physical memory.  ``source["solver"]`` names
@@ -138,9 +139,9 @@ def eig_symmetric(matrix, k: int, *, with_vectors: bool = False) -> Spectrum:
         n = a.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if isinstance(matrix, QuadFormMatrix) and _uses_arpack(n, k):
-        vals, vecs, stats = _arpack(matrix, k)
-        source.update(solver="arpack", **stats)
+    if isinstance(matrix, QuadFormMatrix) and _uses_lanczos(n, k):
+        vals, vecs, stats = _lanczos(matrix, k)
+        source.update(solver="lanczos", **stats)
     elif isinstance(matrix, QuadFormMatrix) and matrix.grid.centrally_symmetric:
         vals, vecs, sectors = _lapack_sectors(matrix, k, with_vectors)
         source.update(solver="lapack", sectors=sectors)
@@ -201,31 +202,85 @@ def _lapack_sectors(form: QuadFormMatrix, k: int,
     return vals[order], (np.hstack(vecs)[:, order] if with_vectors else None), [even, half]
 
 
-def _arpack(form: QuadFormMatrix, k: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The k smallest eigenpairs of the form's A by ARPACK on its matvec, ascending."""
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+def _lanczos(form: QuadFormMatrix, k: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The k smallest eigenpairs of the form's A by thick-restart Lanczos on its matvec.
 
+    The basis holds m = max(2k + 1, 20) vectors (ARPACK's default; the
+    solver policy keeps m below n), each orthogonalized twice against all
+    before it.  The projected matrix keeps the analytic recurrence
+    coefficients: tridiagonal, with an arrowhead coupling the Ritz vectors
+    kept at a restart to the residual direction (Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22, 2000).  Each restart keeps k + (m - k)//2 Ritz vectors.
+    A wanted Ritz pair converges when its residual estimate |beta * s_m| is
+    at most eps/2 * max(eps^(2/3), |theta|), ARPACK's test at tol = 0; it is
+    then locked: it stays in the basis, and its coupling, which is below
+    that bound, is dropped from the projected matrix.  Without locking the
+    estimates of converged pairs hover at that bound, rounding's floor, and
+    the solve stalls.  Raises ``NumericsError`` after
+    ``_LANCZOS_MAX_RESTARTS`` restarts, or when the basis breaks down (the
+    new direction has no component outside the basis).
+    """
     n = form.grid.count
-    matvecs = 0
-
-    def apply(v):
-        nonlocal matvecs
-        matvecs += 1
-        return form.matvec(v)
-
+    m = max(2 * k + 1, 20)
+    keep = k + (m - k) // 2
+    eps = np.finfo(float).eps
+    basis = np.empty((m + 1, n))  # rows are the Lanczos vectors
+    t = np.zeros((m, m))
     # A random start reaches every symmetry sector of a reflection-symmetric
     # grid; a constant vector lies in the even one.
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        vals, vecs = eigsh(LinearOperator((n, n), matvec=apply, dtype=float), k=k,
-                           which="SA", v0=v0)
-    except ArpackError as exc:
-        raise NumericsError(f"ARPACK failed after {matvecs} matvecs: {exc}") from exc
-    order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
+    v = np.random.default_rng(0).standard_normal(n)
+    basis[0] = v / np.linalg.norm(v)
+    locked = 0  # leading rows: converged Ritz vectors, uncoupled in t
+    first = 0  # rows before ``first`` are Ritz vectors kept at the last restart
+    matvecs = 0
+    for restart in range(_LANCZOS_MAX_RESTARTS + 1):
+        for j in range(first, m):
+            w = form.matvec(basis[j])
+            matvecs += 1
+            scale = np.linalg.norm(w)
+            t[j, j] = basis[j] @ w
+            lo = 0 if j == first else j - 1  # the arrowhead row, or the tridiagonal one
+            w -= t[j, j] * basis[j] + t[j, lo:j] @ basis[lo:j]
+            for _ in range(2):
+                w -= (basis[: j + 1] @ w) @ basis[: j + 1]
+            beta = np.linalg.norm(w)
+            if not beta > math.sqrt(eps) * scale:
+                raise NumericsError(
+                    f"Lanczos broke down after {matvecs} matvecs: "
+                    f"the new direction is {beta:.3g} of |A v| = {scale:.3g}")
+            if j + 1 < m:
+                t[j, j + 1] = t[j + 1, j] = beta
+            basis[j + 1] = w / beta
+        theta, s = np.linalg.eigh(t[locked:, locked:])
+        coupling = beta * s[-1]
+        converged = np.abs(coupling) <= 0.5 * eps * np.maximum(eps ** (2 / 3), np.abs(theta))
+        values = np.concatenate((np.diag(t)[:locked], theta))
+        wanted = np.argsort(values, kind="stable")[:k]
+        wanted = wanted[wanted >= locked] - locked  # the active pairs among the k smallest
+        if converged[wanted].all():
+            break
+        if restart == _LANCZOS_MAX_RESTARTS:
+            raise NumericsError(
+                f"Lanczos did not converge in {restart} restarts ({matvecs} matvecs); "
+                f"{np.count_nonzero(~converged[wanted])} of {k} eigenpairs open")
+        lock = np.zeros(theta.size, dtype=bool)
+        lock[wanted] = converged[wanted]
+        # the newly locked pairs first, then the smallest others, up to ``keep`` rows
+        rows = np.concatenate((np.flatnonzero(lock), np.flatnonzero(~lock)))
+        rows = rows[: keep - locked]
+        basis[locked:keep] = s[:, rows].T @ basis[locked:m]
+        basis[keep] = basis[m]
+        t[locked:] = t[:, locked:] = 0.0
+        t[range(locked, keep), range(locked, keep)] = theta[rows]
+        t[keep, locked:keep] = t[locked:keep, keep] = np.where(lock[rows], 0.0, coupling[rows])
+        locked += np.count_nonzero(lock)
+        first = keep
+    vectors = np.concatenate((basis[:locked], s.T @ basis[locked:m]))
+    order = np.argsort(values, kind="stable")[:k]
+    vals, vecs = values[order], vectors[order].T
     residual = max(float(np.linalg.norm(form.matvec(vecs[:, j]) - vals[j] * vecs[:, j]))
                    for j in range(k))
-    return vals, vecs, {"matvecs": matvecs, "max_residual": residual}
+    return vals, vecs, {"matvecs": matvecs, "restarts": restart, "max_residual": residual}
 
 
 def counting_function(spectrum: Spectrum, t: float) -> int:

@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line interface.
 
 Everything drives ``loglap.cli.main`` in process with exit-code assertions,
-except two subprocess runs: a smoke test at the end confirms the module works
-the way a shell would invoke it, and an ARPACK solve is repeated under two
-BLAS thread counts, which are fixed at process start.  CSV outputs are parsed back and cross-checked
-against the library so the 17-digit formatting contract stays honest.
+except three subprocess runs: a smoke test at the end confirms the module
+works the way a shell would invoke it, a Lanczos solve is repeated under two
+BLAS thread counts, which are fixed at process start, and a fresh process
+checks that no command loads scipy.  CSV outputs are parsed back and
+cross-checked against the library so the 17-digit formatting contract stays
+honest.
 """
 
 import json
@@ -189,7 +191,7 @@ def test_solve_refuses_eigensolve_larger_than_memory(monkeypatch, capsys):
 def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
     # 2048 cells: the matrix takes 32 MiB and the solve on its even and odd
     # blocks 16 MiB; with 8 MiB of memory the dense paths refuse and
-    # k <= n/28 is solved by ARPACK on the matvec
+    # k <= n/28 is solved by Lanczos on the matvec
     real_sysconf = os.sysconf
     fake = {"SC_PHYS_PAGES": 2048, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
@@ -197,7 +199,7 @@ def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
     out = tmp_path / "run.csv"
     assert main(["solve", *grid, "--num-eigs", "10", "--out", str(out)]) == 0
     record = json.loads((tmp_path / "run.json").read_text())["eigensolve"]
-    assert record["cells"] == 2048 and record["solver"] == "arpack"
+    assert record["cells"] == 2048 and record["solver"] == "lanczos"
     assert record["matvecs"] > 10 and 0.0 <= record["max_residual"] <= 1e-13
     assert main(["solve", *grid, "--num-eigs", "74"]) == 1
     assert main(["solve", *grid, "--num-eigs", "1", "--dump-matrix", str(tmp_path / "m.csv")]) == 1
@@ -206,19 +208,16 @@ def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
                  "--start", str(2 / 2048), "--stop", str(2 / 2048), "--steps", "1",
                  "--out", str(sweep)]) == 0
     solves = json.loads((tmp_path / "sweep.json").read_text())["eigensolves"]
-    assert [(s["cells"], s["solver"]) for s in solves] == [(2048, "arpack")]
+    assert [(s["cells"], s["solver"]) for s in solves] == [(2048, "lanczos")]
 
 
 def test_arpack_failure_exits_2(monkeypatch, capsys):
-    import scipy.sparse.linalg
-
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    # with no restart allowed, the first 20-vector Lanczos basis does not
+    # reach the convergence test (that solve takes 3 restarts)
+    monkeypatch.setattr("loglap.spectrum._LANCZOS_MAX_RESTARTS", 0)
     assert main(["solve", "--domain", "interval", "--length", "2", "--cells", "2048",
                  "--num-eigs", "1"]) == 2
-    assert "loglap: numerical failure: ARPACK" in capsys.readouterr().err
+    assert "loglap: numerical failure: Lanczos did not converge" in capsys.readouterr().err
 
 
 def test_solve_fewer_than_three_eigenvalues(tmp_path):
@@ -261,7 +260,7 @@ def test_solve_checks_delta_before_the_eigensolve(monkeypatch, tmp_path):
 
 
 def test_arpack_solve_is_independent_of_blas_threads(tmp_path):
-    # the same ARPACK solve under 1 and 2 OpenBLAS threads writes the same bytes
+    # the same Lanczos solve under 1 and 2 OpenBLAS threads writes the same bytes
     src = str(Path(loglap.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
@@ -275,9 +274,32 @@ def test_arpack_solve_is_independent_of_blas_threads(tmp_path):
              "--num-eigs", "10", "--out", str(out)],
             capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(out.with_suffix(".json").read_text())["eigensolve"]["solver"] == "arpack"
+        assert json.loads(out.with_suffix(".json").read_text())["eigensolve"]["solver"] == "lanczos"
         runs.append(out.read_bytes())
     assert runs[0] == runs[1]
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing the CLI and a Lanczos
+    # solve leave no scipy module behind
+    src = str(Path(loglap.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "run.csv"
+    script = (
+        "import sys\n"
+        "import loglap.cli\n"
+        "code = loglap.cli.main(sys.argv[1:])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", "--domain", "interval", "--length", "2",
+         "--cells", "2048", "--num-eigs", "10", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.with_suffix(".json").read_text())["eigensolve"]["solver"] == "lanczos"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_solve_dump_matrix_and_envelope(tmp_path):

@@ -31,6 +31,25 @@ def test_dimension_two():
     assert c.counting_coefficient == pytest.approx(8.0 * math.pi, rel=1e-12)
 
 
+# dimension_constants(1) and (2) as computed with scipy.special's gammaln and
+# psi, which the stdlib special functions replaced
+SCIPY_SPECIAL_VALUES = {
+    1: {"kernel_constant": 0.9999999999999999, "sphere_measure": 2.0,
+        "zero_order_shift": -1.154431329803066, "volume_coefficient": 0.6366197723675814,
+        "counting_coefficient": 6.283185307179586},
+    2: {"kernel_constant": 0.3183098861837907, "sphere_measure": 6.283185307179586,
+        "zero_order_shift": 0.23186303131682484, "volume_coefficient": 0.07957747154594767,
+        "counting_coefficient": 25.132741228718345},
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_constants_match_the_scipy_special_values(dim):
+    c = dimension_constants(dim)
+    for name, want in SCIPY_SPECIAL_VALUES[dim].items():
+        assert abs(getattr(c, name) - want) <= 2 * math.ulp(want), name
+
+
 def test_product_identity_all_dimensions():
     # kernel constant times sphere measure is 2 in every dimension
     for n in range(1, 11):

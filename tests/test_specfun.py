@@ -1,9 +1,10 @@
-"""Special-function wrappers: pinned values, identities, independent oracle."""
+"""Special functions: pinned values, identities, scipy.special and independent oracles."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from loglap.specfun import (
@@ -80,6 +81,18 @@ def test_cosint_against_quadrature_oracle():
     for t in np.geomspace(0.01, 1000.0, 300):
         worst = max(worst, abs(cosint(float(t)) - cosint_ref(float(t))))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("ours, theirs", [
+    (digamma, special.psi),
+    (ln_gamma, special.gammaln),
+    (cosint, lambda t: special.sici(t)[1]),
+], ids=["digamma", "ln_gamma", "cosint"])
+def test_against_scipy_special(ours, theirs):
+    # the stdlib implementations agree with scipy.special to rounding
+    for x in np.geomspace(1e-3, 1e3, 2001):
+        want = float(theirs(x))
+        assert abs(ours(float(x)) - want) <= 1e-15 * max(1.0, abs(want)), x
 
 
 def test_constants_literals():

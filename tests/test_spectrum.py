@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from loglap import spectrum as spectrum_module
 from loglap.discretize import Grid, assemble_form, build_grid, offset_form
 from loglap.geometry import ball, box, interval
+from loglap.specfun import NumericsError
 from loglap.spectrum import (
     Spectrum,
     counting_function,
@@ -76,9 +77,11 @@ def ball_3080():
 
 
 def test_arpack_matches_lapack_on_double_eigenvalues(ball_3080):
+    # a single-vector Krylov method sees one direction per eigenspace in exact
+    # arithmetic; the second copy of a double eigenvalue comes from rounding
     form, lapack = ball_3080
     s = eig_symmetric(form, 30, with_vectors=True)
-    assert s.source["solver"] == "arpack" and form.dense is None
+    assert s.source["solver"] == "lanczos" and form.dense is None
     # the ball's symmetry makes seven of these eigenvalues double; both copies come back
     assert np.sum(np.diff(lapack) < 1e-9) == 7
     assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
@@ -90,7 +93,7 @@ def test_arpack_matches_lapack_on_double_eigenvalues(ball_3080):
 def test_arpack_matches_lapack_on_an_interval():
     form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048.0))
     s = eig_symmetric(form, 10)
-    assert s.source["solver"] == "arpack" and s.eigenvectors is None
+    assert s.source["solver"] == "lanczos" and s.eigenvectors is None
     lapack = np.linalg.eigvalsh(form.entries)[:10] / form.mass_scale
     assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
 
@@ -104,8 +107,26 @@ def test_repeated_arpack_solves_are_bit_identical(ball_3080):
     assert a.source == b.source
 
 
+def test_lanczos_matches_lapack_at_the_solver_limit():
+    # k = 73 is the largest k <= n/28 at 2,048 cells: the widest basis
+    # (m = 147) the policy gives Lanczos at this size
+    form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048.0))
+    s = eig_symmetric(form, 73)
+    assert s.source["solver"] == "lanczos"
+    lapack = np.linalg.eigvalsh(form.entries)[:73] / form.mass_scale
+    assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
+
+
+def test_lanczos_breakdown_raises_numerics_error():
+    # A = 2 I: A v lies in span{v}, so the first Lanczos step finds no new direction
+    form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048.0))
+    form.matvec = lambda v: 2.0 * v
+    with pytest.raises(NumericsError, match="Lanczos broke down after 1 matvecs"):
+        eig_symmetric(form, 10)
+
+
 @pytest.mark.parametrize("cells, k, solver", [
-    (2047, 10, "lapack"), (2048, 10, "arpack"), (2048, 73, "arpack"), (2048, 74, "lapack"),
+    (2047, 10, "lapack"), (2048, 10, "lanczos"), (2048, 73, "lanczos"), (2048, 74, "lapack"),
 ])
 def test_solver_choice_at_the_limits(monkeypatch, cells, k, solver):
     ran = []
@@ -117,11 +138,11 @@ def test_solver_choice_at_the_limits(monkeypatch, cells, k, solver):
         return solve
 
     monkeypatch.setattr(spectrum_module, "_lapack", fake("lapack"))
-    monkeypatch.setattr(spectrum_module, "_arpack", fake("arpack"))
+    monkeypatch.setattr(spectrum_module, "_lanczos", fake("lanczos"))
     form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / cells))
     assert eig_symmetric(form, k).source["solver"] == solver
     # LAPACK runs once on each of the interval's even and odd blocks
-    assert ran == {"lapack": ["lapack", "lapack"], "arpack": ["arpack"]}[solver]
+    assert ran == {"lapack": ["lapack", "lapack"], "lanczos": ["lanczos"]}[solver]
 
 
 SPLIT_GRIDS = {
@@ -196,8 +217,8 @@ def test_split_needs_a_quarter_of_the_memory(monkeypatch):
 @pytest.mark.parametrize("small, large, k", [
     (interval(-0.5, 0.5), interval(-1.0, 1.0), 8),        # LAPACK, 64 cells
     (ball((0.0, 0.0), 1.0), ball((0.0, 0.0), 2.0), 8),    # LAPACK, 180 cells
-    (box((0.0, 0.0), (4.0, 4.0)), box((0.0, 0.0), (8.0, 8.0)), 10),  # ARPACK, 4,096 cells
-], ids=["interval", "ball", "box-arpack"])
+    (box((0.0, 0.0), (4.0, 4.0)), box((0.0, 0.0), (8.0, 8.0)), 10),  # Lanczos, 4,096 cells
+], ids=["interval", "ball", "box-lanczos"])
 def test_discrete_dilation_identity(small, large, k):
     # dilating the domain and the grid by R = 2 shifts every discrete
     # eigenvalue by exactly -2 ln 2
