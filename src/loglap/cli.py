@@ -25,6 +25,8 @@ import argparse
 import dataclasses
 import json
 import math
+import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -183,6 +185,12 @@ def _solver_record(spectrum) -> dict:
     return {key: spectrum.source[key] for key in keys if key in spectrum.source}
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS, KiB elsewhere
+
+
 def _default_c0(domain: Domain) -> float | None:
     """The minimal admissible foliation constant in the domain's inradius
     regime; None in dimension 1, where it is not defined (pass --c0)."""
@@ -335,6 +343,7 @@ def _cmd_solve(args) -> int:
                 "lambda_k": float(spectrum.eigenvalues[-1]),
             },
             "eigensolve": _solver_record(spectrum),
+            "peak_rss_mb": _peak_rss_mb(),
         }
         _emit_json(_manifest_path(args.out), manifest)
         print(f"wrote {args.out} ({args.num_eigs} rows, {grid.count} cells) "
@@ -422,12 +431,11 @@ def _suite_bounds(seed: int) -> list[dict]:
     checks.append(_check("bounds.moment_sharpness", max(sharp) <= 1e-10,
                          f"equality-case slacks = {[f'{s:.2e}' for s in sharp]}"))
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)  # numpy.random would cost an import per process
     worst_slack = math.inf
     for _ in range(500):
-        constants = c1 if rng.integers(2) == 0 else c2
-        prof = BallProfile(radius=float(rng.uniform(0.1, 10.0)),
-                           height=float(rng.uniform(1e-6, 5.0)))
+        constants = c1 if rng.randrange(2) == 0 else c2
+        prof = BallProfile(radius=rng.uniform(0.1, 10.0), height=rng.uniform(1e-6, 5.0))
         rep = log_moment_check(constants, prof)
         for key in ("slack_lower_moment", "slack_mass_affine", "slack_mass_loglog"):
             if key in rep.values:
@@ -536,6 +544,8 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed expects a non-negative integer, got {args.seed}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
@@ -663,6 +673,7 @@ def _cmd_sweep(args) -> int:
             "timings_sec": {"total": elapsed},
             "rows": len(rows),
             "eigensolves": solves,
+            "peak_rss_mb": _peak_rss_mb(),
         }
         _emit_json(_manifest_path(args.out), manifest)
         print(f"wrote {args.out} ({len(rows)} rows) and {_manifest_path(args.out)}")

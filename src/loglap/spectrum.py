@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.random  # loaded with the module, not inside the first solve
 
 from .discretize import QuadFormMatrix, _require_memory
 from .specfun import NumericsError
@@ -37,25 +36,35 @@ __all__ = [
     "envelope_samples",
 ]
 
-# Solver policy: Lanczos on the matvec when n >= _LANCZOS_MIN_CELLS and
-# k <= n / _LANCZOS_CELLS_PER_EIGENVALUE, LAPACK otherwise.  Seconds per
-# solve, Lanczos against LAPACK on the even and odd blocks, on two cores with
-# OpenBLAS (best of two in one process; the LAPACK time includes the block
-# gather and does not depend on k):
-#   n = 2,048 (interval), LAPACK 0.25:  k = 20: 0.03;  40: 0.09;  60: 0.10;
-#            73: 0.18;  90: 0.26;  110: 0.33
-#   n = 3,080 (ball R=4), LAPACK 0.51:  k = 10: 0.06;  40: 0.19;  60: 0.33;
-#            80: 0.39;  110: 0.50;  140: 1.34
-#   n = 4,096 (interval), LAPACK 1.08:  k = 60: 0.24;  100: 0.47;  146: 0.73;
-#            180: 1.04;  220: 1.40
-# The crossover lies near k = n/23, n/28 and n/22, lower in 2D, whose matvec
-# is the dearer.  With n/28 the solver chosen is at most about 1.3x slower
-# than the other on each of these grids (2,048-cell interval, k = 74: LAPACK
-# 0.25 s against about 0.19 s).  At k = 10 Lanczos wins from n = 2,048 on.
-_LANCZOS_MIN_CELLS = 2048
+# Solver policy: Lanczos on the matvec when n >= _LANCZOS_MIN_CELLS[dim] and
+# k <= n / _LANCZOS_CELLS_PER_EIGENVALUE, LAPACK otherwise.  The k limit comes
+# from the crossovers near k = n/23, n/28 and n/22 measured up to k = 220 on
+# a 2,048-cell interval, the 3,080-cell ball and a 4,096-cell interval.  The
+# floor is the smallest size from which Lanczos at that limit is at most
+# about 1.3x slower than LAPACK.  Milliseconds per solve, LAPACK on the even
+# and odd blocks (gather included; it does not depend on k) against Lanczos
+# at k = 1, 10 and n/28 (symbol included), on two cores with OpenBLAS, best
+# of nine in one process, a fresh form each time:
+#   interval   n =   512: LAPACK   7.7; Lanczos  4.5,  7.7,  10.1 (k = 18)
+#                    640:         10.0;          2.8,  8.3,  12.7 (k = 22)
+#                    768:         14.9;          3.1,  9.3,  16.7 (k = 27)
+#                  1,024:         27.4;          3.6, 10.9,  26.1 (k = 36)
+#                  2,048:        118.5;          6.9, 18.0, 122.4 (k = 73)
+#   ball h=1/8 n =   732: LAPACK  12.4; Lanczos  4.5, 16.9,  22.5 (k = 26)
+#                  1,696:         63.8;          5.9, 28.9, 112.9 (k = 60)
+#                  2,016:        113.9;          8.9, 31.3, 134.0 (k = 72)
+#                  2,340:        169.4;          9.6, 34.3, 246.0 (k = 83)
+#                  3,080:        355.3;         12.8, 46.9, 342.0 (k = 110)
+# Over five such runs the ratio at k = n/28 is at most 1.28x in 1D from 768
+# cells on, and 1.3-1.8x at 512.  In 2D, whose matvec is the dearer, it is
+# 1.2-2.1x at every size from 732 to 2,700 cells, above 2,048 as below, and
+# 1.0x at 3,080: there the k limit, not the floor, misses 1.3x, so the 2D
+# floor stays at 2,048.  Below a floor LAPACK is up to 4x (1D) or 13x (2D)
+# slower than Lanczos at k = 1, a few milliseconds in 1D.
+_LANCZOS_MIN_CELLS = {1: 768, 2: 2048}
 _LANCZOS_CELLS_PER_EIGENVALUE = 28
-# The grids above converge in 3-28 restarts, the R=16, h=1/8 ball (50,920
-# cells) at k = 10 in 33.
+# Solves of 2,048-50,920 cells converge in 3-31 restarts (the R=16, h=1/8
+# ball at k = 10 takes 31).
 _LANCZOS_MAX_RESTARTS = 1000
 
 
@@ -94,20 +103,21 @@ def spectrum_from_values(values, total_dim: int | None = None) -> Spectrum:
     return Spectrum(eigenvalues=ev, total_dim=int(total_dim))
 
 
-def _uses_lanczos(n: int, k: int) -> bool:
-    """Whether :func:`eig_symmetric` serves k of n eigenvalues of a form by Lanczos."""
-    return n >= _LANCZOS_MIN_CELLS and k * _LANCZOS_CELLS_PER_EIGENVALUE <= n
+def _uses_lanczos(n: int, k: int, dim: int) -> bool:
+    """Whether :func:`eig_symmetric` serves k of n eigenvalues of a dim-D form by Lanczos."""
+    return n >= _LANCZOS_MIN_CELLS[dim] and k * _LANCZOS_CELLS_PER_EIGENVALUE <= n
 
 
 def eig_symmetric(matrix, k: int, *, with_vectors: bool = False) -> Spectrum:
     """Smallest ``k`` eigenvalues of (1/massScale)*A for symmetric A, ascending.
 
     ``matrix`` may be a :class:`QuadFormMatrix` or a plain symmetric array,
-    whose massScale is 1.  A form of n >= 2048 cells with k <= n/28 is
-    solved by thick-restart Lanczos on its matvec, started from a fixed-seed
-    random vector; ``source`` then records the matvec and restart counts and
-    the largest residual ||A v - lambda * massScale * v|| of the unit
-    eigenvectors.  Everything else goes to LAPACK.  A form on a centrally
+    whose massScale is 1.  A form of n cells with k <= n/28, and n >= 768
+    in 1D or n >= 2048 in 2D, is solved by thick-restart Lanczos on its
+    matvec, started from a fixed hash of the cell index
+    (:func:`_start_vector`); ``source`` then records the matvec and restart
+    counts and the largest residual ||A v - lambda * massScale * v|| of the
+    unit eigenvectors.  Everything else goes to LAPACK.  A form on a centrally
     symmetric grid is solved as its even and odd blocks, gathered from the
     offset table one at a time; the larger block plus LAPACK's copy needs
     about 4*n*n bytes, ``source`` records the block sizes as ``sectors`` =
@@ -139,7 +149,7 @@ def eig_symmetric(matrix, k: int, *, with_vectors: bool = False) -> Spectrum:
         n = a.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if isinstance(matrix, QuadFormMatrix) and _uses_lanczos(n, k):
+    if isinstance(matrix, QuadFormMatrix) and _uses_lanczos(n, k, matrix.grid.dim):
         vals, vecs, stats = _lanczos(matrix, k)
         source.update(solver="lanczos", **stats)
     elif isinstance(matrix, QuadFormMatrix) and matrix.grid.centrally_symmetric:
@@ -202,6 +212,21 @@ def _lapack_sectors(form: QuadFormMatrix, k: int,
     return vals[order], (np.hstack(vecs)[:, order] if with_vectors else None), [even, half]
 
 
+def _start_vector(n: int) -> np.ndarray:
+    """Lanczos's start: the first n outputs of SplitMix64 from seed 0 (Steele,
+    Lea & Flood, OOPSLA 2014), mapped to [-1/2, 1/2).
+
+    Like a random vector it reaches every symmetry sector of a
+    reflection-symmetric grid, where a constant vector lies in the even one;
+    being a fixed hash of the cell index, it needs no random number generator.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53 - 0.5
+
+
 def _lanczos(form: QuadFormMatrix, k: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """The k smallest eigenpairs of the form's A by thick-restart Lanczos on its matvec.
 
@@ -226,9 +251,7 @@ def _lanczos(form: QuadFormMatrix, k: int) -> tuple[np.ndarray, np.ndarray, dict
     eps = np.finfo(float).eps
     basis = np.empty((m + 1, n))  # rows are the Lanczos vectors
     t = np.zeros((m, m))
-    # A random start reaches every symmetry sector of a reflection-symmetric
-    # grid; a constant vector lies in the even one.
-    v = np.random.default_rng(0).standard_normal(n)
+    v = _start_vector(n)
     basis[0] = v / np.linalg.norm(v)
     locked = 0  # leading rows: converged Ritz vectors, uncoupled in t
     first = 0  # rows before ``first`` are Ritz vectors kept at the last restart

@@ -1,12 +1,12 @@
 """End-to-end checks of the command-line interface.
 
 Everything drives ``loglap.cli.main`` in process with exit-code assertions,
-except three subprocess runs: a smoke test at the end confirms the module
+except a few subprocess runs: a smoke test at the end confirms the module
 works the way a shell would invoke it, a Lanczos solve is repeated under two
-BLAS thread counts, which are fixed at process start, and a fresh process
-checks that no command loads scipy.  CSV outputs are parsed back and
-cross-checked against the library so the 17-digit formatting contract stays
-honest.
+BLAS thread counts, which are fixed at process start, and fresh processes
+check that no command loads scipy, numpy.random or numpy.polynomial.  CSV
+outputs are parsed back and cross-checked against the library so the
+17-digit formatting contract stays honest.
 """
 
 import json
@@ -137,6 +137,7 @@ def test_solve_csv_and_manifest(tmp_path):
     assert manifest["results"]["lambda_1"] == lam[0]
     assert manifest["timings_sec"]["total"] > 0.0
     assert manifest["eigensolve"] == {"cells": 64, "solver": "lapack", "sectors": [32, 32]}
+    assert manifest["peak_rss_mb"] > 0.0
 
 
 def test_solve_rerun_is_byte_identical(tmp_path):
@@ -280,26 +281,39 @@ def test_arpack_solve_is_independent_of_blas_threads(tmp_path):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # numpy is the only runtime dependency: importing the CLI and a Lanczos
-    # solve leave no scipy module behind
+    # numpy is the only runtime dependency, and no command loads numpy.random
+    # or numpy.polynomial, which importing numpy does not: neither importing
+    # the CLI nor a Lanczos solve, a LAPACK solve, a Rayleigh quotient or the
+    # verify suites leaves one behind
     src = str(Path(loglap.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = tmp_path / "run.csv"
     script = (
         "import sys\n"
         "import loglap.cli\n"
         "code = loglap.cli.main(sys.argv[1:])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "banned = ('scipy', 'numpy.random', 'numpy.polynomial')\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if any(m == b or m.startswith(b + '.') for b in banned)))\n"
         "sys.exit(code)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "solve", "--domain", "interval", "--length", "2",
-         "--cells", "2048", "--num-eigs", "10", "--out", str(out)],
-        capture_output=True, text=True, timeout=300, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(out.with_suffix(".json").read_text())["eigensolve"]["solver"] == "lanczos"
-    assert proc.stdout.splitlines()[-1] == "[]"
+    interval = ["--domain", "interval", "--length", "2"]
+    commands = {
+        "lanczos": ["solve", *interval, "--cells", "2048", "--num-eigs", "10"],
+        "lapack": ["solve", *interval, "--cells", "64", "--num-eigs", "10"],
+        "rayleigh": ["bounds", "--domain", "ball", "--radius", "1", "--h", "0.125",
+                     "--sigma", "0.5"],
+        "verify": ["verify", "--suite", "all"],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.out"
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(out)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stdout.splitlines()[-1] == "[]", name
+        if argv[0] == "solve":
+            solver = json.loads(out.with_suffix(".json").read_text())["eigensolve"]["solver"]
+            assert solver == name
 
 
 def test_solve_dump_matrix_and_envelope(tmp_path):
@@ -472,9 +486,10 @@ def test_sweep_h(tmp_path):
     assert np.array_equal(cells, [16.0, 32.0, 64.0, 128.0])
     lam1 = column(header, rows, "lambda_1")
     assert np.all(np.diff(lam1) <= 1e-12)             # refinement never increases it
-    solves = json.loads((tmp_path / "h.json").read_text())["eigensolves"]
-    assert solves == [{"cells": c, "solver": "lapack", "sectors": [c // 2, c // 2]}
-                      for c in (16, 32, 64, 128)]
+    manifest = json.loads((tmp_path / "h.json").read_text())
+    assert manifest["eigensolves"] == [
+        {"cells": c, "solver": "lapack", "sectors": [c // 2, c // 2]} for c in (16, 32, 64, 128)]
+    assert manifest["peak_rss_mb"] > 0.0
 
 
 def test_sweep_range_errors(tmp_path):
@@ -532,8 +547,11 @@ def test_version_and_usage(capsys):
     assert main([]) == 1                              # subcommand required
 
 
-def test_seed_and_sweep_variant_flags_rejected():
-    # only verify has randomized checks, so only verify takes --seed
+def test_seed_and_sweep_variant_flags_rejected(capsys):
+    # only verify has randomized checks, so only verify takes --seed, and
+    # only a non-negative one
+    assert main(["verify", "--suite", "constants", "--seed", "-1"]) == 1
+    assert "--seed expects a non-negative integer, got -1" in capsys.readouterr().err
     assert main(["constants", "--dim", "1", "--seed", "1"]) == 1
     assert main(["solve", "--domain", "interval", "--length", "2",
                  "--cells", "8", "--num-eigs", "2", "--seed", "1"]) == 1

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from loglap.constants import dimension_constants
 from loglap.discretize import (
     Grid,
+    _gauss_legendre,
     assemble_form,
     build_grid,
     offset_form,
@@ -210,6 +211,15 @@ def test_2d_separated_entries_exact_to_rounding(offsets):
         ref = -c2.kernel_constant * h * h * oracles.separated_pair_unit_2d_mp(oa, ob)
         for slot in ((oa, ob), (ob, oa)):
             assert abs(table[slot] - ref) <= 1e-12 * abs(ref), slot
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    # the Golub-Welsch rule of the separated 2D slots against numpy's leggauss,
+    # which the package does not import
+    x, w = _gauss_legendre(10)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(10)
+    assert np.max(np.abs(x - ref_x)) <= 1e-14
+    assert np.max(np.abs(w - ref_w)) <= 1e-14
 
 
 def test_ball_matrix_invariant_under_swapping_axes():

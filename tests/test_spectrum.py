@@ -125,10 +125,9 @@ def test_lanczos_breakdown_raises_numerics_error():
         eig_symmetric(form, 10)
 
 
-@pytest.mark.parametrize("cells, k, solver", [
-    (2047, 10, "lapack"), (2048, 10, "lanczos"), (2048, 73, "lanczos"), (2048, 74, "lapack"),
-])
-def test_solver_choice_at_the_limits(monkeypatch, cells, k, solver):
+def _chosen_solver(monkeypatch, grid, k):
+    """The solver eig_symmetric picks for k eigenvalues of the grid's form,
+    with both solvers faked."""
     ran = []
 
     def fake(name):
@@ -139,10 +138,75 @@ def test_solver_choice_at_the_limits(monkeypatch, cells, k, solver):
 
     monkeypatch.setattr(spectrum_module, "_lapack", fake("lapack"))
     monkeypatch.setattr(spectrum_module, "_lanczos", fake("lanczos"))
-    form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / cells))
-    assert eig_symmetric(form, k).source["solver"] == solver
-    # LAPACK runs once on each of the interval's even and odd blocks
+    solver = eig_symmetric(offset_form(grid), k).source["solver"]
+    # LAPACK runs once on each of the grid's even and odd blocks
     assert ran == {"lapack": ["lapack", "lapack"], "lanczos": ["lanczos"]}[solver]
+    return solver
+
+
+@pytest.mark.parametrize("cells, k, solver", [
+    (2047, 10, "lapack"), (2048, 10, "lanczos"), (2048, 73, "lanczos"), (2048, 74, "lapack"),
+])
+def test_solver_choice_at_the_limits(monkeypatch, cells, k, solver):
+    # 2D: boxes of 23 x 89 and 32 x 64 cells
+    nx, ny = {2047: (23, 89), 2048: (32, 64)}[cells]
+    grid = build_grid(box((0.0, 0.0), (nx / 16.0, ny / 16.0)), 1.0 / 16.0)
+    assert grid.count == cells
+    assert _chosen_solver(monkeypatch, grid, k) == solver
+
+
+@pytest.mark.parametrize("cells, k, solver", [
+    (767, 10, "lapack"), (768, 1, "lanczos"), (768, 27, "lanczos"), (768, 28, "lapack"),
+    (2047, 73, "lanczos"),
+])
+def test_solver_choice_at_the_1d_limits(monkeypatch, cells, k, solver):
+    grid = build_grid(interval(-1.0, 1.0), 2.0 / cells)
+    assert _chosen_solver(monkeypatch, grid, k) == solver
+
+
+def test_lanczos_matches_lapack_at_the_1d_floor():
+    # the smallest grid and the widest basis (m = 55) Lanczos gets in 1D
+    form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 768.0))
+    s = eig_symmetric(form, 27)
+    assert s.source["solver"] == "lanczos"
+    lapack = np.linalg.eigvalsh(form.entries)[:27] / form.mass_scale
+    assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
+
+
+def _splitmix64(n):
+    """The first n outputs of SplitMix64 from seed 0, in Python integers."""
+    mask, state, out = 2**64 - 1, 0, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_start_vector_is_a_fixed_splitmix64_stream():
+    v = spectrum_module._start_vector(1000)
+    assert np.array_equal(v, spectrum_module._start_vector(1000))
+    words = _splitmix64(1000)
+    assert words[0] == 0xE220A8397B1DCDAF  # SplitMix64's first output from seed 0
+    assert np.array_equal(v, [(z >> 11) * 2.0**-53 - 0.5 for z in words])
+    assert v.min() >= -0.5 and v.max() < 0.5
+
+
+@pytest.mark.parametrize("domain, h", [
+    (ball((0.0, 0.0), 4.0), 0.125),
+    (interval(-1.0, 1.0), 2.0 / 2047.0),
+], ids=["ball-3080", "interval-2047"])
+def test_start_vector_reaches_both_parity_sectors(domain, h):
+    # on a centrally symmetric grid cell i mirrors cell n-1-i; a start vector
+    # without an odd (or even) part would miss half the spectrum
+    grid = build_grid(domain, h)
+    assert grid.centrally_symmetric
+    v = spectrum_module._start_vector(grid.count)
+    norm = np.linalg.norm(v)
+    assert np.linalg.norm(v + v[::-1]) / 2.0 >= 0.3 * norm
+    assert np.linalg.norm(v - v[::-1]) / 2.0 >= 0.3 * norm
 
 
 SPLIT_GRIDS = {
