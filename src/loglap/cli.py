@@ -26,7 +26,6 @@ import dataclasses
 import json
 import math
 import random
-import resource
 import sys
 import time
 from pathlib import Path
@@ -187,6 +186,8 @@ def _solver_record(spectrum) -> dict:
 
 def _peak_rss_mb() -> float:
     """The process's peak resident set size so far, in MiB."""
+    import resource  # POSIX only: imported here so other platforms can run the rest
+
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS, KiB elsewhere
 

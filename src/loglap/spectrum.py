@@ -36,15 +36,14 @@ __all__ = [
     "envelope_samples",
 ]
 
-# Solver policy: Lanczos on the matvec when n >= _LANCZOS_MIN_CELLS[dim] and
+# Solver policy: Lanczos on the matvec when n >= _LANCZOS_MIN_CELLS and
 # k <= n / _LANCZOS_CELLS_PER_EIGENVALUE, LAPACK otherwise.  The k limit comes
 # from the crossovers near k = n/23, n/28 and n/22 measured up to k = 220 on
-# a 2,048-cell interval, the 3,080-cell ball and a 4,096-cell interval.  The
-# floor is the smallest size from which Lanczos at that limit is at most
-# about 1.3x slower than LAPACK.  Milliseconds per solve, LAPACK on the even
-# and odd blocks (gather included; it does not depend on k) against Lanczos
-# at k = 1, 10 and n/28 (symbol included), on two cores with OpenBLAS, best
-# of nine in one process, a fresh form each time:
+# a 2,048-cell interval, the 3,080-cell ball and a 4,096-cell interval.
+# Milliseconds per solve, LAPACK on the even and odd blocks (gather included;
+# it does not depend on k) against Lanczos at k = 1, 10 and n/28 (symbol
+# included), on two cores with OpenBLAS, best of nine in one process, a fresh
+# form each time:
 #   interval   n =   512: LAPACK   7.7; Lanczos  4.5,  7.7,  10.1 (k = 18)
 #                    640:         10.0;          2.8,  8.3,  12.7 (k = 22)
 #                    768:         14.9;          3.1,  9.3,  16.7 (k = 27)
@@ -58,10 +57,10 @@ __all__ = [
 # Over five such runs the ratio at k = n/28 is at most 1.28x in 1D from 768
 # cells on, and 1.3-1.8x at 512.  In 2D, whose matvec is the dearer, it is
 # 1.2-2.1x at every size from 732 to 2,700 cells, above 2,048 as below, and
-# 1.0x at 3,080: there the k limit, not the floor, misses 1.3x, so the 2D
-# floor stays at 2,048.  Below a floor LAPACK is up to 4x (1D) or 13x (2D)
-# slower than Lanczos at k = 1, a few milliseconds in 1D.
-_LANCZOS_MIN_CELLS = {1: 768, 2: 2048}
+# 1.0x at 3,080.  These are timings of the solvers alone; the floor stays at
+# 2,048 in both dimensions until a benchmark workload solves a 1D grid of
+# 768-2,047 cells, so that lowering it there can be measured end to end.
+_LANCZOS_MIN_CELLS = 2048
 _LANCZOS_CELLS_PER_EIGENVALUE = 28
 # Solves of 2,048-50,920 cells converge in 3-31 restarts (the R=16, h=1/8
 # ball at k = 10 takes 31).
@@ -103,21 +102,20 @@ def spectrum_from_values(values, total_dim: int | None = None) -> Spectrum:
     return Spectrum(eigenvalues=ev, total_dim=int(total_dim))
 
 
-def _uses_lanczos(n: int, k: int, dim: int) -> bool:
-    """Whether :func:`eig_symmetric` serves k of n eigenvalues of a dim-D form by Lanczos."""
-    return n >= _LANCZOS_MIN_CELLS[dim] and k * _LANCZOS_CELLS_PER_EIGENVALUE <= n
+def _uses_lanczos(n: int, k: int) -> bool:
+    """Whether :func:`eig_symmetric` serves k of n eigenvalues of a form by Lanczos."""
+    return n >= _LANCZOS_MIN_CELLS and k * _LANCZOS_CELLS_PER_EIGENVALUE <= n
 
 
 def eig_symmetric(matrix, k: int, *, with_vectors: bool = False) -> Spectrum:
     """Smallest ``k`` eigenvalues of (1/massScale)*A for symmetric A, ascending.
 
     ``matrix`` may be a :class:`QuadFormMatrix` or a plain symmetric array,
-    whose massScale is 1.  A form of n cells with k <= n/28, and n >= 768
-    in 1D or n >= 2048 in 2D, is solved by thick-restart Lanczos on its
-    matvec, started from a fixed hash of the cell index
-    (:func:`_start_vector`); ``source`` then records the matvec and restart
-    counts and the largest residual ||A v - lambda * massScale * v|| of the
-    unit eigenvectors.  Everything else goes to LAPACK.  A form on a centrally
+    whose massScale is 1.  A form of n >= 2048 cells with k <= n/28 is
+    solved by thick-restart Lanczos on its matvec, started from a fixed hash
+    of the cell index (:func:`_start_vector`); ``source`` then records the
+    matvec and restart counts and the largest residual
+    ||A v - lambda * massScale * v|| of the unit eigenvectors.  Everything else goes to LAPACK.  A form on a centrally
     symmetric grid is solved as its even and odd blocks, gathered from the
     offset table one at a time; the larger block plus LAPACK's copy needs
     about 4*n*n bytes, ``source`` records the block sizes as ``sectors`` =
@@ -149,7 +147,7 @@ def eig_symmetric(matrix, k: int, *, with_vectors: bool = False) -> Spectrum:
         n = a.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if isinstance(matrix, QuadFormMatrix) and _uses_lanczos(n, k, matrix.grid.dim):
+    if isinstance(matrix, QuadFormMatrix) and _uses_lanczos(n, k):
         vals, vecs, stats = _lanczos(matrix, k)
         source.update(solver="lanczos", **stats)
     elif isinstance(matrix, QuadFormMatrix) and matrix.grid.centrally_symmetric:

@@ -144,33 +144,22 @@ def _chosen_solver(monkeypatch, grid, k):
     return solver
 
 
-@pytest.mark.parametrize("cells, k, solver", [
+_SOLVER_CHOICES = [(dim, cells, k, solver) for dim in (1, 2) for cells, k, solver in [
     (2047, 10, "lapack"), (2048, 10, "lanczos"), (2048, 73, "lanczos"), (2048, 74, "lapack"),
+]]
+
+
+@pytest.mark.parametrize("dim, cells, k, solver", _SOLVER_CHOICES, ids=[
+    f"{'' if dim == 1 else 'box-'}{cells}-{k}-{solver}" for dim, cells, k, solver in _SOLVER_CHOICES
 ])
-def test_solver_choice_at_the_limits(monkeypatch, cells, k, solver):
-    # 2D: boxes of 23 x 89 and 32 x 64 cells
-    nx, ny = {2047: (23, 89), 2048: (32, 64)}[cells]
-    grid = build_grid(box((0.0, 0.0), (nx / 16.0, ny / 16.0)), 1.0 / 16.0)
+def test_solver_choice_at_the_limits(monkeypatch, dim, cells, k, solver):
+    if dim == 1:
+        grid = build_grid(interval(-1.0, 1.0), 2.0 / cells)
+    else:  # boxes of 23 x 89 and 32 x 64 cells
+        nx, ny = {2047: (23, 89), 2048: (32, 64)}[cells]
+        grid = build_grid(box((0.0, 0.0), (nx / 16.0, ny / 16.0)), 1.0 / 16.0)
     assert grid.count == cells
     assert _chosen_solver(monkeypatch, grid, k) == solver
-
-
-@pytest.mark.parametrize("cells, k, solver", [
-    (767, 10, "lapack"), (768, 1, "lanczos"), (768, 27, "lanczos"), (768, 28, "lapack"),
-    (2047, 73, "lanczos"),
-])
-def test_solver_choice_at_the_1d_limits(monkeypatch, cells, k, solver):
-    grid = build_grid(interval(-1.0, 1.0), 2.0 / cells)
-    assert _chosen_solver(monkeypatch, grid, k) == solver
-
-
-def test_lanczos_matches_lapack_at_the_1d_floor():
-    # the smallest grid and the widest basis (m = 55) Lanczos gets in 1D
-    form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 768.0))
-    s = eig_symmetric(form, 27)
-    assert s.source["solver"] == "lanczos"
-    lapack = np.linalg.eigvalsh(form.entries)[:27] / form.mass_scale
-    assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
 
 
 def _splitmix64(n):
