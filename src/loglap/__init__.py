@@ -35,7 +35,6 @@ from .roots import RootResult, solve_log_ratio, solve_r_ln_r
 from .specfun import NumericsError, cosint, digamma, ln_gamma
 from .spectrum import (
     Spectrum,
-    counting_function,
     eig_symmetric,
     envelope_samples,
     spectrum_from_values,
@@ -62,7 +61,6 @@ __all__ = [
     "build_grid",
     "cosint",
     "counting_envelope",
-    "counting_function",
     "digamma",
     "dimension_constants",
     "eig_symmetric",

@@ -264,9 +264,8 @@ def _cmd_bounds(args) -> int:
         # the closed-form reports above.
         h = _resolve_h(args, domain)
         grid = build_grid(domain, h)
-        matrix = assemble_form(grid)
-        spec = TestFunctionSpec(sigma=args.sigma)
-        coeffs = np.array([domain.test_function(spec, tuple(x)) for x in grid.centers])
+        matrix = offset_form(grid)
+        coeffs = domain.test_function(TestFunctionSpec(sigma=args.sigma), grid.centers)
         payload["rayleigh"] = {
             "sigma": args.sigma,
             "h": grid.h,
@@ -287,9 +286,9 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     grid = build_grid(domain, h)
     t1 = time.perf_counter()
-    matrix = offset_form(grid)
-    if args.dump_matrix:
-        matrix.entries  # gather now: a matrix too large for memory is refused before any output
+    # --dump-matrix gathers before the solve: a matrix too large for memory
+    # is refused before any output.
+    matrix = assemble_form(grid) if args.dump_matrix else offset_form(grid)
     t2 = time.perf_counter()
     spectrum = eig_symmetric(matrix, args.num_eigs)
     t3 = time.perf_counter()

@@ -30,14 +30,17 @@ it is the size of the lattice's bounding box.  ``QuadFormMatrix.matvec``
 applies the matrix without forming it: the table is embedded in a circulant
 twice the bounding box per axis (rounded up to a fast FFT length) and
 applied with one FFT pair (Chan & Jin, *An Introduction to Iterative
-Toeplitz Solvers*, SIAM 2007).  The dense matrix is a view, gathered on
-first use in row blocks, the same way in every dimension; it needs the
-8*n*n-byte matrix plus a small fixed block, and a matrix larger than
-physical memory is refused first.  :func:`assemble_form` is
-:func:`offset_form` plus that gather.  Every grid :func:`build_grid` makes
-is centrally symmetric, and ``QuadFormMatrix.sector`` gathers the even or
-odd block of its matrix, about n/2 wide, by the same row blocks without the
-n x n matrix; the eigensolver works on those.
+Toeplitz Solvers*, SIAM 2007); :func:`rayleigh_quotient` is one such
+product.  The dense matrix is a view, ``entries``, gathered on first use in
+row blocks, the same way in every dimension; it needs the 8*n*n-byte matrix
+plus a small fixed block, and a matrix larger than physical memory is
+refused first.  Only ``solve --dump-matrix`` and the whole-matrix LAPACK
+fallback for a grid without central symmetry read it.
+:func:`assemble_form` is :func:`offset_form` plus that gather.  Every grid
+:func:`build_grid` makes is centrally symmetric, and
+``QuadFormMatrix.sector`` gathers the even or odd block of its matrix,
+about n/2 wide, by the same row blocks without the n x n matrix; the
+eigensolver works on those.
 """
 
 from __future__ import annotations
@@ -349,7 +352,9 @@ def offset_form(grid: Grid, constants: DimensionConstants | None = None) -> Quad
 def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> QuadFormMatrix:
     """:func:`offset_form` with the dense matrix gathered.
 
-    Raises ``ValueError`` when the matrix would not fit in physical memory.
+    For writing the matrix out (``solve --dump-matrix``); solves and
+    Rayleigh quotients need only the table.  Raises ``ValueError`` when the
+    matrix would not fit in physical memory.
     """
     form = offset_form(grid, constants)
     form.entries  # gathers the matrix into ``form.dense``
@@ -438,6 +443,8 @@ def rayleigh_quotient(matrix: QuadFormMatrix, coefficients) -> float:
 
     By min-max this is an upper bound for the smallest discrete eigenvalue,
     hence also for the smallest true eigenvalue (inner approximation).
+    A v is one :meth:`QuadFormMatrix.matvec`: the dense matrix is never
+    gathered, and the memory needed is linear in the lattice's bounding box.
     """
     v = np.asarray(coefficients, dtype=float).ravel()
     if v.shape[0] != matrix.grid.count:
@@ -447,7 +454,7 @@ def rayleigh_quotient(matrix: QuadFormMatrix, coefficients) -> float:
     denom = float(v @ v)
     if denom == 0.0:
         raise ValueError("coefficient vector must not be identically zero")
-    return float(v @ (matrix.entries @ v)) / (matrix.mass_scale * denom)
+    return float(v @ matrix.matvec(v)) / (matrix.mass_scale * denom)
 
 
 def plane_wave_symbol_1d(t: float) -> float:

@@ -31,7 +31,6 @@ __all__ = [
     "Spectrum",
     "spectrum_from_values",
     "eig_symmetric",
-    "counting_function",
     "weyl_diagnostics",
     "envelope_samples",
 ]
@@ -80,11 +79,6 @@ class Spectrum:
     @property
     def k(self) -> int:
         return int(self.eigenvalues.shape[0])
-
-    @property
-    def is_complete(self) -> bool:
-        """Whether the whole spectrum of the underlying problem is present."""
-        return self.k == self.total_dim
 
 
 def spectrum_from_values(values, total_dim: int | None = None) -> Spectrum:
@@ -302,22 +296,6 @@ def _lanczos(form: QuadFormMatrix, k: int) -> tuple[np.ndarray, np.ndarray, dict
     residual = max(float(np.linalg.norm(form.matvec(vecs[:, j]) - vals[j] * vecs[:, j]))
                    for j in range(k))
     return vals, vecs, {"matvecs": matvecs, "restarts": restart, "max_residual": residual}
-
-
-def counting_function(spectrum: Spectrum, t: float) -> int:
-    """Number of eigenvalues strictly below ``t`` (value at an eigenvalue excluded).
-
-    Raises when ``t`` lies beyond the largest *computed* eigenvalue of a
-    truncated spectrum — the count would silently saturate there.  For a
-    complete spectrum every ``t`` is answerable.
-    """
-    ev = spectrum.eigenvalues
-    if t > ev[-1] and not spectrum.is_complete:
-        raise ValueError(
-            f"count saturates: t={t!r} exceeds the largest computed eigenvalue "
-            f"{ev[-1]!r} of a truncated spectrum ({spectrum.k} of {spectrum.total_dim})"
-        )
-    return int(np.searchsorted(ev, t, side="left"))
 
 
 def _growth_table(spectrum: Spectrum) -> dict:

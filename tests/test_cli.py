@@ -3,10 +3,11 @@
 Everything drives ``loglap.cli.main`` in process with exit-code assertions,
 except a few subprocess runs: a smoke test at the end confirms the module
 works the way a shell would invoke it, a Lanczos solve is repeated under two
-BLAS thread counts, which are fixed at process start, and fresh processes
-check that no command loads scipy, numpy.random or numpy.polynomial.  CSV
-outputs are parsed back and cross-checked against the library so the
-17-digit formatting contract stays honest.
+BLAS thread counts, which are fixed at process start, fresh processes
+check that no command loads scipy, numpy.random or numpy.polynomial, and a
+Rayleigh quotient on a grid too large for a dense matrix measures its own
+peak memory.  CSV outputs are parsed back and cross-checked against the
+library so the 17-digit formatting contract stays honest.
 """
 
 import json
@@ -175,18 +176,19 @@ def test_solve_refuses_eigensolve_larger_than_memory(monkeypatch, capsys):
     # 64 cells: the matrix takes 32 KiB; the eigensolve runs on a 32 x 32 block
     # at a time and needs the block plus LAPACK's copy, 16 KiB.  48 KiB of
     # memory, where the whole matrix plus its copy (64 KiB) did not fit, serves
-    # the solve; 12 KiB, where only the block fits, does not
+    # the solve; 12 KiB, where only the block fits, does not, but serves the
+    # Rayleigh quotient, which is one matvec
     real_sysconf = os.sysconf
     fake = {"SC_PHYS_PAGES": 12, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
     grid = ["--domain", "interval", "--length", "2", "--cells", "64"]
     assert main(["solve", *grid, "--num-eigs", "1"]) == 0
     assert capsys.readouterr().out.startswith("#schema=1\n")
-    assert main(["bounds", *grid, "--sigma", "0.5"]) == 0   # one matvec, no copy
-    assert json.loads(capsys.readouterr().out)["rayleigh"]["cells"] == 64
     fake["SC_PHYS_PAGES"] = 3
     assert main(["solve", *grid, "--num-eigs", "1"]) == 1
     assert "32 x 32 block plus LAPACK's copy" in capsys.readouterr().err
+    assert main(["bounds", *grid, "--sigma", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["rayleigh"]["cells"] == 64
 
 
 def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
@@ -371,6 +373,49 @@ def test_bounds_json_ball_with_rayleigh(tmp_path):
     # the quotient is an upper bound for lambda_1, which the volume bound floors
     floor = payload["reports"]["lower_smallest"]["values"]["volume_term"]
     assert floor <= ray["quotient"] < 25.0
+
+
+def test_bounds_rayleigh_never_forms_the_matrix(monkeypatch, capsys):
+    def no_gather(*args, **kwargs):
+        raise AssertionError("bounds --sigma gathered the dense matrix")
+
+    monkeypatch.setattr("loglap.discretize._gather", no_gather)
+    assert main(["bounds", "--domain", "ball", "--radius", "2", "--h", "0.125",
+                 "--sigma", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["rayleigh"]["cells"] == 732
+
+
+def test_bounds_rayleigh_on_a_grid_too_large_for_a_dense_matrix(tmp_path):
+    # 50,920 cells: the dense matrix would need 19.3 GiB; the quotient takes
+    # about 51 MB peak RSS in a fresh process.  On Linux a child's ru_maxrss
+    # starts at its parent's peak (exec keeps the replaced address space's
+    # high-water mark), which in this test process can be several hundred MB,
+    # so the child reads its own VmHWM where there is one
+    src = str(Path(loglap.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import resource, sys\n"
+        "from loglap.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "try:\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        peak = [int(line.split()[1]) for line in status if line.startswith('VmHWM:')]\n"
+        "except OSError:\n"
+        "    peak = []\n"
+        "# KiB from VmHWM and from Linux's ru_maxrss, bytes from macOS's\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(peak[0] if peak else rss / 1024 if sys.platform == 'darwin' else rss)\n"
+        "sys.exit(code)\n"
+    )
+    out = tmp_path / "bounds.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "bounds", "--domain", "ball", "--radius", "16",
+         "--h", "0.125", "--sigma", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["rayleigh"]["cells"] == 50920
+    assert float(proc.stdout.splitlines()[-1]) / 1024 < 150.0  # MiB
 
 
 def test_bounds_small_box_reports_exact_c0(capsys):

@@ -389,6 +389,18 @@ def test_rayleigh_of_boundary_ramp():
     assert q >= -d1 * dom.volume - 1e-10
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(grid=small_grids(), seed=st.integers(0, 2**32 - 1))
+def test_rayleigh_quotient_matches_dense_quotient(grid, seed):
+    # random vectors keep the quotient near the diagonal, 2.2 or more, far from 0
+    form = offset_form(grid)
+    v = np.random.default_rng(seed).standard_normal(grid.count)
+    got = rayleigh_quotient(form, v)
+    assert form.dense is None  # the quotient never gathers the matrix
+    want = float(v @ form.entries @ v) / (form.mass_scale * float(v @ v))
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_rayleigh_validation():
     m = assemble_form(build_grid(interval(-1.0, 1.0), 0.25))
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from loglap.discretize import build_grid
 from loglap.geometry import Domain, TestFunctionSpec, ball, box, interval
 
 
@@ -146,6 +147,18 @@ def test_test_function_examples():
     assert iv.test_function(spec, 0.9) == pytest.approx(0.4, abs=1e-14)
     assert iv.test_function(spec, 0.0) == 1.0
     assert iv.test_function(spec, 1.2) == 0.0
+
+
+@pytest.mark.parametrize("dom", [interval(-1.0, 1.3), box((0.2, -1.0), (2.0, 1.5)),
+                                 ball((0.3, -0.1), 1.7)], ids=["interval", "box", "ball"])
+def test_test_function_on_many_points_matches_single_points(dom):
+    # bounds --sigma evaluates all cell centers in one call; each value is
+    # the one a single-point call gives, bit for bit
+    spec = TestFunctionSpec(sigma=0.3)
+    centers = build_grid(dom, 0.05).centers
+    one_call = dom.test_function(spec, centers)
+    assert one_call.shape == (centers.shape[0],)
+    assert np.array_equal(one_call, [dom.test_function(spec, tuple(x)) for x in centers])
 
 
 def test_test_function_lipschitz():

@@ -13,7 +13,6 @@ from loglap.geometry import ball, box, interval
 from loglap.specfun import NumericsError
 from loglap.spectrum import (
     Spectrum,
-    counting_function,
     eig_symmetric,
     envelope_samples,
     spectrum_from_values,
@@ -30,7 +29,7 @@ def test_small_matrices():
     assert np.allclose(s.eigenvalues, [-r2, 0.0, r2], atol=1e-12)
     s = eig_symmetric(np.eye(5), 3)
     assert np.allclose(s.eigenvalues, 1.0)
-    assert s.total_dim == 5 and s.k == 3 and not s.is_complete
+    assert s.total_dim == 5 and s.k == 3
 
 
 def test_eigensolver_against_charpoly_oracle():
@@ -351,34 +350,13 @@ def test_domain_growth_monotonicity():
 def test_spectrum_from_values():
     s = spectrum_from_values([3.0, 1.0, 2.0])
     assert np.array_equal(s.eigenvalues, [1.0, 2.0, 3.0])
-    assert s.is_complete
+    assert s.total_dim == s.k == 3
     s = spectrum_from_values([1.0, 2.0], total_dim=10)
-    assert not s.is_complete
+    assert s.total_dim == 10 and s.k == 2
     with pytest.raises(ValueError):
         spectrum_from_values([])
     with pytest.raises(ValueError):
         spectrum_from_values([1.0, 2.0, 3.0], total_dim=2)
-
-
-def test_counting_examples():
-    s = spectrum_from_values([1.0, 2.0, 2.0, 5.0])
-    assert counting_function(s, 3.0) == 3
-    assert counting_function(s, 1.0) == 0  # strict at the eigenvalue itself
-    assert counting_function(s, 5.0001) == 4
-    assert counting_function(s, -10.0) == 0
-
-
-def test_counting_right_continuity():
-    s = spectrum_from_values([1.0, 2.0, 2.0, 5.0])
-    for lam in (1.0, 5.0):  # the simple eigenvalues
-        assert counting_function(s, lam) < counting_function(s, lam + 1e-9)
-
-
-def test_counting_saturation_guard():
-    trunc = spectrum_from_values([1.0, 2.0, 2.0, 5.0], total_dim=10)
-    assert counting_function(trunc, 4.9) == 3
-    with pytest.raises(ValueError):
-        counting_function(trunc, 5.0001)
 
 
 def test_weyl_on_synthetic_sequence():
