@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DimensionConstants
-from .spectrum import Spectrum, _envelope_pair
+from .spectrum import Spectrum, envelope_samples
 
 __all__ = [
     "BoundReport",
@@ -316,7 +316,7 @@ def counting_envelope(spectrum: Spectrum, delta: float, constants: DimensionCons
     """
     if spectrum.k < 10:
         raise ValueError(f"envelope trends need at least 10 eigenvalues, got {spectrum.k}")
-    _, upper, lower = _envelope_pair(spectrum, constants.dim, delta)
+    _, upper, lower = envelope_samples(spectrum, constants.dim, delta)
     q = upper.size // 4
     vals = {
         "upper_first_quartile_mean": float(np.mean(upper[:q])),

@@ -56,9 +56,9 @@ from .geometry import Domain, TestFunctionSpec, ball, box, interval
 from .roots import solve_log_ratio, solve_r_ln_r
 from .specfun import EULER_GAMMA, NumericsError
 from .spectrum import (
-    _check_weyl_args,
-    _growth_table,
+    _check_envelope_args,
     eig_symmetric,
+    envelope_samples,
     spectrum_from_values,
     weyl_diagnostics,
 )
@@ -176,16 +176,20 @@ def _resolve_h(args, domain: Domain) -> float:
     return domain.sides[0] / args.cells
 
 
-def _solver_record(spectrum) -> dict:
-    """Which solver served a form's eigensolve: for LAPACK on a centrally
-    symmetric grid the sizes of its even and odd blocks, for Lanczos its
-    convergence."""
-    keys = ("cells", "solver", "sectors", "matvecs", "restarts", "max_residual")
-    return {key: spectrum.source[key] for key in keys if key in spectrum.source}
-
-
 def _peak_rss_mb() -> float:
-    """The process's peak resident set size so far, in MiB."""
+    """The process's peak resident set size so far, in MiB.
+
+    Linux's ``VmHWM`` is this process's own peak.  ``ru_maxrss``, the
+    fallback elsewhere, starts on Linux at the peak of the process that
+    spawned it.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 2**10  # kB
+    except OSError:
+        pass
     import resource  # POSIX only: imported here so other platforms can run the rest
 
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -280,7 +284,7 @@ def _cmd_solve(args) -> int:
     if args.num_eigs is None or args.num_eigs < 1:
         raise ValueError("--num-eigs is required and must be >= 1")
     if args.delta is not None:
-        _check_weyl_args(args.num_eigs, args.delta)  # refuse before the eigensolve, not after
+        _check_envelope_args(args.num_eigs, args.delta)  # refuse before the eigensolve, not after
     domain = _domain_from_args(args)
     h = _resolve_h(args, domain)
     t0 = time.perf_counter()
@@ -292,10 +296,7 @@ def _cmd_solve(args) -> int:
     t2 = time.perf_counter()
     spectrum = eig_symmetric(matrix, args.num_eigs)
     t3 = time.perf_counter()
-    if args.delta is None:
-        table = _growth_table(spectrum)
-    else:
-        table = weyl_diagnostics(spectrum, delta=args.delta, dim=domain.dim)
+    table = weyl_diagnostics(spectrum)
 
     header = ["k", "lambda", "lambda_over_log_k", "partial_sum", "partial_sum_over_k_log_k"]
     columns = ("k", "eigenvalue", "eigenvalue_over_log_k", "partial_sum", "partial_sum_ratio")
@@ -311,9 +312,7 @@ def _cmd_solve(args) -> int:
         if args.out:
             env_out = str(Path(args.out).with_name(Path(args.out).stem + "_envelope.csv"))
         _emit_csv(env_out, ["t", "upper_envelope", "lower_envelope"],
-                  [list(r) for r in zip(table["envelope_t"],
-                                        table["envelope_upper"],
-                                        table["envelope_lower"])])
+                  [list(r) for r in zip(*envelope_samples(spectrum, domain.dim, args.delta))])
 
     if args.out:
         manifest = {
@@ -342,7 +341,7 @@ def _cmd_solve(args) -> int:
                 "lambda_1": float(spectrum.eigenvalues[0]),
                 "lambda_k": float(spectrum.eigenvalues[-1]),
             },
-            "eigensolve": _solver_record(spectrum),
+            "eigensolve": spectrum.source,
             "peak_rss_mb": _peak_rss_mb(),
         }
         _emit_json(_manifest_path(args.out), manifest)
@@ -636,7 +635,7 @@ def _sweep_h(args, values: np.ndarray, solves: list[dict]) -> tuple[list[str], l
     for h in values:
         grid = build_grid(domain, float(h))
         spectrum = eig_symmetric(offset_form(grid), 1)
-        solves.append(_solver_record(spectrum))
+        solves.append(spectrum.source)
         rows.append([float(h), grid.h, grid.count, spectrum.eigenvalues[0]])
     return ["h_requested", "h_effective", "cells", "lambda_1"], rows
 

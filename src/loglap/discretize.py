@@ -261,8 +261,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
     the Jacobi matrix of the Legendre recurrence, whose off-diagonal is
-    j / sqrt(4 j^2 - 1), and the weights are 2 v_0^2 for its unit
-    eigenvectors v.
+    j / sqrt(4 j^2 - 1), and each weight is 2 v_0^2 for the unit
+    eigenvector v of its node.
     """
     j = np.arange(1.0, n)
     x, v = np.linalg.eigh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))

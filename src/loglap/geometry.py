@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = ["Domain", "TestFunctionSpec", "interval", "box", "ball"]
 
-Side = Literal["inner", "outer", "both"]
 Regime = Literal["large", "small"]
 
 
@@ -112,27 +111,8 @@ class Domain:
 
     # -- foliation by the signed distance --------------------------------
 
-    def foliation_measure(self, nu: float, side: Side = "inner") -> float:
-        """H^{N-1} of the level set(s) at |signed distance| = nu.
-
-        ``inner`` is the sheet inside the domain, ``outer`` the one
-        outside, ``both`` their union.  At nu = 0 all sides coincide with
-        the boundary and its measure is returned once.
-        """
-        if not (nu >= 0.0) or not math.isfinite(nu):
-            raise ValueError(f"nu must be >= 0, got {nu!r}")
-        if side not in ("inner", "outer", "both"):
-            raise ValueError(f"unknown side {side!r}")
-        if nu == 0.0:
-            return self.boundary_measure
-        total = 0.0
-        if side in ("inner", "both"):
-            total += self._inner_sheet(nu)
-        if side in ("outer", "both"):
-            total += self._outer_sheet(nu)
-        return total
-
     def _inner_sheet(self, nu: float) -> float:
+        """H^{N-1} of the level set at signed distance nu >= 0 (at 0, the limit from inside)."""
         rin = self.inradius
         if self.dim == 1:
             if nu < rin:
@@ -148,6 +128,7 @@ class Domain:
         return 0.0
 
     def _outer_sheet(self, nu: float) -> float:
+        """H^{N-1} of the level set at signed distance -nu <= 0 (at 0, the limit from outside)."""
         if self.dim == 1:
             return 2.0
         if self.kind == "ball":

@@ -1,4 +1,4 @@
-"""Symmetric eigensolves and spectral diagnostics (counting, growth ratios).
+"""Eigenvalues of a form, and their growth diagnostics and counting envelopes.
 
 The generalized problem A v = lambda * massScale * v with the identity-like
 mass of the indicator basis reduces to a standard symmetric problem for
@@ -12,9 +12,9 @@ its matrix commutes with the exchange of cell i and cell n-1-i; LAPACK then
 runs on the even and odd blocks of
 :meth:`~loglap.discretize.QuadFormMatrix.sector`, each about n/2 wide,
 which takes about a quarter of the time and memory of the n x n solve and
-gives the same eigenvalues to rounding.  Other grids and plain arrays go to
-LAPACK whole.  All solvers are deterministic, so results are reproducible
-bit for bit across runs on one machine.
+gives the same eigenvalues to rounding.  Forms on other grids go to LAPACK
+whole.  All solvers are deterministic, so results are reproducible bit for
+bit across runs on one machine.
 """
 
 from __future__ import annotations
@@ -68,12 +68,9 @@ _LANCZOS_MAX_RESTARTS = 1000
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Ascending eigenvalues (the smallest ``k`` of a problem of size ``total_dim``)."""
+    """Ascending eigenvalues, and the record of the solve that gave them."""
 
     eigenvalues: np.ndarray
-    total_dim: int
-    eigenvectors: np.ndarray | None = None  # columns align with eigenvalues
-    mass_scale: float = 1.0
     source: dict = field(default_factory=dict)
 
     @property
@@ -81,19 +78,12 @@ class Spectrum:
         return int(self.eigenvalues.shape[0])
 
 
-def spectrum_from_values(values, total_dim: int | None = None) -> Spectrum:
-    """Wrap an explicit list of eigenvalues (synthetic or externally computed).
-
-    Without ``total_dim`` the list is taken to be complete.
-    """
+def spectrum_from_values(values) -> Spectrum:
+    """Wrap an explicit list of eigenvalues (synthetic or externally computed)."""
     ev = np.sort(np.asarray(values, dtype=float).ravel())
     if ev.size == 0:
         raise ValueError("a spectrum needs at least one eigenvalue")
-    if total_dim is None:
-        total_dim = ev.size
-    if total_dim < ev.size:
-        raise ValueError(f"total_dim {total_dim} smaller than the {ev.size} values given")
-    return Spectrum(eigenvalues=ev, total_dim=int(total_dim))
+    return Spectrum(eigenvalues=ev)
 
 
 def _uses_lanczos(n: int, k: int) -> bool:
@@ -101,107 +91,57 @@ def _uses_lanczos(n: int, k: int) -> bool:
     return n >= _LANCZOS_MIN_CELLS and k * _LANCZOS_CELLS_PER_EIGENVALUE <= n
 
 
-def eig_symmetric(matrix, k: int, *, with_vectors: bool = False) -> Spectrum:
-    """Smallest ``k`` eigenvalues of (1/massScale)*A for symmetric A, ascending.
+def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
+    """Smallest ``k`` eigenvalues of the form's A / massScale, ascending.
 
-    ``matrix`` may be a :class:`QuadFormMatrix` or a plain symmetric array,
-    whose massScale is 1.  A form of n >= 2048 cells with k <= n/28 is
-    solved by thick-restart Lanczos on its matvec, started from a fixed hash
-    of the cell index (:func:`_start_vector`); ``source`` then records the
-    matvec and restart counts and the largest residual
-    ||A v - lambda * massScale * v|| of the unit eigenvectors.  Everything else goes to LAPACK.  A form on a centrally
-    symmetric grid is solved as its even and odd blocks, gathered from the
-    offset table one at a time; the larger block plus LAPACK's copy needs
-    about 4*n*n bytes, ``source`` records the block sizes as ``sectors`` =
-    [even, odd], and ties keep the even block's values first.  A plain array, or a form on any other grid,
-    is solved whole on a copy of the dense matrix, which needs 16*n*n bytes;
-    ties keep LAPACK's index order.  The LAPACK paths raise ``ValueError``
-    when their bytes exceed physical memory.  ``source["solver"]`` names
-    the solver that ran.  Eigenvectors, when requested, are orthonormal
-    columns.  Raises ``NumericsError`` when a solver fails.
+    A form of n >= 2048 cells with k <= n/28 is solved by thick-restart
+    Lanczos on its matvec, started from a fixed hash of the cell index
+    (:func:`_start_vector`); ``source`` then records the matvec and restart
+    counts and the largest residual ||A v - lambda * massScale * v|| of the
+    unit Ritz vectors.  Everything else goes to LAPACK.  A form on a
+    centrally symmetric grid is solved as its even and odd blocks, gathered
+    from the offset table one at a time; the larger block plus LAPACK's copy
+    needs about 4*n*n bytes, and ``source`` records the block sizes as
+    ``sectors`` = [even, odd].  A form on any other grid is solved whole on
+    a copy of the dense matrix, which needs 16*n*n bytes.  The LAPACK paths
+    raise ``ValueError`` when their bytes exceed physical memory.
+    ``source`` also names the solver that ran and the number of cells.
+    Raises ``NumericsError`` when a solver fails.
     """
-    if isinstance(matrix, QuadFormMatrix):
-        n = matrix.grid.count
-        ms = matrix.mass_scale
-        grid = matrix.grid
-        source = {
-            "domain": grid.domain.kind,
-            "dim": grid.dim,
-            "h": grid.h,
-            "cells": grid.count,
-        }
-    else:
-        a = np.asarray(matrix, dtype=float)
-        ms = 1.0
-        source = {"dim": None}
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
-            raise ValueError("matrix must be symmetric")
-        n = a.shape[0]
+    n = form.grid.count
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if isinstance(matrix, QuadFormMatrix) and _uses_lanczos(n, k):
-        vals, vecs, stats = _lanczos(matrix, k)
+    source = {"cells": n}
+    if _uses_lanczos(n, k):
+        vals, _, stats = _lanczos(form, k)
         source.update(solver="lanczos", **stats)
-    elif isinstance(matrix, QuadFormMatrix) and matrix.grid.centrally_symmetric:
-        vals, vecs, sectors = _lapack_sectors(matrix, k, with_vectors)
+    elif form.grid.centrally_symmetric:
+        vals, sectors = _lapack_sectors(form, k)
         source.update(solver="lapack", sectors=sectors)
     else:
         _require_memory(16 * n * n, f"the eigensolve of a dense {n} x {n} matrix plus LAPACK's copy")
-        if isinstance(matrix, QuadFormMatrix):
-            a = matrix.entries
-        vals, vecs = _lapack(a, with_vectors)
-        vals = vals[:k]
-        vecs = None if vecs is None else vecs[:, :k]
+        vals = _lapack(form.entries)[:k]
         source["solver"] = "lapack"
-    return Spectrum(
-        eigenvalues=np.ascontiguousarray(vals / ms),
-        total_dim=n,
-        eigenvectors=np.ascontiguousarray(vecs) if with_vectors else None,
-        mass_scale=ms,
-        source=source,
-    )
+    return Spectrum(eigenvalues=np.ascontiguousarray(vals / form.mass_scale), source=source)
 
 
-def _lapack(a: np.ndarray, with_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _lapack(a: np.ndarray) -> np.ndarray:
     try:
-        if with_vectors:
-            return np.linalg.eigh(a)
-        return np.linalg.eigvalsh(a), None
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NumericsError(f"symmetric eigensolver failed to converge: {exc}") from exc
 
 
-def _lapack_sectors(form: QuadFormMatrix, k: int,
-                    with_vectors: bool) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
-    """The k smallest eigenpairs of a centrally symmetric grid's A, ascending,
-    by LAPACK on its even and odd blocks in turn, and the two block sizes.
-
-    Ties keep the even block's values first.  A block vector u maps back to
-    [u; parity * J u] / sqrt(2), J reversing the order, with the middle
-    entry of an even vector for odd n taken over unscaled.
-    """
+def _lapack_sectors(form: QuadFormMatrix, k: int) -> tuple[np.ndarray, list[int]]:
+    """The k smallest eigenvalues of a centrally symmetric grid's A, ascending,
+    by LAPACK on its even and odd blocks in turn, and the two block sizes."""
     n = form.grid.count
     half = n // 2
     even = n - half
     _require_memory(16 * even * even,
                     f"the eigensolve of a dense {even} x {even} block plus LAPACK's copy")
-    vals, vecs = [], []
-    for parity in (1, -1):
-        w, u = _lapack(form.sector(parity), with_vectors)
-        vals.append(w[:k])
-        if with_vectors:
-            u = u[:, :k]
-            v = np.empty((n, u.shape[1]))
-            v[:half] = math.sqrt(0.5) * u[:half]
-            v[n - half :] = parity * math.sqrt(0.5) * u[:half][::-1]
-            if n % 2:
-                v[half] = u[half] if parity > 0 else 0.0
-            vecs.append(v)
-    vals = np.concatenate(vals)
-    order = np.argsort(vals, kind="stable")[:k]
-    return vals[order], (np.hstack(vecs)[:, order] if with_vectors else None), [even, half]
+    vals = np.concatenate([_lapack(form.sector(parity))[:k] for parity in (1, -1)])
+    return np.sort(vals)[:k], [even, half]
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -298,8 +238,13 @@ def _lanczos(form: QuadFormMatrix, k: int) -> tuple[np.ndarray, np.ndarray, dict
     return vals, vecs, {"matvecs": matvecs, "restarts": restart, "max_residual": residual}
 
 
-def _growth_table(spectrum: Spectrum) -> dict:
-    """The columns of :func:`weyl_diagnostics` without envelopes, for any k >= 1."""
+def weyl_diagnostics(spectrum: Spectrum) -> dict:
+    """Growth diagnostics: eigenvalue/log-index and partial-sum ratios per index.
+
+    Returns arrays keyed ``k``, ``eigenvalue``, ``eigenvalue_over_log_k``,
+    ``partial_sum``, ``partial_sum_ratio``, for any k >= 1 (the k = 1 ratios
+    are NaN since ln 1 = 0).
+    """
     ev = spectrum.eigenvalues
     ks = np.arange(1, ev.size + 1, dtype=float)
     logk = np.log(ks)
@@ -316,48 +261,23 @@ def _growth_table(spectrum: Spectrum) -> dict:
     }
 
 
-def weyl_diagnostics(spectrum: Spectrum, *, delta: float | None = None, dim: int | None = None) -> dict:
-    """Growth diagnostics: eigenvalue/log-index and partial-sum ratios per index.
-
-    Returns arrays keyed ``k``, ``eigenvalue``, ``eigenvalue_over_log_k``,
-    ``partial_sum``, ``partial_sum_ratio`` (the k = 1 ratios are NaN since
-    ln 1 = 0).  With a finite ``delta`` >= 0, counting-staircase envelope
-    samples exp(-(N/2 +- delta) t) * count(t) are included over
-    [lambda_2, lambda_k].
-    """
-    _check_weyl_args(spectrum.k, delta)
-    out = _growth_table(spectrum)
-    if delta is not None:
-        n = dim if dim is not None else spectrum.source.get("dim")
-        if n is None:
-            raise ValueError("envelope samples need the dimension (pass dim=...)")
-        out["envelope_t"], out["envelope_upper"], out["envelope_lower"] = _envelope_pair(
-            spectrum, n, delta
-        )
-    return out
-
-
-def _check_weyl_args(k: int, delta: float | None) -> None:
-    """Raise ``ValueError`` unless :func:`weyl_diagnostics` can serve k eigenvalues and delta."""
+def _check_envelope_args(k: int, delta: float) -> None:
+    """Raise ``ValueError`` unless :func:`envelope_samples` can serve k eigenvalues and delta."""
     if k < 3:
         raise ValueError(f"diagnostics need at least 3 eigenvalues, got {k}")
-    if delta is not None and (not (delta >= 0.0) or not math.isfinite(delta)):
+    if not (delta >= 0.0) or not math.isfinite(delta):
         raise ValueError(f"delta must be >= 0 and finite, got {delta!r}")
 
 
-def _envelope_pair(spectrum: Spectrum, dim: int, delta: float) -> tuple[np.ndarray, ...]:
-    """Samples t and the envelopes at exponents N/2 + delta and N/2 - delta."""
-    _check_weyl_args(spectrum.k, delta)
-    t, upper = envelope_samples(spectrum, dim / 2.0 + delta)
-    _, lower = envelope_samples(spectrum, dim / 2.0 - delta)
-    return t, upper, lower
+def envelope_samples(spectrum: Spectrum, dim: int, delta: float) -> tuple[np.ndarray, ...]:
+    """Counting-staircase envelopes count(t) * exp(-(N/2 +- delta) t) in dimension N.
 
-
-def envelope_samples(spectrum: Spectrum, exponent: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample count(t) * exp(-exponent * t) at 201 points of [lambda_2, lambda_max]."""
+    Returns ``(t, upper, lower)``: 201 points t of [lambda_2, lambda_k] and
+    the envelopes at exponents N/2 + delta and N/2 - delta.  Needs k >= 3
+    and a finite delta >= 0.
+    """
+    _check_envelope_args(spectrum.k, delta)
     ev = spectrum.eigenvalues
-    if ev.size < 2:
-        raise ValueError("envelope sampling needs at least 2 eigenvalues")
     t = np.linspace(ev[1], ev[-1], 201)
     counts = np.searchsorted(ev, t, side="left").astype(float)
-    return t, counts * np.exp(-exponent * t)
+    return t, counts * np.exp(-(dim / 2.0 + delta) * t), counts * np.exp(-(dim / 2.0 - delta) * t)

@@ -4,10 +4,11 @@ Everything drives ``loglap.cli.main`` in process with exit-code assertions,
 except a few subprocess runs: a smoke test at the end confirms the module
 works the way a shell would invoke it, a Lanczos solve is repeated under two
 BLAS thread counts, which are fixed at process start, fresh processes
-check that no command loads scipy, numpy.random or numpy.polynomial, and a
+check that no command loads scipy, numpy.random or numpy.polynomial, a
 Rayleigh quotient on a grid too large for a dense matrix measures its own
-peak memory.  CSV outputs are parsed back and cross-checked against the
-library so the 17-digit formatting contract stays honest.
+peak memory, and a solve spawned by a large process records its own peak
+memory, not its parent's.  CSV outputs are parsed back and cross-checked
+against the library so the 17-digit formatting contract stays honest.
 """
 
 import json
@@ -35,6 +36,13 @@ def read_csv(path):
     rows = [line.split(",") for line in lines[2:]]
     assert all(len(r) == len(header) for r in rows)
     return header, rows
+
+
+def _child_env(**extra):
+    """The environment of a child Python that imports this package's loglap."""
+    src = str(Path(loglap.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def column(header, rows, name):
@@ -141,6 +149,23 @@ def test_solve_csv_and_manifest(tmp_path):
     assert manifest["peak_rss_mb"] > 0.0
 
 
+def test_manifest_peak_rss_is_the_process_own(tmp_path):
+    # a 64-cell solve spawned by a process holding 400 MB: Linux's ru_maxrss
+    # starts at the parent's peak there and read about 409 MB
+    parent = (
+        "import subprocess, sys\n"
+        "held = b'\\x01' * (400 << 20)\n"
+        "sys.exit(subprocess.run([sys.executable, '-m', 'loglap.cli', *sys.argv[1:]]).returncode)\n"
+    )
+    out = tmp_path / "solve.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", parent, "solve", "--domain", "interval", "--length", "2",
+         "--cells", "64", "--num-eigs", "8", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert 0.0 < json.loads(out.with_suffix(".json").read_text())["peak_rss_mb"] < 100.0
+
+
 def test_solve_rerun_is_byte_identical(tmp_path):
     args = ["solve", "--domain", "interval", "--length", "2",
             "--cells", "48", "--num-eigs", "6", "--out"]
@@ -202,6 +227,8 @@ def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
     out = tmp_path / "run.csv"
     assert main(["solve", *grid, "--num-eigs", "10", "--out", str(out)]) == 0
     record = json.loads((tmp_path / "run.json").read_text())["eigensolve"]
+    # the whole record: the spectrum's source, which a new key would change
+    assert set(record) == {"cells", "solver", "matvecs", "restarts", "max_residual"}
     assert record["cells"] == 2048 and record["solver"] == "lanczos"
     assert record["matvecs"] > 10 and 0.0 <= record["max_residual"] <= 1e-13
     assert main(["solve", *grid, "--num-eigs", "74"]) == 1
@@ -264,18 +291,16 @@ def test_solve_checks_delta_before_the_eigensolve(monkeypatch, tmp_path):
 
 def test_arpack_solve_is_independent_of_blas_threads(tmp_path):
     # the same Lanczos solve under 1 and 2 OpenBLAS threads writes the same bytes
-    src = str(Path(loglap.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c",
              "from loglap.cli import main; import sys; sys.exit(main(sys.argv[1:]))",
              "solve", "--domain", "interval", "--length", "2", "--cells", "2048",
              "--num-eigs", "10", "--out", str(out)],
-            capture_output=True, text=True, timeout=300, env=env)
+            capture_output=True, text=True, timeout=300,
+            env=_child_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.with_suffix(".json").read_text())["eigensolve"]["solver"] == "lanczos"
         runs.append(out.read_bytes())
@@ -287,9 +312,6 @@ def test_no_command_loads_scipy(tmp_path):
     # or numpy.polynomial, which importing numpy does not: neither importing
     # the CLI nor a Lanczos solve, a LAPACK solve, a Rayleigh quotient or the
     # verify suites leaves one behind
-    src = str(Path(loglap.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
         "import sys\n"
         "import loglap.cli\n"
@@ -310,7 +332,7 @@ def test_no_command_loads_scipy(tmp_path):
     for name, argv in commands.items():
         out = tmp_path / f"{name}.out"
         proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(out)],
-                              capture_output=True, text=True, timeout=300, env=env)
+                              capture_output=True, text=True, timeout=300, env=_child_env())
         assert proc.returncode == 0, (name, proc.stderr)
         assert proc.stdout.splitlines()[-1] == "[]", name
         if argv[0] == "solve":
@@ -391,9 +413,6 @@ def test_bounds_rayleigh_on_a_grid_too_large_for_a_dense_matrix(tmp_path):
     # starts at its parent's peak (exec keeps the replaced address space's
     # high-water mark), which in this test process can be several hundred MB,
     # so the child reads its own VmHWM where there is one
-    src = str(Path(loglap.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
         "import resource, sys\n"
         "from loglap.cli import main\n"
@@ -412,7 +431,7 @@ def test_bounds_rayleigh_on_a_grid_too_large_for_a_dense_matrix(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", script, "bounds", "--domain", "ball", "--radius", "16",
          "--h", "0.125", "--sigma", "1", "--out", str(out)],
-        capture_output=True, text=True, timeout=300, env=env)
+        capture_output=True, text=True, timeout=300, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["rayleigh"]["cells"] == 50920
     assert float(proc.stdout.splitlines()[-1]) / 1024 < 150.0  # MiB
@@ -610,6 +629,6 @@ def test_subprocess_smoke():
         [sys.executable, "-c",
          "from loglap.cli import main; import sys; sys.exit(main(sys.argv[1:]))",
          "constants", "--dim", "1"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0
     assert "zero_order_shift" in proc.stdout

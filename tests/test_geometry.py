@@ -64,30 +64,32 @@ def test_basic_measures():
     assert bx.boundary_measure == pytest.approx(6.0)
 
 
+def _both_sheets(dom, nu):
+    """The sheets on both sides at depth nu, the boundary counted once at nu = 0."""
+    return dom.boundary_measure if nu == 0.0 else dom._inner_sheet(nu) + dom._outer_sheet(nu)
+
+
 def test_foliation_measure_examples():
     b4 = ball((0.0, 0.0), 4.0)
-    assert b4.foliation_measure(0.5, "inner") == pytest.approx(2.0 * math.pi * 3.5, rel=1e-12)
+    assert b4._inner_sheet(0.5) == pytest.approx(2.0 * math.pi * 3.5, rel=1e-12)
     iv = interval(-1.0, 1.0)
-    assert iv.foliation_measure(0.3, "inner") == 2.0
+    assert iv._inner_sheet(0.3) == 2.0
     b1 = ball((0.0, 0.0), 1.0)
-    assert b1.foliation_measure(0.25, "both") == pytest.approx(4.0 * math.pi, rel=1e-12)
-    # at depth zero every side collapses to the boundary, counted once
-    assert b1.foliation_measure(0.0, "both") == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert _both_sheets(b1, 0.25) == pytest.approx(4.0 * math.pi, rel=1e-12)
+    # at depth zero both sheets reach the boundary from either side
+    assert _both_sheets(b1, 0.0) == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert b1._inner_sheet(0.0) == b1._outer_sheet(0.0) == b1.boundary_measure
     # inner sheet vanishes past the inradius
-    assert b1.foliation_measure(1.5, "inner") == 0.0
-    assert b1.foliation_measure(1.5, "outer") == pytest.approx(2.0 * math.pi * 2.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        b1.foliation_measure(-0.1, "inner")
-    with pytest.raises(ValueError):
-        b1.foliation_measure(0.1, "sideways")
+    assert b1._inner_sheet(1.5) == 0.0
+    assert b1._outer_sheet(1.5) == pytest.approx(2.0 * math.pi * 2.5, rel=1e-12)
 
 
 def test_box_inner_sheet():
     bx = box((0.0, 0.0), (2.0, 1.0))
     # rectangle perimeter shrinks by 8*nu until the short axis collapses
-    assert bx.foliation_measure(0.25, "inner") == pytest.approx(6.0 - 2.0, rel=1e-12)
-    assert bx.foliation_measure(0.5, "inner") == pytest.approx(1.0)  # the leftover segment
-    assert bx.foliation_measure(0.7, "inner") == 0.0
+    assert bx._inner_sheet(0.25) == pytest.approx(6.0 - 2.0, rel=1e-12)
+    assert bx._inner_sheet(0.5) == pytest.approx(1.0)  # the leftover segment
+    assert bx._inner_sheet(0.7) == 0.0
 
 
 def test_coarea_consistency():
@@ -100,7 +102,7 @@ def test_coarea_consistency():
         (interval(-1.0, 1.0), 0.25, 2.0 * 0.25),
     ]:
         nus = 0.5 * sigma * (g + 1.0)
-        sheets = np.array([dom.foliation_measure(float(nu), "inner") for nu in nus])
+        sheets = np.array([dom._inner_sheet(float(nu)) for nu in nus])
         integral = 0.5 * sigma * float(w @ sheets)
         assert integral == pytest.approx(collar, abs=1e-8)
 
@@ -124,8 +126,8 @@ def test_minimal_c0_two_sided_inequality():
         rin = dom.inradius
         scale = rin ** (dom.dim - 1)
         for nu in [*np.linspace(0.0, nu_hi, 100), 1e-12]:
-            side = "inner" if regime == "large" else "both"
-            m = dom.foliation_measure(float(nu), side)
+            nu = float(nu)
+            m = dom._inner_sheet(nu) if regime == "large" else _both_sheets(dom, nu)
             assert m <= c0 * scale * (1.0 + 1e-9)
             assert m >= scale / c0 * (1.0 - 1e-9)
 

@@ -1,4 +1,4 @@
-"""Eigensolver, counting function, and growth diagnostics."""
+"""Eigensolver, growth diagnostics and counting envelopes."""
 
 import math
 import os
@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loglap import spectrum as spectrum_module
-from loglap.discretize import Grid, assemble_form, build_grid, offset_form
+from loglap.discretize import Grid, QuadFormMatrix, assemble_form, build_grid, offset_form
 from loglap.geometry import ball, box, interval
 from loglap.specfun import NumericsError
 from loglap.spectrum import (
-    Spectrum,
     eig_symmetric,
     envelope_samples,
     spectrum_from_values,
@@ -21,42 +20,61 @@ from loglap.spectrum import (
 from oracles import eigvals_charpoly
 
 
+def _toeplitz_form(first_row):
+    """A form of unit mass whose matrix is the symmetric Toeplitz matrix with
+    this first row, on an interval grid of as many cells."""
+    n = len(first_row)
+    grid = build_grid(interval(0.0, n / 4.0), 0.25)
+    return QuadFormMatrix(grid=grid, table=np.asarray(first_row, dtype=float), mass_scale=1.0)
+
+
 def test_small_matrices():
-    s = eig_symmetric(np.array([[2.0, 1.0], [1.0, 2.0]]), 2)
+    s = eig_symmetric(_toeplitz_form([2.0, 1.0]), 2)
     assert np.allclose(s.eigenvalues, [1.0, 3.0], atol=1e-12)
-    s = eig_symmetric(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), 3)
+    s = eig_symmetric(_toeplitz_form([0.0, 1.0, 0.0]), 3)
     r2 = math.sqrt(2.0)
     assert np.allclose(s.eigenvalues, [-r2, 0.0, r2], atol=1e-12)
-    s = eig_symmetric(np.eye(5), 3)
+    s = eig_symmetric(_toeplitz_form([1.0, 0.0, 0.0, 0.0, 0.0]), 3)
     assert np.allclose(s.eigenvalues, 1.0)
-    assert s.total_dim == 5 and s.k == 3
+    assert s.k == 3
 
 
 def test_eigensolver_against_charpoly_oracle():
+    # intervals of 3-6 cells and boxes of 2 x 3 and 3 x 2 cells, of random
+    # size.  A form's eigenvalues cluster near its diagonal entry, far from
+    # zero, where a polynomial's roots are ill-conditioned (and a 2 x 2 box
+    # has a double eigenvalue, whose roots lose half the digits), so the
+    # oracle runs on A minus its diagonal, which is exact, and adds it back.
     rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(100):
-        b = rng.standard_normal((5, 5))
-        a = 0.5 * (b + b.T)
-        got = eig_symmetric(a, 5).eigenvalues
-        worst = max(worst, float(np.max(np.abs(got - eigvals_charpoly(a)))))
+    for i in range(100):
+        if i % 2 == 0:
+            cells = int(rng.integers(3, 7))
+            length = rng.uniform(0.1, 0.5 * cells)
+            grid = build_grid(interval(0.0, length), length / cells)
+        else:
+            h = rng.uniform(0.02, 0.5)
+            sides = (2 * h, 3 * h) if i % 4 == 1 else (3 * h, 2 * h)
+            grid = build_grid(box((0.0, 0.0), sides), h)
+        form = offset_form(grid)
+        a = form.entries
+        got = eig_symmetric(form, grid.count).eigenvalues
+        want = (eigvals_charpoly(a - a[0, 0] * np.eye(grid.count)) + a[0, 0]) / form.mass_scale
+        worst = max(worst, float(np.max(np.abs(got - want))))
     assert worst <= 1e-9
 
 
 def test_mass_scale_and_residuals():
+    # each value lambda is an eigenvalue of A / massScale: some unit v has
+    # ||A v - lambda * massScale * v|| (the smallest singular value) near zero
     m = assemble_form(build_grid(interval(-1.0, 1.0), 1.0 / 32.0))
-    s = eig_symmetric(m, 10, with_vectors=True)
-    assert s.mass_scale == m.mass_scale
+    s = eig_symmetric(m, 10)
     assert np.all(np.diff(s.eigenvalues) >= -1e-14)
-    for j in range(s.k):
-        v = s.eigenvectors[:, j]
-        lam = s.eigenvalues[j]
-        r = m.entries @ v - lam * m.mass_scale * v
-        bound = 1e-8 * (1.0 + abs(lam)) * float(np.linalg.norm(v)) * m.mass_scale
-        assert float(np.linalg.norm(r)) <= bound
-    assert s.source["cells"] == m.grid.count
-    assert s.source["dim"] == 1
-    assert s.source["solver"] == "lapack"
+    shift = np.eye(m.grid.count) * m.mass_scale
+    for lam in s.eigenvalues:
+        r = np.linalg.svd(m.entries - lam * shift, compute_uv=False)[-1]
+        assert r <= 1e-8 * (1.0 + abs(lam)) * m.mass_scale
+    assert s.source == {"cells": 64, "solver": "lapack", "sectors": [32, 32]}
 
 
 def test_eigensolver_deterministic():
@@ -79,31 +97,36 @@ def test_arpack_matches_lapack_on_double_eigenvalues(ball_3080):
     # a single-vector Krylov method sees one direction per eigenspace in exact
     # arithmetic; the second copy of a double eigenvalue comes from rounding
     form, lapack = ball_3080
-    s = eig_symmetric(form, 30, with_vectors=True)
+    s = eig_symmetric(form, 30)
     assert s.source["solver"] == "lanczos" and form.dense is None
     # the ball's symmetry makes seven of these eigenvalues double; both copies come back
     assert np.sum(np.diff(lapack) < 1e-9) == 7
     assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
     assert s.source["matvecs"] > 30
     assert s.source["max_residual"] <= 1e-12 * form.mass_scale
-    assert np.allclose(s.eigenvectors.T @ s.eigenvectors, np.eye(30), atol=1e-12)
+    # the Ritz vectors behind max_residual are orthonormal
+    _, vecs, _ = spectrum_module._lanczos(form, 30)
+    assert np.allclose(vecs.T @ vecs, np.eye(30), atol=1e-12)
 
 
 def test_arpack_matches_lapack_on_an_interval():
     form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048.0))
     s = eig_symmetric(form, 10)
-    assert s.source["solver"] == "lanczos" and s.eigenvectors is None
+    assert s.source["solver"] == "lanczos"
     lapack = np.linalg.eigvalsh(form.entries)[:10] / form.mass_scale
     assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
 
 
 def test_repeated_arpack_solves_are_bit_identical(ball_3080):
     form, _ = ball_3080
-    a = eig_symmetric(form, 10, with_vectors=True)
-    b = eig_symmetric(form, 10, with_vectors=True)
+    a = eig_symmetric(form, 10)
+    b = eig_symmetric(form, 10)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
     assert a.source == b.source
+    (vals_a, vecs_a, stats_a), (vals_b, vecs_b, stats_b) = (
+        spectrum_module._lanczos(form, 10) for _ in range(2))
+    assert np.array_equal(vals_a, vals_b) and np.array_equal(vecs_a, vecs_b)
+    assert stats_a == stats_b
 
 
 def test_lanczos_matches_lapack_at_the_solver_limit():
@@ -132,7 +155,7 @@ def _chosen_solver(monkeypatch, grid, k):
     def fake(name):
         def solve(*args):
             ran.append(name)
-            return (np.zeros(k), None) if name == "lapack" else (np.zeros(k), None, {})
+            return np.zeros(k) if name == "lapack" else (np.zeros(k), None, {})
         return solve
 
     monkeypatch.setattr(spectrum_module, "_lapack", fake("lapack"))
@@ -224,20 +247,17 @@ def test_split_matches_the_full_lapack_solve(name):
 
 
 @pytest.mark.parametrize("name", SPLIT_GRIDS)
-def test_split_eigenvectors_are_even_or_odd_eigenvectors(name):
+def test_split_keeps_the_k_smallest_of_both_blocks(name):
+    # k = 40 < n: the merge of the two blocks' values keeps the 40 smallest
+    # of A, and each block holds some of them
     form = offset_form(build_grid(*SPLIT_GRIDS[name]))
-    k = 40
-    s = eig_symmetric(form, k, with_vectors=True)
-    vecs = s.eigenvectors
-    assert np.allclose(vecs.T @ vecs, np.eye(k), rtol=0.0, atol=1e-12)
-    parities = []
-    for lam, v in zip(s.eigenvalues, vecs.T):
-        residual = form.matvec(v) - lam * form.mass_scale * v
-        assert np.linalg.norm(residual) <= 1e-10 * form.mass_scale
-        parity = 1 if np.array_equal(v[::-1], v) else -1
-        assert np.array_equal(v[::-1], parity * v)
-        parities.append(parity)
-    assert set(parities) == {1, -1}
+    full = np.linalg.eigvalsh(form.entries)[:40] / form.mass_scale
+    form.dense = None
+    s = eig_symmetric(form, 40)
+    assert form.dense is None
+    assert np.max(np.abs(s.eigenvalues - full) / np.abs(full)) <= 1e-12
+    for parity in (1, -1):
+        assert np.linalg.eigvalsh(form.sector(parity))[0] / form.mass_scale <= s.eigenvalues[-1]
 
 
 def test_asymmetric_grid_takes_the_full_lapack_path():
@@ -327,14 +347,11 @@ def test_translation_invariance(make, shift):
 
 
 def test_eigensolver_validation():
+    form = _toeplitz_form([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        eig_symmetric(np.eye(3), 0)
+        eig_symmetric(form, 0)
     with pytest.raises(ValueError):
-        eig_symmetric(np.eye(3), 4)
-    with pytest.raises(ValueError):
-        eig_symmetric(np.ones((2, 3)), 1)
-    with pytest.raises(ValueError):
-        eig_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+        eig_symmetric(form, 4)
 
 
 def test_domain_growth_monotonicity():
@@ -350,13 +367,9 @@ def test_domain_growth_monotonicity():
 def test_spectrum_from_values():
     s = spectrum_from_values([3.0, 1.0, 2.0])
     assert np.array_equal(s.eigenvalues, [1.0, 2.0, 3.0])
-    assert s.total_dim == s.k == 3
-    s = spectrum_from_values([1.0, 2.0], total_dim=10)
-    assert s.total_dim == 10 and s.k == 2
+    assert s.k == 3 and s.source == {}
     with pytest.raises(ValueError):
         spectrum_from_values([])
-    with pytest.raises(ValueError):
-        spectrum_from_values([1.0, 2.0, 3.0], total_dim=2)
 
 
 def test_weyl_on_synthetic_sequence():
@@ -386,23 +399,30 @@ def test_weyl_on_constant_sequence():
 def test_weyl_envelope_columns():
     ks = np.arange(1, 201)
     s = spectrum_from_values(2.0 * np.log(ks))
-    d = weyl_diagnostics(s, delta=0.1, dim=1)
-    q = d["envelope_upper"].size // 4
-    assert np.mean(d["envelope_upper"][-q:]) < np.mean(d["envelope_upper"][:q])
-    assert np.mean(d["envelope_lower"][-q:]) > np.mean(d["envelope_lower"][:q])
-    with pytest.raises(ValueError):
-        weyl_diagnostics(s, delta=0.1)  # synthetic source carries no dimension
+    _, upper, lower = envelope_samples(s, 1, 0.1)
+    q = upper.size // 4
+    assert np.mean(upper[-q:]) < np.mean(upper[:q])
+    assert np.mean(lower[-q:]) > np.mean(lower[:q])
 
 
 def test_weyl_validation():
-    with pytest.raises(ValueError):
-        weyl_diagnostics(spectrum_from_values([1.0, 2.0]))
+    # the growth table serves any k >= 1; the envelopes need k >= 3 and a
+    # finite delta >= 0
+    d = weyl_diagnostics(spectrum_from_values([1.0]))
+    assert d["partial_sum"][0] == 1.0 and math.isnan(d["partial_sum_ratio"][0])
+    with pytest.raises(ValueError, match="at least 3 eigenvalues"):
+        envelope_samples(spectrum_from_values([1.0, 2.0]), 1, 0.1)
+    s = spectrum_from_values([1.0, 2.0, 3.0])
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be"):
+            envelope_samples(s, 1, bad)
 
 
 def test_envelope_samples_shape():
     s = spectrum_from_values(2.0 * np.log(np.arange(1, 31)))
-    t, vals = envelope_samples(s, 0.5)
-    assert t.shape == vals.shape == (201,)
+    t, upper, lower = envelope_samples(s, 1, 0.0)
+    assert t.shape == upper.shape == lower.shape == (201,)
     assert t[0] == pytest.approx(s.eigenvalues[1])
     assert t[-1] == pytest.approx(s.eigenvalues[-1])
-    assert np.all(vals >= 0.0)
+    assert np.all(upper >= 0.0)
+    assert np.array_equal(upper, lower)  # delta = 0: both sample the exponent N/2
