@@ -1,11 +1,11 @@
 """Galerkin spectra and closed-form eigenvalue bounds for the logarithmic Laplacian.
 
-The package splits into small layers: validated special functions
-(`specfun`), dimension constants (`constants`), the two scalar root equations
-(`roots`), domain geometry with the collar ramp test function (`geometry`),
-piecewise-constant Galerkin assembly (`discretize`), eigensolves and
-spectral diagnostics (`spectrum`), the closed-form bound formulas
-(`bounds`), and a CLI harness (`cli`).
+The package splits into small layers: mathematical constants and the
+cosine integral (`specfun`), dimension constants (`constants`), the two
+scalar root equations (`roots`), domain geometry with the collar ramp test
+function (`geometry`), piecewise-constant Galerkin assembly (`discretize`),
+eigensolves and spectral diagnostics (`spectrum`), the closed-form bound
+formulas (`bounds`), and a CLI harness (`cli`).
 """
 
 from .bounds import (
@@ -32,7 +32,7 @@ from .discretize import (
 )
 from .geometry import Domain, TestFunctionSpec, ball, box, interval
 from .roots import RootResult, solve_log_ratio, solve_r_ln_r
-from .specfun import NumericsError, cosint, digamma, ln_gamma
+from .specfun import NumericsError, cosint
 from .spectrum import (
     Spectrum,
     eig_symmetric,
@@ -61,12 +61,10 @@ __all__ = [
     "build_grid",
     "cosint",
     "counting_envelope",
-    "digamma",
     "dimension_constants",
     "eig_symmetric",
     "envelope_samples",
     "interval",
-    "ln_gamma",
     "log_moment_check",
     "lower_bound_eigenvalue",
     "lower_bound_smallest",

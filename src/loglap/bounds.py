@@ -47,9 +47,11 @@ class BoundReport:
     verdicts: dict = field(default_factory=dict)
 
 
-def _check_volume(volume: float) -> None:
+def _check_volume(volume: float, k: int = 1) -> None:
     if not (volume > 0.0) or not math.isfinite(volume):
         raise ValueError(f"volume must be positive and finite, got {volume!r}")
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
 def lower_bound_smallest(constants: DimensionConstants, volume: float) -> BoundReport:
@@ -64,12 +66,9 @@ def lower_bound_smallest(constants: DimensionConstants, volume: float) -> BoundR
     refined_threshold = 2.0 / (math.exp(E + 1.0) * n * d)
     values = {"volume_term": -d * volume}
     admissible = {"volume_term": True, "positivity": volume < positivity_threshold}
-    if volume <= refined_threshold:
-        x = 2.0 / (E * n * d * volume)
-        values["refined"] = (2.0 / n) * (math.log(x) - math.log(math.log(x)))
-        admissible["refined"] = True
-    else:
-        admissible["refined"] = False
+    admissible["refined"] = volume <= refined_threshold
+    if admissible["refined"]:
+        values["refined"] = _refined_per_eigenvalue(constants, volume, 1)
     return BoundReport(
         context={
             "dim": n,
@@ -111,9 +110,7 @@ def lower_bound_sum(constants: DimensionConstants, volume: float, k: int) -> Bou
     same per-eigenvalue expression times k, so the two operations agree
     exactly) needs k at or above the log-log threshold.
     """
-    _check_volume(volume)
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _check_volume(volume, k)
     ctx = _sum_context(constants, volume, k)
     values = {"volume_term": -constants.volume_coefficient * volume}
     admissible = {
@@ -128,9 +125,7 @@ def lower_bound_sum(constants: DimensionConstants, volume: float, k: int) -> Bou
 
 def lower_bound_eigenvalue(constants: DimensionConstants, volume: float, k: int) -> BoundReport:
     """Per-eigenvalue version of the sum bound (sum divided through by k)."""
-    _check_volume(volume)
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _check_volume(volume, k)
     ctx = _sum_context(constants, volume, k)
     values = {}
     admissible = {
@@ -221,9 +216,7 @@ def upper_bound_sum(
     square-root coefficient (a factor the derivation loses when halving a
     spectral density); it strictly dominates the statement variant.
     """
-    _check_volume(volume)
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _check_volume(volume, k)
     if variant not in ("statement", "proof"):
         raise ValueError(f"unknown variant {variant!r}")
     n, om, p, d = (
@@ -238,7 +231,7 @@ def upper_bound_sum(
     loglog_arg = factor * p * (k + 1.0) / volume
     admissible = {"upper_bound": k > E * n * d * volume / 2.0}
     values = {}
-    if loglog_arg > 1.0 and math.log(loglog_arg) > 0.0:
+    if loglog_arg > 1.0:
         values["upper_bound"] = (2.0 * k / n) * (
             math.log(k + 1.0) + math.log(ratio) + coef * math.log(math.log(loglog_arg))
         )
@@ -263,17 +256,7 @@ class BallProfile:
             raise ValueError("ball profile needs positive radius and height")
 
 
-def _profile_moments(constants: DimensionConstants, profile) -> tuple[float, float, float]:
-    """Return (height bound M1, mass, doubled log-moment M2) of the profile."""
-    n, om = constants.dim, constants.sphere_measure
-    if isinstance(profile, BallProfile):
-        a, m1 = profile.radius, profile.height
-        shell = om * a**n / n
-        return m1, m1 * shell, 2.0 * m1 * shell * (math.log(a) - 1.0 / n)
-    raise ValueError(f"unsupported profile type {type(profile)!r}")
-
-
-def log_moment_check(constants: DimensionConstants, profile) -> BoundReport:
+def log_moment_check(constants: DimensionConstants, profile: BallProfile) -> BoundReport:
     """Check the mass / log-moment inequalities for a bounded density.
 
     For f with 0 <= f <= M1, mass m = integral of f and M2 = 2*integral of
@@ -283,7 +266,10 @@ def log_moment_check(constants: DimensionConstants, profile) -> BoundReport:
     of each inequality is reported (zero at the extremal ball profiles).
     """
     n, om = constants.dim, constants.sphere_measure
-    m1, mass, m2 = _profile_moments(constants, profile)
+    a, m1 = profile.radius, profile.height
+    shell = om * a**n / n
+    mass = m1 * shell
+    m2 = 2.0 * m1 * shell * (math.log(a) - 1.0 / n)
     values = {
         "mass": mass,
         "log_moment": m2,

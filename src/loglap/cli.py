@@ -198,8 +198,9 @@ def _peak_rss_mb() -> float:
 
 def _default_c0(domain: Domain) -> float | None:
     """The minimal admissible foliation constant in the domain's inradius
-    regime; None in dimension 1, where it is not defined (pass --c0)."""
-    if domain.dim < 2:
+    regime; None where it is not defined (pass --c0): in dimension 1 and
+    for domains not sandwiched between balls of radii R and 2R."""
+    if domain.dim < 2 or not domain.sandwiched:
         return None
     regime = "large" if domain.inradius >= 2.0 else "small"
     return domain.minimal_c0(regime)

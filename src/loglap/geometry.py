@@ -77,6 +77,11 @@ class Domain:
         return float(np.linalg.norm(self.sides / 2.0))
 
     @property
+    def sandwiched(self) -> bool:
+        """Whether the domain lies between the concentric balls of radii R and 2R."""
+        return self.circumradius <= 2.0 * self.inradius + 1e-12
+
+    @property
     def boundary_measure(self) -> float:
         """H^{N-1} of the boundary (count of endpoints in 1D)."""
         if self.dim == 1:
@@ -154,9 +159,9 @@ class Domain:
             raise ValueError("the foliation constant is only defined in dimension >= 2")
         if regime not in ("large", "small"):
             raise ValueError(f"unknown regime {regime!r}")
-        rin = self.inradius
-        if self.circumradius > 2.0 * rin + 1e-12:
+        if not self.sandwiched:
             raise ValueError("domain is not sandwiched between balls of radii R and 2R")
+        rin = self.inradius
         if regime == "large":
             if rin <= 0.5:
                 raise ValueError("inradius must exceed 1/2 for the large-domain regime")

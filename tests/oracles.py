@@ -1,11 +1,10 @@
 """Independent reference computations for the test suite.
 
-Everything here takes a different route than the package, except digamma
-(recurrence + Bernoulli tail, as ``loglap.specfun`` computes it too) and
-lgamma (libm, which ``loglap.specfun`` uses above x = 10); ``test_specfun``
-checks both against scipy.special.  The cosine integral comes from panel
-quadrature / its large-argument series, eigenvalues from a
-characteristic-polynomial solve, and the kernel pair
+Everything here takes a different route than the package.  digamma comes
+from the recurrence and the Bernoulli tail and ln Gamma from libm, where
+``loglap.constants`` takes the finite sums at N/2 and ``math.gamma``.  The
+cosine integral comes from panel quadrature / its large-argument series,
+eigenvalues from a characteristic-polynomial solve, and the kernel pair
 integrals from 1D quadrature of reduced (correlation) forms, in mpmath where
 double precision would cancel.  Slower and cruder than the production code,
 but fair as cross-checks.

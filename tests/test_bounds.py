@@ -309,7 +309,7 @@ def test_moment_profile_validation():
     with pytest.raises(ValueError):
         BallProfile(radius=1.0, height=-2.0)
     with pytest.raises(ValueError):
-        log_moment_check(C1, object())
+        BallProfile(radius=math.nan, height=1.0)
 
 
 # ------------------------------------------------------ envelope trends

@@ -445,6 +445,21 @@ def test_bounds_small_box_reports_exact_c0(capsys):
     assert payload["reports"]["upper_large"]["admissible"]["upper_bound"] is False
 
 
+def test_bounds_box_outside_the_sandwich_has_no_default_c0(capsys):
+    # aspect ratio 2 > sqrt(3): no balls of radii R and 2R enclose the box, so
+    # c0 is undefined; the volume bounds and the sum bound need none
+    assert main(["bounds", "--domain", "box", "--side", "1,2", "--num-eigs", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["c0"] is None
+    assert set(payload["reports"]) == {"lower_smallest", "lower_sum",
+                                       "lower_eigenvalue", "upper_sum"}
+    # an explicit --c0 still gets both upper reports (inradius 0.1 < 1/4)
+    assert main(["bounds", "--domain", "box", "--side", "0.2,0.4", "--c0", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["c0"] == 3.0
+    assert {"upper_large", "upper_small"} <= set(payload["reports"])
+
+
 def test_bounds_domain_required():
     assert main(["bounds", "--length", "2"]) == 1
     assert main(["bounds", "--domain", "ball"]) == 1  # --radius missing

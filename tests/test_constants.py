@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from loglap.constants import DimensionConstants, dimension_constants
@@ -73,6 +74,20 @@ def test_fields_against_independent_formulas():
         )
         assert c.volume_coefficient > 0.0
         assert c.counting_coefficient > 0.0
+
+
+def test_shift_against_mpmath():
+    # rho_N = 2 ln 2 + psi(N/2) - gamma at 50 digits; rho_2 is 2 ulp off
+    for n in range(1, 11):
+        with mpmath.workdps(50):
+            exact = 2 * mpmath.log(2) + mpmath.digamma(mpmath.mpf(n) / 2) - mpmath.euler
+        want = float(exact)
+        assert abs(dimension_constants(n).zero_order_shift - want) <= 2 * math.ulp(want), n
+
+
+def test_shift_in_one_dimension_is_exactly_minus_two_gamma():
+    # psi(1/2) = -gamma - 2 ln 2, so the shift's 2 ln 2 cancels without rounding
+    assert dimension_constants(1).zero_order_shift == -2.0 * EULER_GAMMA
 
 
 def test_shift_increasing_in_dimension():

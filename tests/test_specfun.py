@@ -1,4 +1,4 @@
-"""Special functions: pinned values, identities, scipy.special and independent oracles."""
+"""The cosine integral and the literals: pinned values, identities, scipy.special and oracles."""
 
 import math
 
@@ -7,27 +7,8 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from loglap.specfun import (
-    CATALAN,
-    EULER_GAMMA,
-    TI2_HALF,
-    cosint,
-    digamma,
-    ln_gamma,
-)
-from oracles import cosint_ref, digamma_ref, ln_gamma_ref
-
-
-def test_ln_gamma_pinned_values():
-    assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-12)
-    assert ln_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-12)
-
-
-def test_digamma_pinned_values():
-    assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-12)
-    assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-12)
-    assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-12)
+from loglap.specfun import CATALAN, EULER_GAMMA, TI2_HALF, cosint
+from oracles import cosint_ref
 
 
 def test_cosint_pinned_values():
@@ -41,19 +22,7 @@ def test_cosint_pinned_values():
 def test_domain_errors():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            ln_gamma(bad)
-        with pytest.raises(ValueError):
-            digamma(bad)
-        with pytest.raises(ValueError):
             cosint(bad)
-
-
-def test_recurrences():
-    # psi(x+1) - psi(x) = 1/x and lnGamma(x+1) - lnGamma(x) = ln x
-    for x in np.arange(0.5, 20.5, 0.5):
-        x = float(x)
-        assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) <= 1e-11
-        assert abs(ln_gamma(x + 1.0) - ln_gamma(x) - math.log(x)) <= 1e-11
 
 
 def test_cosint_derivative():
@@ -64,18 +33,6 @@ def test_cosint_derivative():
         assert abs(approx - math.cos(t) / t) <= 1e-6
 
 
-def test_digamma_against_series_oracle():
-    worst = 0.0
-    for x in np.geomspace(0.5, 50.0, 200):
-        worst = max(worst, abs(digamma(float(x)) - digamma_ref(float(x))))
-    assert worst <= 1e-12
-
-
-def test_ln_gamma_against_libm():
-    for x in np.geomspace(0.5, 50.0, 200):
-        assert abs(ln_gamma(float(x)) - ln_gamma_ref(float(x))) <= 1e-12
-
-
 def test_cosint_against_quadrature_oracle():
     worst = 0.0
     for t in np.geomspace(0.01, 1000.0, 300):
@@ -84,12 +41,10 @@ def test_cosint_against_quadrature_oracle():
 
 
 @pytest.mark.parametrize("ours, theirs", [
-    (digamma, special.psi),
-    (ln_gamma, special.gammaln),
     (cosint, lambda t: special.sici(t)[1]),
-], ids=["digamma", "ln_gamma", "cosint"])
+], ids=["cosint"])
 def test_against_scipy_special(ours, theirs):
-    # the stdlib implementations agree with scipy.special to rounding
+    # the stdlib implementation agrees with scipy.special to rounding
     for x in np.geomspace(1e-3, 1e3, 2001):
         want = float(theirs(x))
         assert abs(ours(float(x)) - want) <= 1e-15 * max(1.0, abs(want)), x
