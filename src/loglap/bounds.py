@@ -14,6 +14,7 @@ reports always name the variant used.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ class BoundReport:
 def _check_volume(volume: float, k: int = 1) -> None:
     if not (volume > 0.0) or not math.isfinite(volume):
         raise ValueError(f"volume must be positive and finite, got {volume!r}")
-    if k < 1:
+    if not (isinstance(k, numbers.Integral) and k >= 1):
         raise ValueError(f"k must be a positive integer, got {k!r}")
 
 
@@ -252,8 +253,8 @@ class BallProfile:
     height: float
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0.0 and self.height > 0.0):
-            raise ValueError("ball profile needs positive radius and height")
+        if not (0.0 < self.radius < math.inf and 0.0 < self.height < math.inf):
+            raise ValueError("ball profile needs positive finite radius and height")
 
 
 def log_moment_check(constants: DimensionConstants, profile: BallProfile) -> BoundReport:

@@ -34,19 +34,21 @@ Toeplitz Solvers*, SIAM 2007); :func:`rayleigh_quotient` is one such
 product.  The dense matrix is a view, ``entries``, gathered on first use in
 row blocks, the same way in every dimension; it needs the 8*n*n-byte matrix
 plus a small fixed block, and a matrix larger than physical memory is
-refused first.  Only ``solve --dump-matrix`` and the whole-matrix LAPACK
-fallback for a grid without central symmetry read it.
-:func:`assemble_form` is :func:`offset_form` plus that gather.  Every grid
-:func:`build_grid` makes is centrally symmetric, and
-``QuadFormMatrix.sector`` gathers the even or odd block of its matrix,
-about n/2 wide, by the same row blocks without the n x n matrix; the
-eigensolver works on those.
+refused first.  Only ``solve --dump-matrix`` reads it; :func:`assemble_form`
+is :func:`offset_form` plus that gather.  The eigensolver reads
+``QuadFormMatrix.blocks``: A commutes with the reflection along each mirror
+axis of the grid (every grid :func:`build_grid` makes has all its axes), so
+it splits into one block per sign pattern of those axes, two of about n/2
+cells in 1D and four of about n/4 in 2D (Fässler & Stiefel, 1992), each
+gathered by the same row blocks without the n x n matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,12 +114,14 @@ class Grid:
         return self.domain.dim
 
     @property
-    def centrally_symmetric(self) -> bool:
-        """Whether the point reflection through the bounding box's center maps
-        the cells onto themselves.  It reverses the lexicographic order, so
-        cell i and cell count-1-i are mirror images."""
-        idx = self.indices
-        return bool(np.array_equal(idx[::-1], idx.min(axis=0) + idx.max(axis=0) - idx))
+    def mirror_axes(self) -> tuple[int, ...]:
+        """The axes d along which the reflection p_d -> s_d - p_d through the
+        bounding box's center (s = min + max of the indices) maps the cells
+        onto themselves."""
+        idx = self.indices - self.indices.min(axis=0)
+        occupied = np.zeros(idx.max(axis=0) + 1, dtype=bool)  # the bounding box's lattice
+        occupied[tuple(idx.T)] = True
+        return tuple(d for d in range(self.dim) if np.array_equal(occupied, np.flip(occupied, d)))
 
 
 @dataclass(eq=False)
@@ -147,28 +151,42 @@ class QuadFormMatrix:
         Raises ``ValueError`` when its 8*n*n bytes exceed physical memory.
         """
         if self.dense is None:
-            self.dense = _gather(self.grid.indices, self.table)
+            idx = self.grid.indices
+            self.dense = _gather(idx, self.table, [idx], [1], np.ones(len(idx)))
         return self.dense
 
-    def sector(self, parity: int) -> np.ndarray:
-        """The even (``parity=1``) or odd (``parity=-1``) block of a centrally
-        symmetric grid's matrix, gathered from the table without the n x n matrix.
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The blocks of the matrix in the sign-pattern basis of the grid's
+        mirror axes, gathered one at a time from the table, the largest first.
 
-        With the exchange J (cell i -> cell n-1-i) the matrix commutes with J,
-        so in the orthonormal basis (e_i + parity*e_{n-1-i})/sqrt(2), i < n//2,
-        plus the middle cell e_{n//2} for odd n in the even block, it splits
-        into two blocks whose entries are A_ij + parity*A_{i,n-1-j}, the even
-        block's middle row and column for odd n scaled by 1/sqrt(2) (Cantoni
-        & Butler, Linear Algebra Appl. 13, 1976).  The even block has
-        n - n//2 rows, the odd one n//2; their eigenvalues together are A's.
-        Raises ``ValueError`` for another parity, a grid that is not
-        centrally symmetric, or a block larger than physical memory.
+        The reflections r_T along subsets T of the mirror axes commute with A.
+        The block of a sign pattern e (+1 or -1 per mirror axis, in the order
+        of ``itertools.product((1, -1), ...)``) has one cell p per orbit,
+        2*p_d <= s_d on each mirror axis d (s = min + max of the indices),
+        less those on the mirror line of an axis with sign -1, and entries
+        B[p, q] = sum_T (prod_{d in T} e_d) A[p, r_T q] / sqrt(|Stab p| |Stab q|)
+        (Cantoni & Butler, Linear Algebra Appl. 13, 1976, for one axis).  All
+        blocks' eigenvalues together are A's; with no mirror axis the one
+        block is A.  Raises ``ValueError`` before a gather when a block plus
+        LAPACK's copy of it would not fit in physical memory.
         """
-        if parity not in (1, -1):
-            raise ValueError(f"parity must be 1 or -1, got {parity!r}")
-        if not self.grid.centrally_symmetric:
-            raise ValueError("the grid is not centrally symmetric")
-        return _gather(self.grid.indices, self.table, mirror=parity)
+        idx = self.grid.indices
+        axes = list(self.grid.mirror_axes)
+        s = idx.min(axis=0) + idx.max(axis=0)
+        lines = 2 * idx[:, axes] - s[axes]  # 0 on an axis's mirror line
+        first = np.all(lines <= 0, axis=1)  # one cell per orbit
+        for signs in itertools.product((1, -1), repeat=len(axes)):
+            keep = first & ~np.any((lines == 0) & (np.array(signs) < 0), axis=1)
+            cells = idx[keep]
+            m = len(cells)
+            _require_memory(16 * m * m, f"a dense {m} x {m} block plus LAPACK's copy")
+            partners, weights = [], []
+            for flips in itertools.product((False, True), repeat=len(axes)):  # r_T, T = {} first
+                partners.append(cells.copy())
+                partners[-1][:, axes] = np.where(flips, s[axes] - cells[:, axes], cells[:, axes])
+                weights.append(math.prod(np.where(flips, signs, 1)))
+            stabilizer = np.count_nonzero(lines[keep] == 0, axis=1)
+            yield _gather(cells, self.table, partners, weights, np.sqrt(0.5**stabilizer))
 
     def matvec(self, v) -> np.ndarray:
         """The product A v, by one FFT pair on the circulant embedding of the table."""
@@ -200,6 +218,7 @@ def build_grid(domain: Domain, h: float) -> Grid:
     are ordered lexicographically by lattice index, which makes every
     downstream computation deterministic, and dyadic refinement h -> h/2
     splits each cell into 2^N children of the finer grid (nested subspaces).
+    A bounding-box lattice too large for physical memory raises ``ValueError``.
     """
     if not (0.0 < h <= MAX_CELL_SIDE) or not math.isfinite(h):
         raise ValueError(f"cell side must lie in (0, {MAX_CELL_SIDE}], got {h!r}")
@@ -218,6 +237,8 @@ def build_grid(domain: Domain, h: float) -> Grid:
                 f"cell side {h!r} cannot tile the bounding box sides {tuple(sides)!r}"
             )
         counts.append(ni)
+    # the build's peak: 32 bytes per cell and axis for an interval or box, 48 for a ball
+    _require_memory(48 * len(counts) * math.prod(counts), f"a lattice of {math.prod(counts)} cells")
 
     grids = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
     idx = np.stack([g.ravel() for g in grids], axis=1)  # lexicographic
@@ -361,24 +382,18 @@ def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> Qu
     return form
 
 
-def _gather(indices: np.ndarray, table: np.ndarray, mirror: int = 0) -> np.ndarray:
-    """Fill the dense matrix from the offset table in row blocks.
-
-    With ``mirror`` = +1 or -1 it fills the even or odd block of
-    :meth:`QuadFormMatrix.sector` instead: the leading rows and columns of
-    A + mirror*A*J, whose mirrored entry reads the offset of p_i from the
-    reflection s - p_j of p_j (s = min + max per axis).  For odd n the even
-    block's middle row and column are scaled by 1/sqrt(2).  Symmetric
-    positions read the same slots, so the result equals its transpose bit
-    for bit.  Peak memory is the result plus three blocks (two unmirrored).
+def _gather(cells: np.ndarray, table: np.ndarray, partners: list, weights: list,
+            scale: np.ndarray) -> np.ndarray:
+    """Fill a dense block from the offset table in row blocks: entry (i, j) is
+    scale_i * scale_j * sum_t weights[t] * table[|p_i - partners[t]_j|] for
+    the lattice coordinates p of the ``cells`` (count x dim) and each
+    ``partners[t]`` of that shape; the first is ``cells`` with weight 1.
+    Symmetric positions read the same slots, so the result equals its
+    transpose bit for bit.  Peak memory is the result plus three blocks.
     """
-    n = indices.shape[0]
-    size = (n + (mirror > 0)) // 2 if mirror else n
+    size = cells.shape[0]
     _require_memory(8 * size * size, f"a dense {size} x {size} matrix")
-    cols = indices[:size].T  # (dim, size) lattice coordinates
-    # the columns' own coordinates, then those of their reflections s - p_j
-    partners = [cols] + ([(indices.min(axis=0) + indices.max(axis=0))[:, None] - cols]
-                         if mirror else [])
+    cols = cells.T  # (dim, size) lattice coordinates
     strides = [math.prod(table.shape[d + 1 :]) for d in range(table.ndim)]  # C order
     entries = np.empty((size, size))
     block = max(1, min(size, _FILL_BLOCK_ENTRIES // max(size, 1)))
@@ -386,13 +401,14 @@ def _gather(indices: np.ndarray, table: np.ndarray, mirror: int = 0) -> np.ndarr
     # allocator return pages to the system and fault them in again each time.
     slot = np.empty((block, size), dtype=np.intp)  # flat table index per entry
     part = np.empty_like(slot)
-    mirrored = np.empty((block if mirror else 0, size))
+    term = np.empty((block if len(partners) > 1 else 0, size))
     for s in range(0, size, block):
         k = min(block, size - s)
-        for partner, out in zip(partners, (entries[s : s + k], mirrored[:k])):
+        rows = entries[s : s + k]
+        for t, (partner, weight) in enumerate(zip(partners, weights)):
             for d, stride in enumerate(strides):
                 offset = slot[:k] if d == 0 else part[:k]
-                np.subtract(cols[d, s : s + k, None], partner[d], out=offset)
+                np.subtract(cols[d, s : s + k, None], partner[:, d], out=offset)
                 np.abs(offset, out=offset)
                 if stride != 1:
                     offset *= stride
@@ -400,13 +416,12 @@ def _gather(indices: np.ndarray, table: np.ndarray, mirror: int = 0) -> np.ndarr
                     slot[:k] += offset
             # every offset lies inside the table, so "clip" never clips; it
             # also spares the buffered copy that the default "raise" makes
-            np.take(table, slot[:k], out=out, mode="clip")
-        if mirror:
-            mirrored[:k] *= mirror
-            entries[s : s + k] += mirrored[:k]
-    if mirror > 0 and n % 2:
-        entries[-1] *= math.sqrt(0.5)
-        entries[:, -1] *= math.sqrt(0.5)
+            np.take(table, slot[:k], out=term[:k] if t else rows, mode="clip")
+            if t:
+                (np.add if weight > 0 else np.subtract)(rows, term[:k], out=rows)
+    lined = np.flatnonzero(scale != 1.0)  # cells that a reflection fixes
+    entries[lined] *= scale[lined, None]
+    entries[:, lined] *= scale[lined]
     return entries
 
 

@@ -6,15 +6,13 @@ A / massScale.  :func:`eig_symmetric` picks its solver from the problem's
 size.  For a few eigenvalues of a large grid it runs thick-restart Lanczos
 (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000) on the form's FFT matvec,
 with no dense matrix: the symmetric counterpart of ARPACK's implicit
-restart, in numpy alone.  Otherwise it runs LAPACK's dense solver.  Every
-grid :func:`~loglap.discretize.build_grid` makes is centrally symmetric, so
-its matrix commutes with the exchange of cell i and cell n-1-i; LAPACK then
-runs on the even and odd blocks of
-:meth:`~loglap.discretize.QuadFormMatrix.sector`, each about n/2 wide,
-which takes about a quarter of the time and memory of the n x n solve and
-gives the same eigenvalues to rounding.  Forms on other grids go to LAPACK
-whole.  All solvers are deterministic, so results are reproducible bit for
-bit across runs on one machine.
+restart, in numpy alone.  Otherwise it runs LAPACK's dense solver on each
+block of :meth:`~loglap.discretize.QuadFormMatrix.blocks`, one per sign
+pattern of the grid's mirror axes, and merges their eigenvalues: two blocks
+of about n/2 cells for an interval and four of about n/4 for a box or ball,
+a quarter and a sixteenth of the n x n solve's flops and memory.  All
+solvers are deterministic, so results are reproducible bit for bit across
+runs on one machine.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import QuadFormMatrix, _require_memory
+from .discretize import QuadFormMatrix
 from .specfun import NumericsError
 
 __all__ = [
@@ -38,25 +36,26 @@ __all__ = [
 # Solver policy: Lanczos on the matvec when n >= _LANCZOS_MIN_CELLS and
 # k <= n / _LANCZOS_CELLS_PER_EIGENVALUE, LAPACK otherwise.  The k limit comes
 # from the crossovers near k = n/23, n/28 and n/22 measured up to k = 220 on
-# a 2,048-cell interval, the 3,080-cell ball and a 4,096-cell interval.
-# Milliseconds per solve, LAPACK on the even and odd blocks (gather included;
-# it does not depend on k) against Lanczos at k = 1, 10 and n/28 (symbol
-# included), on two cores with OpenBLAS, best of nine in one process, a fresh
-# form each time:
+# a 2,048-cell interval, the 3,080-cell ball and a 4,096-cell interval with
+# two LAPACK blocks in 2D too.  Milliseconds per solve, LAPACK on the blocks
+# (gather included; it does not depend on k) against Lanczos at k = 1, 10 and
+# n/28 (symbol included), on two cores with OpenBLAS, best of nine in one
+# process, a fresh form each time; the balls from a later run on four blocks,
+# on a machine then about 1.7x slower:
 #   interval   n =   512: LAPACK   7.7; Lanczos  4.5,  7.7,  10.1 (k = 18)
 #                    640:         10.0;          2.8,  8.3,  12.7 (k = 22)
 #                    768:         14.9;          3.1,  9.3,  16.7 (k = 27)
 #                  1,024:         27.4;          3.6, 10.9,  26.1 (k = 36)
 #                  2,048:        118.5;          6.9, 18.0, 122.4 (k = 73)
-#   ball h=1/8 n =   732: LAPACK  12.4; Lanczos  4.5, 16.9,  22.5 (k = 26)
-#                  1,696:         63.8;          5.9, 28.9, 112.9 (k = 60)
-#                  2,016:        113.9;          8.9, 31.3, 134.0 (k = 72)
-#                  2,340:        169.4;          9.6, 34.3, 246.0 (k = 83)
-#                  3,080:        355.3;         12.8, 46.9, 342.0 (k = 110)
+#   ball h=1/8 n =   732: LAPACK  13.3; Lanczos  7.7, 24.6,  38.8 (k = 26)
+#                  1,696:         78.6;         12.4, 41.2, 175.5 (k = 60)
+#                  2,016:        104.8;         22.4, 77.6, 354.0 (k = 72)
+#                  2,340:        141.4;         28.5, 93.8, 526.2 (k = 83)
+#                  3,080:        211.3;         21.1, 66.7, 619.3 (k = 110)
 # Over five such runs the ratio at k = n/28 is at most 1.28x in 1D from 768
-# cells on, and 1.3-1.8x at 512.  In 2D, whose matvec is the dearer, it is
-# 1.2-2.1x at every size from 732 to 2,700 cells, above 2,048 as below, and
-# 1.0x at 3,080.  These are timings of the solvers alone; the floor stays at
+# cells on, and 1.3-1.8x at 512.  In 2D, over three runs, it is 2.2-3.8x at
+# every size from 732 to 3,080 cells: with four blocks the 2D limit is too
+# generous.  These are timings of the solvers alone; the floor stays at
 # 2,048 in both dimensions until a benchmark workload solves a 1D grid of
 # 768-2,047 cells, so that lowering it there can be measured end to end.
 _LANCZOS_MIN_CELLS = 2048
@@ -86,11 +85,6 @@ def spectrum_from_values(values) -> Spectrum:
     return Spectrum(eigenvalues=ev)
 
 
-def _uses_lanczos(n: int, k: int) -> bool:
-    """Whether :func:`eig_symmetric` serves k of n eigenvalues of a form by Lanczos."""
-    return n >= _LANCZOS_MIN_CELLS and k * _LANCZOS_CELLS_PER_EIGENVALUE <= n
-
-
 def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     """Smallest ``k`` eigenvalues of the form's A / massScale, ascending.
 
@@ -98,30 +92,29 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     Lanczos on its matvec, started from a fixed hash of the cell index
     (:func:`_start_vector`); ``source`` then records the matvec and restart
     counts and the largest residual ||A v - lambda * massScale * v|| of the
-    unit Ritz vectors.  Everything else goes to LAPACK.  A form on a
-    centrally symmetric grid is solved as its even and odd blocks, gathered
-    from the offset table one at a time; the larger block plus LAPACK's copy
-    needs about 4*n*n bytes, and ``source`` records the block sizes as
-    ``sectors`` = [even, odd].  A form on any other grid is solved whole on
-    a copy of the dense matrix, which needs 16*n*n bytes.  The LAPACK paths
-    raise ``ValueError`` when their bytes exceed physical memory.
-    ``source`` also names the solver that ran and the number of cells.
-    Raises ``NumericsError`` when a solver fails.
+    unit Ritz vectors.  Everything else goes to LAPACK on the form's
+    :meth:`~loglap.discretize.QuadFormMatrix.blocks`, each freed before the
+    next is gathered, and ``source`` records their sizes as ``sectors``.
+    The largest block plus LAPACK's copy sets the memory; ``ValueError`` is
+    raised when that exceeds physical memory.  ``source`` also names the
+    solver that ran and the number of cells.  Raises ``NumericsError`` when
+    a solver fails.
     """
     n = form.grid.count
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     source = {"cells": n}
-    if _uses_lanczos(n, k):
+    if n >= _LANCZOS_MIN_CELLS and k * _LANCZOS_CELLS_PER_EIGENVALUE <= n:
         vals, _, stats = _lanczos(form, k)
         source.update(solver="lanczos", **stats)
-    elif form.grid.centrally_symmetric:
-        vals, sectors = _lapack_sectors(form, k)
-        source.update(solver="lapack", sectors=sectors)
     else:
-        _require_memory(16 * n * n, f"the eigensolve of a dense {n} x {n} matrix plus LAPACK's copy")
-        vals = _lapack(form.entries)[:k]
-        source["solver"] = "lapack"
+        vals, sectors = [], []
+        for block in form.blocks():
+            sectors.append(block.shape[0])
+            vals.append(_lapack(block)[:k])
+            del block  # freed before the next block is gathered
+        vals = np.sort(np.concatenate(vals))[:k]
+        source.update(solver="lapack", sectors=sectors)
     return Spectrum(eigenvalues=np.ascontiguousarray(vals / form.mass_scale), source=source)
 
 
@@ -130,18 +123,6 @@ def _lapack(a: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NumericsError(f"symmetric eigensolver failed to converge: {exc}") from exc
-
-
-def _lapack_sectors(form: QuadFormMatrix, k: int) -> tuple[np.ndarray, list[int]]:
-    """The k smallest eigenvalues of a centrally symmetric grid's A, ascending,
-    by LAPACK on its even and odd blocks in turn, and the two block sizes."""
-    n = form.grid.count
-    half = n // 2
-    even = n - half
-    _require_memory(16 * even * even,
-                    f"the eigensolve of a dense {even} x {even} block plus LAPACK's copy")
-    vals = np.concatenate([_lapack(form.sector(parity))[:k] for parity in (1, -1)])
-    return np.sort(vals)[:k], [even, half]
 
 
 def _start_vector(n: int) -> np.ndarray:

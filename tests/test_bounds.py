@@ -114,6 +114,11 @@ def test_lower_sum_validation():
         lower_bound_sum(C1, 2.0, 0)
     with pytest.raises(ValueError):
         lower_bound_eigenvalue(C1, -1.0, 3)
+    for bound in (lower_bound_sum, lower_bound_eigenvalue, upper_bound_sum):
+        for k in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                bound(C2, 1.0, k)
+        assert bound(C2, 1.0, np.int64(3)).context["k"] == 3  # numpy integers pass
 
 
 # ---------------------------------------------- upper bounds (inradius)
@@ -310,6 +315,10 @@ def test_moment_profile_validation():
         BallProfile(radius=1.0, height=-2.0)
     with pytest.raises(ValueError):
         BallProfile(radius=math.nan, height=1.0)
+    for radius, height in ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf),
+                           (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            BallProfile(radius=radius, height=height)
 
 
 # ------------------------------------------------------ envelope trends

@@ -197,6 +197,18 @@ def test_solve_refuses_matrix_larger_than_memory(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solve_refuses_lattice_larger_than_memory(monkeypatch, capsys):
+    # h = 1e-5 on a side-2 box: the bounding box's lattice has 4e10 cells,
+    # whose build would peak at terabytes; it is refused before anything is
+    # allocated, here with 1 GiB of memory
+    real_sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": 2**18, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
+    assert main(["solve", "--domain", "box", "--side", "2", "--h", "1e-5",
+                 "--num-eigs", "1"]) == 1
+    assert "a lattice of 40000000000 cells needs" in capsys.readouterr().err
+
+
 def test_solve_refuses_eigensolve_larger_than_memory(monkeypatch, capsys):
     # 64 cells: the matrix takes 32 KiB; the eigensolve runs on a 32 x 32 block
     # at a time and needs the block plus LAPACK's copy, 16 KiB.  48 KiB of

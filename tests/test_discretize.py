@@ -1,5 +1,6 @@
 """Grid construction and energy-form assembly against quadrature oracles."""
 
+import itertools
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -322,41 +323,77 @@ def test_matvec_matches_dense_product_on_random_grids(grid, seed):
     assert np.linalg.norm(form.matvec(v) - want) <= 1e-14 * np.linalg.norm(want)
 
 
-def _reflection_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the even and odd vectors under i -> n-1-i."""
-    half = n // 2
-    even, odd = np.zeros((n, n - half)), np.zeros((n, half))
-    for i in range(half):
-        even[i, i] = even[n - 1 - i, i] = odd[i, i] = math.sqrt(0.5)
-        odd[n - 1 - i, i] = -math.sqrt(0.5)
-    if n % 2:
-        even[half, half] = 1.0
-    return even, odd
+def _sign_pattern_bases(grid: Grid) -> list[np.ndarray]:
+    """An orthonormal basis per sign pattern of the grid's mirror axes, in the
+    order of ``QuadFormMatrix.blocks``: for each cell p with 2 p_d <= s_d on
+    every mirror axis, the normalized sum of sign * e_{r_T p} over the
+    reflections r_T, dropped where it vanishes."""
+    idx = grid.indices
+    axes = grid.mirror_axes
+    s = idx.min(axis=0) + idx.max(axis=0)
+    where = {tuple(p): i for i, p in enumerate(idx.tolist())}
+    bases = []
+    for signs in itertools.product((1, -1), repeat=len(axes)):
+        columns = []
+        for p in idx:
+            if np.any(2 * p[list(axes)] > s[list(axes)]):
+                continue
+            u = np.zeros(grid.count)
+            for flips in itertools.product((False, True), repeat=len(axes)):
+                q = p.copy()
+                for d, flip in zip(axes, flips):
+                    if flip:
+                        q[d] = s[d] - q[d]
+                u[where[tuple(q.tolist())]] += math.prod(e for e, f in zip(signs, flips) if f)
+            if np.any(u):
+                columns.append(u / np.linalg.norm(u))
+        bases.append(np.array(columns).reshape(-1, grid.count).T)
+    return bases
 
 
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(grid=small_grids())
-def test_sectors_are_the_matrix_in_the_even_and_odd_bases(grid):
-    # every grid build_grid makes is centrally symmetric, off-center balls included
-    assert grid.centrally_symmetric
+def _assert_blocks_are_the_matrix_in_the_sign_pattern_bases(grid: Grid) -> None:
     form = offset_form(grid)
     a = form.entries
-    for parity, basis in zip((1, -1), _reflection_bases(grid.count)):
-        block = form.sector(parity)
+    bases = _sign_pattern_bases(grid)
+    assert sum(basis.shape[1] for basis in bases) == grid.count
+    blocks = list(form.blocks())
+    assert len(blocks) == len(bases) == 2 ** len(grid.mirror_axes)
+    for block, basis in zip(blocks, bases):
         assert np.array_equal(block, block.T)
         assert np.allclose(block, basis.T @ a @ basis, rtol=0.0, atol=1e-15 * np.abs(a).max())
 
 
-def test_sector_needs_a_centrally_symmetric_grid():
-    grid = build_grid(ball((0.0, 0.0), 1.0), 0.25)
-    keep = np.arange(grid.count) != 1
-    lopsided = Grid(domain=grid.domain, h=grid.h, indices=grid.indices[keep],
-                    centers=grid.centers[keep])
-    assert not lopsided.centrally_symmetric
-    with pytest.raises(ValueError, match="not centrally symmetric"):
-        offset_form(lopsided).sector(1)
-    with pytest.raises(ValueError, match="parity"):
-        offset_form(grid).sector(0)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(grid=small_grids())
+def test_blocks_are_the_matrix_in_the_sign_pattern_bases(grid):
+    # every grid build_grid makes mirrors onto itself along every axis,
+    # off-center balls included
+    assert grid.mirror_axes == tuple(range(grid.dim))
+    _assert_blocks_are_the_matrix_in_the_sign_pattern_bases(grid)
+
+
+def _without_cells(grid: Grid, *drop: int) -> Grid:
+    keep = ~np.isin(np.arange(grid.count), drop)
+    return Grid(domain=grid.domain, h=grid.h, indices=grid.indices[keep],
+                centers=grid.centers[keep])
+
+
+def test_grid_without_a_mirror_axis_is_one_block():
+    # the 8 x 8 lattice of this ball has no cell on a mirror line, so
+    # dropping one cell breaks both mirrors
+    lopsided = _without_cells(build_grid(ball((0.0, 0.0), 1.0), 0.25), 1)
+    assert lopsided.mirror_axes == ()
+    form = offset_form(lopsided)
+    (block,) = form.blocks()
+    assert np.array_equal(block, form.entries)
+
+
+def test_grid_with_one_mirror_axis_has_two_blocks():
+    # a 5 x 3 box less the two cells (0, 0) and (4, 0): mirrored along the
+    # first axis (with a mirror line, x = 2), not along the second
+    grid = _without_cells(build_grid(box((0.0, 0.0), (1.25, 0.75)), 0.25), 0, 12)
+    assert grid.count == 13 and grid.mirror_axes == (0,)
+    _assert_blocks_are_the_matrix_in_the_sign_pattern_bases(grid)
 
 
 # -------------------------------------------------- Rayleigh quotients

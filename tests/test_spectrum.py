@@ -1,7 +1,9 @@
 """Eigensolver, growth diagnostics and counting envelopes."""
 
+import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,8 +163,8 @@ def _chosen_solver(monkeypatch, grid, k):
     monkeypatch.setattr(spectrum_module, "_lapack", fake("lapack"))
     monkeypatch.setattr(spectrum_module, "_lanczos", fake("lanczos"))
     solver = eig_symmetric(offset_form(grid), k).source["solver"]
-    # LAPACK runs once on each of the grid's even and odd blocks
-    assert ran == {"lapack": ["lapack", "lapack"], "lanczos": ["lanczos"]}[solver]
+    # LAPACK runs once on each block: 2 for an interval, 4 for a box
+    assert ran == {"lapack": ["lapack"] * 2**grid.dim, "lanczos": ["lanczos"]}[solver]
     return solver
 
 
@@ -210,14 +212,26 @@ def test_start_vector_is_a_fixed_splitmix64_stream():
     (interval(-1.0, 1.0), 2.0 / 2047.0),
 ], ids=["ball-3080", "interval-2047"])
 def test_start_vector_reaches_both_parity_sectors(domain, h):
-    # on a centrally symmetric grid cell i mirrors cell n-1-i; a start vector
-    # without an odd (or even) part would miss half the spectrum
+    # a start vector without a component in some sign pattern of the grid's
+    # mirror axes would miss that block's part of the spectrum; in 2D the
+    # point reflection's even and odd parts split into two patterns each
     grid = build_grid(domain, h)
-    assert grid.centrally_symmetric
+    assert grid.mirror_axes == tuple(range(grid.dim))
     v = spectrum_module._start_vector(grid.count)
     norm = np.linalg.norm(v)
+    # the point reflection reverses the lexicographic cell order
     assert np.linalg.norm(v + v[::-1]) / 2.0 >= 0.3 * norm
     assert np.linalg.norm(v - v[::-1]) / 2.0 >= 0.3 * norm
+    idx = grid.indices
+    span = idx.max(axis=0) + 1
+    order = np.ravel_multi_index(tuple(idx.T), span)  # ascending
+    for signs in itertools.product((1, -1), repeat=grid.dim):
+        part = np.zeros(grid.count)
+        for flips in itertools.product((False, True), repeat=grid.dim):
+            mirrored = np.where(flips, span - 1 - idx, idx)
+            part += math.prod(e for e, f in zip(signs, flips) if f) * v[
+                np.searchsorted(order, np.ravel_multi_index(tuple(mirrored.T), span))]
+        assert np.linalg.norm(part) / 2**grid.dim >= 0.3 * norm
 
 
 SPLIT_GRIDS = {
@@ -225,6 +239,14 @@ SPLIT_GRIDS = {
     "interval-odd": (interval(-1.0, 1.0), 2.0 / 63.0),
     "box": (box((0.0, 0.0), (2.0, 1.5)), 0.125),
     "ball": (ball((0.3, -1.0), 2.0), 0.125),
+    "square-odd": (box((0.0, 0.0), (1.875, 1.875)), 0.125),
+    "ball-centered-odd": (ball((0.0, 0.0), 1.3), 0.2),
+}
+# block sizes: a 15 x 15 square and the ball's 13 x 13 lattice have cells on
+# both mirror lines, which the patterns with a -1 drop
+SPLIT_SECTORS = {
+    "interval-even": [32, 32], "interval-odd": [32, 31], "box": [48] * 4, "ball": [183] * 4,
+    "square-odd": [64, 56, 56, 49], "ball-centered-odd": [31, 25, 25, 20],
 }
 
 
@@ -241,37 +263,38 @@ def test_split_matches_the_full_lapack_solve(name):
     full = np.linalg.eigvalsh(form.entries) / form.mass_scale
     form.dense = None
     s = eig_symmetric(form, n)
-    assert s.source["solver"] == "lapack" and s.source["sectors"] == [n - n // 2, n // 2]
-    assert form.dense is None  # served from the two blocks, no n x n matrix
+    assert s.source["solver"] == "lapack" and s.source["sectors"] == SPLIT_SECTORS[name]
+    assert sum(s.source["sectors"]) == n
+    assert form.dense is None  # served from the blocks, no n x n matrix
     assert np.max(np.abs(s.eigenvalues - full) / np.abs(full)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", SPLIT_GRIDS)
 def test_split_keeps_the_k_smallest_of_both_blocks(name):
-    # k = 40 < n: the merge of the two blocks' values keeps the 40 smallest
-    # of A, and each block holds some of them
+    # k = 40 < n: the merge of the blocks' values keeps the 40 smallest of
+    # A, and each block holds some of them
     form = offset_form(build_grid(*SPLIT_GRIDS[name]))
     full = np.linalg.eigvalsh(form.entries)[:40] / form.mass_scale
     form.dense = None
     s = eig_symmetric(form, 40)
     assert form.dense is None
     assert np.max(np.abs(s.eigenvalues - full) / np.abs(full)) <= 1e-12
-    for parity in (1, -1):
-        assert np.linalg.eigvalsh(form.sector(parity))[0] / form.mass_scale <= s.eigenvalues[-1]
+    for block in form.blocks():
+        assert np.linalg.eigvalsh(block)[0] / form.mass_scale <= s.eigenvalues[-1]
 
 
 def test_asymmetric_grid_takes_the_full_lapack_path():
     grid = _without_cell(build_grid(*SPLIT_GRIDS["ball"]), 0)
-    assert not grid.centrally_symmetric
+    assert grid.mirror_axes == ()
     form = offset_form(grid)
     s = eig_symmetric(form, grid.count)
-    assert s.source["solver"] == "lapack" and "sectors" not in s.source
+    assert s.source == {"cells": grid.count, "solver": "lapack", "sectors": [grid.count]}
     assert np.array_equal(s.eigenvalues, np.linalg.eigvalsh(form.entries) / form.mass_scale)
 
 
 def test_split_needs_a_quarter_of_the_memory(monkeypatch):
-    # 64 cells: the full path needs the 32 KiB matrix plus LAPACK's copy, 64 KiB;
-    # the split needs a 32 x 32 block plus its copy, 16 KiB
+    # 64 cells: the whole matrix plus LAPACK's copy needs 64 KiB; the
+    # largest of the two blocks, 32 x 32, plus its copy 16 KiB
     real_sysconf = os.sysconf
     ram = {"SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: ram.get(name) or real_sysconf(name))
@@ -279,11 +302,26 @@ def test_split_needs_a_quarter_of_the_memory(monkeypatch):
     lopsided = _without_cell(grid, 1)
     ram["SC_PHYS_PAGES"] = 12  # 48 KiB
     assert eig_symmetric(offset_form(grid), 5).source["sectors"] == [32, 32]
-    with pytest.raises(ValueError, match="63 x 63 matrix plus LAPACK's copy"):
+    # without a mirror axis the one block is the whole 63 x 63 matrix
+    with pytest.raises(ValueError, match="63 x 63 block plus LAPACK's copy"):
         eig_symmetric(offset_form(lopsided), 5)
     ram["SC_PHYS_PAGES"] = 3  # 12 KiB: the 8 KiB block fits, its copy does not
     with pytest.raises(ValueError, match="32 x 32 block plus LAPACK's copy"):
         eig_symmetric(offset_form(grid), 5)
+
+
+def test_lapack_solve_holds_one_block_at_a_time():
+    # the 2,048-cell interval at k = 512: two blocks of 1,024 x 1,024, 8 MiB
+    # each; the first is freed before the second is gathered
+    form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048.0))
+    tracemalloc.start()
+    try:
+        s = eig_symmetric(form, 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.source["solver"] == "lapack" and s.source["sectors"] == [1024, 1024]
+    assert peak < 2 * 8 * 1024 * 1024
 
 
 @pytest.mark.parametrize("small, large, k", [
