@@ -573,8 +573,8 @@ def _sweep_values(args) -> np.ndarray:
         raise ValueError(f"{args.parameter} sweep needs positive endpoints")
     if args.parameter == "k":
         values = np.unique(np.rint(np.linspace(args.start, args.stop, args.steps)))
-        if values.size == 0 or values[0] < 1:
-            raise ValueError("k sweep needs integer indices >= 1")
+        if values.size == 0 or values[0] < 1 or values[-1] > 2**53:
+            raise ValueError("k sweep needs integer indices from 1 to 2^53, where floats are exact")
         return values.astype(int)
     if args.steps == 1:
         return np.array([args.start])

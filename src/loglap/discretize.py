@@ -2,10 +2,11 @@
 
 Grids are unions of lattice cells of side ``h`` fully contained in a domain
 (inner approximation, so discrete eigenvalues sit above the true ones by
-min-max).  The bilinear form splits into a singular near-range part, a
-negative far-range tail, and a zero-order shift; for disjoint cells the two
-range parts recombine into one full kernel integral, which is what we
-assemble:
+min-max).  A grid is a boolean mask over its cells' bounding box on the
+lattice; the cells' indices and centers are read from it.  The bilinear form
+splits into a singular near-range part, a negative far-range tail, and a
+zero-order shift; for disjoint cells the two range parts recombine into one
+full kernel integral, which is what we assemble:
 
     off-diagonal:  -c_N * integral over C_i x C_j of |x-y|^(-N)
     diagonal:       c_N * integral over C_i of int_{B_1(x)\\C_i} |x-y|^(-N)
@@ -26,12 +27,12 @@ reduced to the difference variable (a tent weight per axis).  Every slot of
 the table, in 1D and 2D, is within 1e-12 relative of the exact integral.
 
 The table is the operator.  :func:`offset_form` builds it and nothing else;
-it is the size of the lattice's bounding box.  ``QuadFormMatrix.matvec``
-applies the matrix without forming it: the table is embedded in a circulant
-twice the bounding box per axis (rounded up to a fast FFT length) and
-applied with one FFT pair (Chan & Jin, *An Introduction to Iterative
-Toeplitz Solvers*, SIAM 2007); :func:`rayleigh_quotient` is one such
-product.  The dense matrix is a view, ``entries``, gathered on first use in
+it is the size of the grid's mask.  ``QuadFormMatrix.matvec`` applies the
+matrix without forming it: the mask places v in a circulant twice its size
+per axis (rounded up to a fast FFT length) that embeds the table, and one
+FFT pair applies it (Chan & Jin, *An Introduction to Iterative Toeplitz
+Solvers*, SIAM 2007); :func:`rayleigh_quotient` is one such product.
+The dense matrix is a view, ``entries``, gathered on first use in
 row blocks, the same way in every dimension; it needs the 8*n*n-byte matrix
 plus a small fixed block, and a matrix larger than physical memory is
 refused first.  Only ``solve --dump-matrix`` reads it; :func:`assemble_form`
@@ -98,16 +99,36 @@ _CORNER_UNIT_2D = 2.0 * math.pi * math.log(2.0) - 2.0 * _EDGE_UNIT_2D
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Lattice cells of side ``h`` fully inside ``domain``, in lexicographic order."""
+    """Lattice cells of side ``h`` fully inside ``domain``, as a boolean mask.
+
+    ``mask`` covers the cells' bounding box on the lattice, and ``corner`` is
+    the lattice index of ``mask[0, ..., 0]`` counted from the domain's
+    bounding-box corner ``domain.lo``.  The rest is read from the mask: the
+    cells in its lexicographic order, their (count, dim) ``indices`` counted
+    from ``corner`` and their ``centers``.
+    """
 
     domain: Domain
     h: float
-    indices: np.ndarray  # (count, dim) integer lattice coordinates
-    centers: np.ndarray  # (count, dim) cell centers
+    corner: tuple[int, ...]
+    mask: np.ndarray
+
+    def __post_init__(self):
+        if not (isinstance(self.mask, np.ndarray) and self.mask.dtype == bool
+                and self.mask.ndim == self.dim):
+            raise ValueError(f"mask must be a boolean array with {self.dim} axes")
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.argwhere(self.mask)
+
+    @property
+    def centers(self) -> np.ndarray:
+        return np.asarray(self.domain.lo) + (self.indices + self.corner + 0.5) * self.h
 
     @property
     def count(self) -> int:
-        return self.indices.shape[0]
+        return int(np.count_nonzero(self.mask))
 
     @property
     def dim(self) -> int:
@@ -116,12 +137,8 @@ class Grid:
     @property
     def mirror_axes(self) -> tuple[int, ...]:
         """The axes d along which the reflection p_d -> s_d - p_d through the
-        bounding box's center (s = min + max of the indices) maps the cells
-        onto themselves."""
-        idx = self.indices - self.indices.min(axis=0)
-        occupied = np.zeros(idx.max(axis=0) + 1, dtype=bool)  # the bounding box's lattice
-        occupied[tuple(idx.T)] = True
-        return tuple(d for d in range(self.dim) if np.array_equal(occupied, np.flip(occupied, d)))
+        mask's center (s = mask.shape - 1) maps the cells onto themselves."""
+        return tuple(d for d in range(self.dim) if np.array_equal(self.mask, np.flip(self.mask, d)))
 
 
 @dataclass(eq=False)
@@ -133,8 +150,7 @@ class QuadFormMatrix:
     The generalized eigenproblem is A v = lambda * mass_scale * v with
     mass_scale = h^N (the indicator basis is orthogonal with that norm).
     ``dense`` holds the gathered matrix once :attr:`entries` has been read;
-    ``symbol`` the circulant's spectrum and ``scatter`` the cells' flat
-    positions in the circulant's lattice once :meth:`matvec` has run.
+    ``symbol`` the circulant's spectrum once :meth:`matvec` has run.
     """
 
     grid: Grid
@@ -142,7 +158,6 @@ class QuadFormMatrix:
     mass_scale: float
     dense: np.ndarray | None = field(default=None, repr=False)
     symbol: np.ndarray | None = field(default=None, repr=False)
-    scatter: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def entries(self) -> np.ndarray:
@@ -162,7 +177,7 @@ class QuadFormMatrix:
         The reflections r_T along subsets T of the mirror axes commute with A.
         The block of a sign pattern e (+1 or -1 per mirror axis, in the order
         of ``itertools.product((1, -1), ...)``) has one cell p per orbit,
-        2*p_d <= s_d on each mirror axis d (s = min + max of the indices),
+        2*p_d <= s_d on each mirror axis d (s = mask.shape - 1),
         less those on the mirror line of an axis with sign -1, and entries
         B[p, q] = sum_T (prod_{d in T} e_d) A[p, r_T q] / sqrt(|Stab p| |Stab q|)
         (Cantoni & Butler, Linear Algebra Appl. 13, 1976, for one axis).  All
@@ -172,7 +187,7 @@ class QuadFormMatrix:
         """
         idx = self.grid.indices
         axes = list(self.grid.mirror_axes)
-        s = idx.min(axis=0) + idx.max(axis=0)
+        s = np.array(self.grid.mask.shape) - 1
         lines = 2 * idx[:, axes] - s[axes]  # 0 on an axis's mirror line
         first = np.all(lines <= 0, axis=1)  # one cell per orbit
         for signs in itertools.product((1, -1), repeat=len(axes)):
@@ -192,22 +207,19 @@ class QuadFormMatrix:
         """The product A v, by one FFT pair on the circulant embedding of the table."""
         v = np.asarray(v, dtype=float).ravel()
         if v.shape[0] != self.grid.count:
-            raise ValueError(
-                f"vector has length {v.shape[0]}, grid has {self.grid.count} cells"
-            )
+            raise ValueError(f"vector has length {v.shape[0]}, grid has {self.grid.count} cells")
         axes = tuple(range(self.table.ndim))
         shape = tuple(_fft_length(2 * size - 1) for size in self.table.shape)
         if self.symbol is None:
             # The circulant's first column is even, so its spectrum is real;
             # the imaginary part is rounding.
             self.symbol = np.fft.rfftn(_circulant(self.table, shape), axes=axes).real.copy()
-            cells = (self.grid.indices - self.grid.indices.min(axis=0)).T
-            self.scatter = np.ravel_multi_index(tuple(cells), shape)
-        x = np.zeros(math.prod(shape))
-        x[self.scatter] = v
-        x = np.fft.rfftn(x.reshape(shape), axes=axes)
+        box = tuple(map(slice, self.table.shape))  # the mask's place in the circulant
+        x = np.zeros(shape)
+        x[box][self.grid.mask] = v
+        x = np.fft.rfftn(x, axes=axes)
         x *= self.symbol
-        return np.fft.irfftn(x, s=shape, axes=axes).ravel()[self.scatter]
+        return np.fft.irfftn(x, s=shape, axes=axes)[box][self.grid.mask]
 
 
 def build_grid(domain: Domain, h: float) -> Grid:
@@ -218,12 +230,15 @@ def build_grid(domain: Domain, h: float) -> Grid:
     are ordered lexicographically by lattice index, which makes every
     downstream computation deterministic, and dyadic refinement h -> h/2
     splits each cell into 2^N children of the finer grid (nested subspaces).
-    A bounding-box lattice too large for physical memory raises ``ValueError``.
+    A bounding-box lattice too large for physical memory, or of more than
+    2^63 cells, raises ``ValueError``.
     """
     if not (0.0 < h <= MAX_CELL_SIDE) or not math.isfinite(h):
         raise ValueError(f"cell side must lie in (0, {MAX_CELL_SIDE}], got {h!r}")
     lo = np.asarray(domain.lo, dtype=float)
     sides = np.asarray(domain.hi, dtype=float) - lo
+    if not math.prod(float(s) / h for s in sides) < 2**63:  # the int64 lattice indices' range
+        raise ValueError(f"cell side {h!r} gives a lattice of more than 2^63 cells")
 
     # Snap h to divide the first bounding-box side; the cap keeps the
     # snapped value admissible when h was close to 1/2.
@@ -237,22 +252,25 @@ def build_grid(domain: Domain, h: float) -> Grid:
                 f"cell side {h!r} cannot tile the bounding box sides {tuple(sides)!r}"
             )
         counts.append(ni)
-    # the build's peak: 32 bytes per cell and axis for an interval or box, 48 for a ball
-    _require_memory(48 * len(counts) * math.prod(counts), f"a lattice of {math.prod(counts)} cells")
-
-    grids = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)  # lexicographic
-    centers = lo + (idx + 0.5) * h_eff
+    # the build's peak, 9 bytes per lattice cell: a ball's distances and mask
+    _require_memory(9 * math.prod(counts), f"a lattice of {math.prod(counts)} cells")
 
     if domain.kind == "ball":
-        far = np.abs(centers - domain.center) + 0.5 * h_eff
-        keep = np.linalg.norm(far, axis=1) <= domain.radius + 1e-12
-        idx, centers = idx[keep], centers[keep]
-    # interval/box cells tile the domain exactly; nothing to discard.
-
-    if idx.shape[0] == 0:
+        # Keep the cells whose far corner |center - domain.center| + h/2 is in the ball,
+        # by the operations of its norm; arrays lead, so numpy reuses the temporaries.
+        squares = [((abs(np.arange(0.5, n) * h_eff + lo[d] - c) + 0.5 * h_eff) ** 2)
+                   .reshape([-1 if a == d else 1 for a in range(len(counts))])
+                   for d, (n, c) in enumerate(zip(counts, domain.center))]
+        dist = sum(squares[1:], squares[0])
+        mask = np.sqrt(dist, out=dist) <= domain.radius + 1e-12
+        del squares, dist
+    else:
+        mask = np.ones(counts, dtype=bool)  # interval/box cells tile the domain exactly
+    if not mask.any():
         raise ValueError("no cell of this size fits inside the domain")
-    return Grid(domain=domain, h=h_eff, indices=idx, centers=centers)
+    kept = [mask.any(axis=tuple(a for a in range(mask.ndim) if a != d)) for d in range(mask.ndim)]
+    box = tuple(slice(int(k.argmax()), k.size - int(k[::-1].argmax())) for k in kept)
+    return Grid(domain, h_eff, tuple(b.start for b in box), mask[box].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +367,8 @@ def _require_memory(nbytes: int, what: str) -> None:
 def offset_form(grid: Grid, constants: DimensionConstants | None = None) -> QuadFormMatrix:
     """The energy form on a grid as its offset table, without the dense matrix.
 
-    The table is the size of the lattice's bounding box; its off-diagonal
-    slots are strictly negative (the kernel is positive).
+    The table is the size of the grid's mask; its off-diagonal slots are
+    strictly negative (the kernel is positive).
     """
     if constants is None:
         constants = dimension_constants(grid.dim)
@@ -359,7 +377,7 @@ def offset_form(grid: Grid, constants: DimensionConstants | None = None) -> Quad
             f"constants are for dimension {constants.dim}, grid has dimension {grid.dim}"
         )
     h = grid.h
-    spans = np.ptp(grid.indices, axis=0).tolist()
+    spans = [size - 1 for size in grid.mask.shape]
     if grid.dim == 1:
         table = _entry_row_1d(spans[0], h, constants)
     elif grid.dim == 2:
@@ -459,13 +477,9 @@ def rayleigh_quotient(matrix: QuadFormMatrix, coefficients) -> float:
     By min-max this is an upper bound for the smallest discrete eigenvalue,
     hence also for the smallest true eigenvalue (inner approximation).
     A v is one :meth:`QuadFormMatrix.matvec`: the dense matrix is never
-    gathered, and the memory needed is linear in the lattice's bounding box.
+    gathered, and the memory needed is linear in the size of the grid's mask.
     """
     v = np.asarray(coefficients, dtype=float).ravel()
-    if v.shape[0] != matrix.grid.count:
-        raise ValueError(
-            f"coefficient vector has length {v.shape[0]}, grid has {matrix.grid.count} cells"
-        )
     denom = float(v @ v)
     if denom == 0.0:
         raise ValueError("coefficient vector must not be identically zero")

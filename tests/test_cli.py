@@ -16,6 +16,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +211,23 @@ def test_solve_refuses_lattice_larger_than_memory(monkeypatch, capsys):
     assert "a lattice of 40000000000 cells needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [
+    ["--domain", "interval", "--length", "2", "--h", "1e-308"],
+    ["--domain", "ball", "--radius", "1e300", "--h", "0.5"],
+], ids=["tiny-cell", "huge-radius"])
+def test_solve_refuses_a_lattice_beyond_its_index_range(grid, capsys):
+    # lattices of infinitely many or about 1.6e601 cells: refused with a
+    # message before any size in bytes is formatted or anything allocated
+    tracemalloc.start()
+    try:
+        assert main(["solve", *grid, "--num-eigs", "1"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "a lattice of more than 2^63 cells" in capsys.readouterr().err
+    assert peak <= 2**20
+
+
 def test_solve_refuses_eigensolve_larger_than_memory(monkeypatch, capsys):
     # 64 cells: the matrix takes 32 KiB; the eigensolve runs on a 32 x 32 block
     # at a time and needs the block plus LAPACK's copy, 16 KiB.  48 KiB of
@@ -253,7 +272,7 @@ def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
     assert [(s["cells"], s["solver"]) for s in solves] == [(2048, "lanczos")]
 
 
-def test_arpack_failure_exits_2(monkeypatch, capsys):
+def test_lanczos_failure_exits_2(monkeypatch, capsys):
     # with no restart allowed, the first 20-vector Lanczos basis does not
     # reach the convergence test (that solve takes 3 restarts)
     monkeypatch.setattr("loglap.spectrum._LANCZOS_MAX_RESTARTS", 0)
@@ -301,7 +320,7 @@ def test_solve_checks_delta_before_the_eigensolve(monkeypatch, tmp_path):
         assert list(tmp_path.iterdir()) == [], flags
 
 
-def test_arpack_solve_is_independent_of_blas_threads(tmp_path):
+def test_lanczos_solve_is_independent_of_blas_threads(tmp_path):
     # the same Lanczos solve under 1 and 2 OpenBLAS threads writes the same bytes
     runs = []
     for threads in ("1", "2"):
@@ -592,6 +611,17 @@ def test_sweep_range_errors(tmp_path):
                  "--start", "0", "--stop", "0", "--steps", "1"]) == 1
     assert main(["sweep", "--parameter", "k", "--domain", "interval", "--length", "2",
                  "--start", "5", "--stop", "40"]) == 1   # --steps required
+
+
+def test_sweep_refuses_k_beyond_the_exact_integers_of_floats(capsys):
+    # 1e30 has no int64 cast: refused with the limit named, with no warning
+    # from the cast and no wrapped-around index in the message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--parameter", "k", "--domain", "interval", "--length", "2",
+                     "--start", "1", "--stop", "1e30", "--steps", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "from 1 to 2^53" in err and "-9223372036854775808" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,30 @@ def test_grid_snapping():
     assert g.h == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "domain, h",
+    [
+        (ball((0.0, 0.0), 64.0), 0.125),
+        (box((0.0, 0.0), (128.0, 128.0)), 0.125),
+        (interval(0.0, 2.0**17), 0.125),
+        (ball((0.3,), 2.0**16), 0.125),
+    ],
+    ids=["ball", "box", "interval", "ball-1d"],
+)
+def test_grid_build_peaks_at_the_lattice_refusal_and_returns_its_mask(domain, h):
+    # each bounding-box lattice has 2^20 cells; the refusal of a lattice too
+    # large for memory counts 9 bytes per cell, a ball's distances and mask,
+    # and the grid kept is its mask, a byte per cell at most
+    tracemalloc.start()
+    try:
+        grid = build_grid(domain, h)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20 + 2**16
+    assert kept <= 2**20 + 2**12 and grid.mask.size <= 2**20
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         build_grid(interval(-1.0, 1.0), 0.75)  # above the 1/2 cap
@@ -276,17 +300,21 @@ def test_assembly_peak_memory_is_the_matrix_plus_a_small_block(domain, h):
 
 
 @pytest.mark.parametrize(
-    "domain, h",
+    "domain, h, pad_axis",
     [
-        (interval(-1.0, 1.0), 2.0 / 2048.0),
-        (box((0.0, 0.0), (3.0, 2.0)), 1.0 / 16.0),
-        (ball((0.0, 0.0), 4.0), 0.125),
-        (ball((0.3, -0.1), 1.3), 0.1),  # lattice indices start above zero
+        (interval(-1.0, 1.0), 2.0 / 2048.0, None),
+        (box((0.0, 0.0), (3.0, 2.0)), 1.0 / 16.0, None),
+        (ball((0.0, 0.0), 4.0), 0.125, None),
+        (ball((0.3, -0.1), 1.3), 0.1, None),  # the mask's corner is not the lattice's
+        (ball((0.3, -0.1), 1.3), 0.1, 1),  # one empty border row on axis 1
     ],
-    ids=["interval", "box", "ball", "offcenter-ball"],
+    ids=["interval", "box", "ball", "offcenter-ball", "offcenter-ball-empty-row"],
 )
-def test_matvec_matches_dense_product(domain, h):
-    form = offset_form(build_grid(domain, h))
+def test_matvec_matches_dense_product(domain, h, pad_axis):
+    grid = build_grid(domain, h)
+    if pad_axis is not None:
+        grid = _padded(grid, pad_axis, 0, 1)
+    form = offset_form(grid)
     assert form.dense is None  # no matrix until one is asked for
     v = np.random.default_rng(5).standard_normal((2, form.grid.count))
     got = [form.matvec(x) for x in v]
@@ -373,9 +401,16 @@ def test_blocks_are_the_matrix_in_the_sign_pattern_bases(grid):
 
 
 def _without_cells(grid: Grid, *drop: int) -> Grid:
-    keep = ~np.isin(np.arange(grid.count), drop)
-    return Grid(domain=grid.domain, h=grid.h, indices=grid.indices[keep],
-                centers=grid.centers[keep])
+    mask = grid.mask.copy()
+    mask[tuple(grid.indices[list(drop)].T)] = False
+    return Grid(domain=grid.domain, h=grid.h, corner=grid.corner, mask=mask)
+
+
+def _padded(grid: Grid, axis: int, before: int, after: int) -> Grid:
+    """The same cells on a mask with empty rows added at the ends of ``axis``."""
+    widths = [(before, after) if d == axis else (0, 0) for d in range(grid.dim)]
+    corner = tuple(c - before * (d == axis) for d, c in enumerate(grid.corner))
+    return Grid(domain=grid.domain, h=grid.h, corner=corner, mask=np.pad(grid.mask, widths))
 
 
 def test_grid_without_a_mirror_axis_is_one_block():
@@ -394,6 +429,29 @@ def test_grid_with_one_mirror_axis_has_two_blocks():
     grid = _without_cells(build_grid(box((0.0, 0.0), (1.25, 0.75)), 0.25), 0, 12)
     assert grid.count == 13 and grid.mirror_axes == (0,)
     _assert_blocks_are_the_matrix_in_the_sign_pattern_bases(grid)
+
+
+def test_mask_with_an_empty_border_row_keeps_its_cells_and_loses_only_that_mirror():
+    # an empty row at one end moves the mask's center off the cells' center,
+    # so that axis is no longer reported as a mirror; the other one still is
+    tight = build_grid(ball((0.3, -0.1), 1.3), 0.1)
+    for axis in (0, 1):
+        grid = _padded(tight, axis, 1, 0)
+        assert grid.count == tight.count and grid.mask.shape[axis] == tight.mask.shape[axis] + 1
+        assert np.array_equal(grid.centers, tight.centers)
+        assert grid.mirror_axes == (1 - axis,)
+        _assert_blocks_are_the_matrix_in_the_sign_pattern_bases(grid)
+    # an empty row at both ends keeps the center, and the mirror
+    both = _padded(tight, 0, 1, 1)
+    assert both.mirror_axes == (0, 1)
+    _assert_blocks_are_the_matrix_in_the_sign_pattern_bases(both)
+
+
+def test_grid_refuses_a_mask_that_is_not_boolean_with_one_axis_per_dimension():
+    grid = build_grid(ball((0.0, 0.0), 1.0), 0.25)
+    for mask in (grid.mask.astype(int), grid.mask.ravel(), grid.mask.tolist()):
+        with pytest.raises(ValueError, match="boolean array with 2 axes"):
+            Grid(domain=grid.domain, h=grid.h, corner=grid.corner, mask=mask)
 
 
 # -------------------------------------------------- Rayleigh quotients
