@@ -22,12 +22,14 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import random
 import sys
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -86,15 +88,12 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _emit_csv(out: str | None, header: list[str], rows: list[list]) -> None:
-    lines = [SCHEMA_LINE, ",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit_csv(out: str | None, header: list[str], rows: Iterable) -> None:
+    """Write the schema line, the header and one line per row, a line at a time."""
+    with open(out, "w", newline="\n") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(f"{SCHEMA_LINE}\n{','.join(header)}\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _emit_json(out: str | None, payload: dict) -> None:
@@ -242,6 +241,9 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.num_eigs is not None and args.variant == "corrected":
+        raise ValueError("the sum bound of --num-eigs has only the variants 'statement' "
+                         "and 'proof'; 'corrected' is for the smallest eigenvalue alone")
     domain = _domain_from_args(args)
     constants = dimension_constants(domain.dim)
     c0 = args.c0 if args.c0 is not None else _default_c0(domain)
@@ -293,9 +295,10 @@ def _cmd_solve(args) -> int:
     t1 = time.perf_counter()
     # --dump-matrix gathers before the solve: a matrix too large for memory
     # is refused before any output.
-    matrix = assemble_form(grid) if args.dump_matrix else offset_form(grid)
+    dense = assemble_form(grid) if args.dump_matrix else None
+    form = offset_form(grid)
     t2 = time.perf_counter()
-    spectrum = eig_symmetric(matrix, args.num_eigs)
+    spectrum = eig_symmetric(form, args.num_eigs)
     t3 = time.perf_counter()
     table = weyl_diagnostics(spectrum)
 
@@ -304,9 +307,7 @@ def _cmd_solve(args) -> int:
     _emit_csv(args.out, header, [list(r) for r in zip(*(table[c] for c in columns))])
 
     if args.dump_matrix:
-        _emit_csv(args.dump_matrix,
-                  [f"col{j}" for j in range(grid.count)],
-                  [list(row) for row in matrix.entries])
+        _emit_csv(args.dump_matrix, [f"col{j}" for j in range(grid.count)], dense)
 
     if args.delta is not None:
         env_out = None
@@ -797,6 +798,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"loglap: error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:  # e.g. the volume of a ball of radius 1e300
+        print(f"loglap: error: a value overflows the float range ({exc.args[-1]})",
+              file=sys.stderr)
         return 1
 
 

@@ -32,11 +32,11 @@ matrix without forming it: the mask places v in a circulant twice its size
 per axis (rounded up to a fast FFT length) that embeds the table, and one
 FFT pair applies it (Chan & Jin, *An Introduction to Iterative Toeplitz
 Solvers*, SIAM 2007); :func:`rayleigh_quotient` is one such product.
-The dense matrix is a view, ``entries``, gathered on first use in
-row blocks, the same way in every dimension; it needs the 8*n*n-byte matrix
-plus a small fixed block, and a matrix larger than physical memory is
-refused first.  Only ``solve --dump-matrix`` reads it; :func:`assemble_form`
-is :func:`offset_form` plus that gather.  The eigensolver reads
+The dense matrix is a view that the form never holds: :func:`assemble_form`
+returns it, gathered from the table in row blocks, the same way in every
+dimension; it needs the 8*n*n-byte matrix plus a small fixed block, and a
+matrix larger than physical memory is refused first.  Only
+``solve --dump-matrix`` asks for it.  The eigensolver reads
 ``QuadFormMatrix.blocks``: A commutes with the reflection along each mirror
 axis of the grid (every grid :func:`build_grid` makes has all its axes), so
 it splits into one block per sign pattern of those axes, two of about n/2
@@ -149,26 +149,17 @@ class QuadFormMatrix:
     grid's cells (absolute offset per axis, diagonal in slot (0, ..., 0)).
     The generalized eigenproblem is A v = lambda * mass_scale * v with
     mass_scale = h^N (the indicator basis is orthogonal with that norm).
-    ``dense`` holds the gathered matrix once :attr:`entries` has been read;
-    ``symbol`` the circulant's spectrum once :meth:`matvec` has run.
+    The form holds no n x n matrix (:func:`assemble_form` returns one);
+    ``symbol`` holds the circulant's spectrum once :meth:`matvec` has run.
     """
 
     grid: Grid
     table: np.ndarray
-    mass_scale: float
-    dense: np.ndarray | None = field(default=None, repr=False)
     symbol: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def entries(self) -> np.ndarray:
-        """The dense n x n matrix, gathered from the table on first use.
-
-        Raises ``ValueError`` when its 8*n*n bytes exceed physical memory.
-        """
-        if self.dense is None:
-            idx = self.grid.indices
-            self.dense = _gather(idx, self.table, [idx], [1], np.ones(len(idx)))
-        return self.dense
+    def mass_scale(self) -> float:
+        return self.grid.h ** self.grid.dim
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The blocks of the matrix in the sign-pattern basis of the grid's
@@ -235,21 +226,21 @@ def build_grid(domain: Domain, h: float) -> Grid:
     """
     if not (0.0 < h <= MAX_CELL_SIDE) or not math.isfinite(h):
         raise ValueError(f"cell side must lie in (0, {MAX_CELL_SIDE}], got {h!r}")
-    lo = np.asarray(domain.lo, dtype=float)
-    sides = np.asarray(domain.hi, dtype=float) - lo
-    if not math.prod(float(s) / h for s in sides) < 2**63:  # the int64 lattice indices' range
+    lo = domain.lo
+    sides = tuple(b - a for a, b in zip(lo, domain.hi))
+    if not math.prod(s / h for s in sides) < 2**63:  # the int64 lattice indices' range
         raise ValueError(f"cell side {h!r} gives a lattice of more than 2^63 cells")
 
     # Snap h to divide the first bounding-box side; the cap keeps the
     # snapped value admissible when h was close to 1/2.
     n0 = max(int(round(sides[0] / h)), int(math.ceil(sides[0] / MAX_CELL_SIDE - 1e-12)))
-    h_eff = float(sides[0]) / n0
+    h_eff = sides[0] / n0
     counts = []
     for s in sides:
         ni = int(round(s / h_eff))
         if ni < 1 or abs(ni * h_eff - s) > 1e-9 * max(1.0, s):
             raise ValueError(
-                f"cell side {h!r} cannot tile the bounding box sides {tuple(sides)!r}"
+                f"cell side {h!r} cannot tile the bounding box sides {sides!r}"
             )
         counts.append(ni)
     # the build's peak, 9 bytes per lattice cell: a ball's distances and mask
@@ -364,18 +355,13 @@ def _require_memory(nbytes: int, what: str) -> None:
         )
 
 
-def offset_form(grid: Grid, constants: DimensionConstants | None = None) -> QuadFormMatrix:
+def offset_form(grid: Grid) -> QuadFormMatrix:
     """The energy form on a grid as its offset table, without the dense matrix.
 
     The table is the size of the grid's mask; its off-diagonal slots are
     strictly negative (the kernel is positive).
     """
-    if constants is None:
-        constants = dimension_constants(grid.dim)
-    elif constants.dim != grid.dim:
-        raise ValueError(
-            f"constants are for dimension {constants.dim}, grid has dimension {grid.dim}"
-        )
+    constants = dimension_constants(grid.dim)
     h = grid.h
     spans = [size - 1 for size in grid.mask.shape]
     if grid.dim == 1:
@@ -385,19 +371,20 @@ def offset_form(grid: Grid, constants: DimensionConstants | None = None) -> Quad
         table[0, 0] = _diagonal_entry_2d(h, constants)
     else:
         raise ValueError(f"assembly supports dimensions 1 and 2, got {grid.dim}")
-    return QuadFormMatrix(grid=grid, table=table, mass_scale=h**grid.dim)
+    return QuadFormMatrix(grid=grid, table=table)
 
 
-def assemble_form(grid: Grid, constants: DimensionConstants | None = None) -> QuadFormMatrix:
-    """:func:`offset_form` with the dense matrix gathered.
+def assemble_form(grid: Grid) -> np.ndarray:
+    """The dense n x n matrix of :func:`offset_form`, gathered from its table.
 
     For writing the matrix out (``solve --dump-matrix``); solves and
-    Rayleigh quotients need only the table.  Raises ``ValueError`` when the
-    matrix would not fit in physical memory.
+    Rayleigh quotients need only the table.  Raises ``ValueError`` before
+    anything is allocated when the matrix would not fit in physical memory.
     """
-    form = offset_form(grid, constants)
-    form.entries  # gathers the matrix into ``form.dense``
-    return form
+    idx = grid.indices
+    n = len(idx)
+    _require_memory(8 * n * n, f"a dense {n} x {n} matrix")
+    return _gather(idx, offset_form(grid).table, [idx], [1], np.ones(n))
 
 
 def _gather(cells: np.ndarray, table: np.ndarray, partners: list, weights: list,
@@ -407,10 +394,10 @@ def _gather(cells: np.ndarray, table: np.ndarray, partners: list, weights: list,
     the lattice coordinates p of the ``cells`` (count x dim) and each
     ``partners[t]`` of that shape; the first is ``cells`` with weight 1.
     Symmetric positions read the same slots, so the result equals its
-    transpose bit for bit.  Peak memory is the result plus three blocks.
+    transpose bit for bit.  Peak memory is the result plus three blocks;
+    callers refuse a result too large for physical memory first.
     """
     size = cells.shape[0]
-    _require_memory(8 * size * size, f"a dense {size} x {size} matrix")
     cols = cells.T  # (dim, size) lattice coordinates
     strides = [math.prod(table.shape[d + 1 :]) for d in range(table.ndim)]  # C order
     entries = np.empty((size, size))

@@ -225,7 +225,7 @@ def ball(center, radius: float) -> Domain:
     return Domain(
         kind="ball",
         dim=ctr.size,
-        lo=tuple(ctr - r),
-        hi=tuple(ctr + r),
+        lo=tuple((ctr - r).tolist()),
+        hi=tuple((ctr + r).tolist()),
         radius=r,
     )

@@ -32,6 +32,7 @@ from loglap.constants import dimension_constants
 from loglap.discretize import (
     assemble_form,
     build_grid,
+    offset_form,
     plane_wave_symbol_1d,
     rayleigh_quotient,
 )
@@ -99,7 +100,7 @@ def test_criterion_04_assembly_matches_quadrature():
     worst_1d = 0.0
     for h in (0.125, 0.0625, 0.03125):
         grid = build_grid(interval(-4.0 * h, 4.0 * h), h)
-        entries = assemble_form(grid).entries
+        entries = assemble_form(grid)
         for i in range(8):
             for j in range(8):
                 if i == j:
@@ -112,7 +113,7 @@ def test_criterion_04_assembly_matches_quadrature():
     c2 = dimension_constants(2)
     h = 0.25
     grid = build_grid(box((0.0, 0.0), (0.75, 0.75)), h)
-    entries = assemble_form(grid).entries
+    entries = assemble_form(grid)
     pair_refs = {
         (0, 1): oracles.edge_pair_2d(h),
         (1, 1): oracles.corner_pair_2d(h),
@@ -140,7 +141,7 @@ def test_criterion_05_refinement_monotonicity():
     lam = []
     for p in (3, 4, 5, 6):
         grid = build_grid(interval(-1.0, 1.0), 2.0 ** -p)
-        lam.append(float(eig_symmetric(assemble_form(grid), 1).eigenvalues[0]))
+        lam.append(float(eig_symmetric(offset_form(grid), 1).eigenvalues[0]))
     ok = all(b <= a + 1e-12 for a, b in zip(lam, lam[1:]))
     assert verdict(5, ok, "lambda_1 at h = 2^-3..2^-6: "
                    + " >= ".join(f"{v:.9f}" for v in lam))
@@ -152,7 +153,7 @@ def test_criterion_06_bound_sandwich():
     ok = True
     for length in (0.5, 1.0, 2.0, 4.0):
         grid = build_grid(interval(-length / 2.0, length / 2.0), 1.0 / 128.0)
-        lam1 = float(eig_symmetric(assemble_form(grid), 1).eigenvalues[0])
+        lam1 = float(eig_symmetric(offset_form(grid), 1).eigenvalues[0])
         floor = -d1 * length
         good = lam1 >= floor - 1e-10
         if length == 1.0:
@@ -164,7 +165,7 @@ def test_criterion_06_bound_sandwich():
 
 def test_criterion_07_sum_bounds():
     grid = build_grid(interval(-1.0, 1.0), 1.0 / 256.0)
-    spectrum = eig_symmetric(assemble_form(grid), 30)
+    spectrum = eig_symmetric(offset_form(grid), 30)
     psums = np.cumsum(spectrum.eigenvalues)
     c1 = dimension_constants(1)
     bound = lower_bound_sum(c1, 2.0, 30).values["refined"]
@@ -190,7 +191,7 @@ def test_criterion_08_upper_bound_chain():
     for radius in (4.0, 8.0):
         domain = ball((0.0, 0.0), radius)
         grid = build_grid(domain, radius / 40.0)
-        matrix = assemble_form(grid)
+        matrix = offset_form(grid)
         coeffs = np.array([domain.test_function(spec, tuple(x))
                            for x in grid.centers])
         quotient = rayleigh_quotient(matrix, coeffs)
@@ -237,7 +238,7 @@ def test_criterion_09_moment_inequality_sharpness():
 
 def test_criterion_10_weyl_trend():
     grid = build_grid(interval(-1.0, 1.0), 1.0 / 512.0)
-    spectrum = eig_symmetric(assemble_form(grid), 100)
+    spectrum = eig_symmetric(offset_form(grid), 100)
     table = weyl_diagnostics(spectrum)
     window = slice(49, 100)
     med = float(np.median(table["eigenvalue_over_log_k"][window]))

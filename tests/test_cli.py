@@ -393,6 +393,31 @@ def test_solve_dump_matrix_and_envelope(tmp_path):
     assert np.all(column(header, rows, "upper_envelope") >= 0.0)
 
 
+def test_dump_matrix_holds_the_matrix_and_one_line(tmp_path):
+    # 1,696 cells: the matrix is 21.9 MiB, the 8*n*n bytes the memory refusal
+    # counts.  The dump writes it a line at a time; a copy of it as Python
+    # lists and one string of the whole file took the peak to 307 MiB
+    matrix = tmp_path / "matrix.csv"
+    argv = ["solve", "--domain", "ball", "--radius", "3", "--h", "0.125", "--num-eigs", "5",
+            "--out", str(tmp_path / "run.csv"), "--dump-matrix", str(matrix)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2**20
+    with open(matrix) as fh:
+        assert sum(1 for _ in fh) == 2 + 1696
+
+
+def test_solve_tiling_error_names_plain_numbers(capsys):
+    assert main(["solve", "--domain", "box", "--side", "1,0.3", "--h", "0.25",
+                 "--num-eigs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "cannot tile the bounding box sides (1.0, 0.3)" in err and "np." not in err
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -489,6 +514,24 @@ def test_bounds_box_outside_the_sandwich_has_no_default_c0(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["c0"] == 3.0
     assert {"upper_large", "upper_small"} <= set(payload["reports"])
+
+
+def test_bounds_refuses_the_corrected_variant_with_the_sum_bound(monkeypatch, capsys):
+    # --variant applies to the smallest-eigenvalue bound and, with --num-eigs,
+    # to the sum bound too, which has no 'corrected' variant
+    assert main(["bounds", "--domain", "ball", "--radius", "4", "--variant", "corrected"]) == 0
+    capsys.readouterr()
+
+    def no_bound(*args, **kwargs):
+        raise AssertionError("a bound was computed before the refusal")
+
+    monkeypatch.setattr("loglap.cli.lower_bound_smallest", no_bound)
+    assert main(["bounds", "--domain", "ball", "--radius", "4", "--num-eigs", "30",
+                 "--variant", "corrected"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the sum bound of --num-eigs has only the variants 'statement' and 'proof'" \
+        in captured.err
 
 
 def test_bounds_domain_required():
@@ -666,6 +709,24 @@ def test_version_and_usage(capsys):
     assert main(["--version"]) == 0
     assert "loglap" in capsys.readouterr().out
     assert main([]) == 1                              # subcommand required
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--domain", "ball", "--radius", "1e300"],
+    ["bounds", "--domain", "ball", "--radius", "1e300", "--h", "0.5", "--sigma", "1"],
+    ["sweep", "--parameter", "radius", "--start", "1e200", "--stop", "1e300", "--steps", "2"],
+    ["sweep", "--parameter", "radius", "--start", "1e200", "--stop", "1e300", "--steps", "2",
+     "--c0", "7"],
+    ["sweep", "--parameter", "k", "--domain", "ball", "--radius", "1e300",
+     "--start", "1", "--stop", "3", "--steps", "3"],
+], ids=["bounds", "bounds-sigma", "sweep-radius", "sweep-radius-c0", "sweep-k"])
+def test_float_overflow_exits_1_with_a_message(argv, capsys):
+    # a radius of 1e300 (or a ball of twice 1e200 in the radius sweep) gives
+    # a volume past the float range
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("loglap: error: a value overflows the float range")
 
 
 def test_seed_and_sweep_variant_flags_rejected(capsys):

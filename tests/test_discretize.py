@@ -113,7 +113,7 @@ def test_grid_validation():
 
 def test_1d_entries_pinned():
     g = build_grid(interval(0.0, 2.0), 0.25)
-    a = assemble_form(g).entries
+    a = assemble_form(g)
     assert a[0, 1] == pytest.approx(-0.3465736, abs=1e-7)
     rho1 = -2.0 * EULER_GAMMA
     diag = 2.0 * 0.25 * (1.0 - math.log(0.25)) + rho1 * 0.25
@@ -127,7 +127,7 @@ def test_1d_entries_match_quadrature_oracle():
     for h in (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0):
         g = build_grid(interval(0.0, 8.0 * h), h)
         assert g.count == 8
-        a = assemble_form(g).entries
+        a = assemble_form(g)
         diag_ref = c1.kernel_constant * oracles.diagonal_inner_1d(h) + rho1 * h
         for i in range(8):
             assert abs(a[i, i] - diag_ref) <= 1e-8 * abs(diag_ref)
@@ -143,7 +143,7 @@ def test_1d_far_entries_match_exact_second_difference():
     # loses eps*m^2, which is 2.5e-9 relative at m = 4095.
     g = build_grid(interval(-1.0, 1.0), 2.0 / 4096.0)
     assert g.count == 4096
-    a = assemble_form(g).entries
+    a = assemble_form(g)
     c1 = dimension_constants(1)
 
     def x_ln_x(k):
@@ -163,7 +163,7 @@ def test_structure_invariants():
         (box((0.0, 0.0), (1.0, 0.75)), 0.25),
         (ball((0.0, 0.0), 1.0), 0.25),
     ]:
-        a = assemble_form(build_grid(dom, h)).entries
+        a = assemble_form(build_grid(dom, h))
         assert np.array_equal(a, a.T)  # bit-for-bit symmetric
         off = a[~np.eye(a.shape[0], dtype=bool)]
         assert np.all(off < 0.0)
@@ -171,13 +171,7 @@ def test_structure_invariants():
 
 def test_assembly_deterministic():
     g = build_grid(ball((0.0, 0.0), 1.0), 0.25)
-    assert np.array_equal(assemble_form(g).entries, assemble_form(g).entries)
-
-
-def test_constants_dimension_mismatch():
-    g = build_grid(interval(-1.0, 1.0), 0.25)
-    with pytest.raises(ValueError):
-        assemble_form(g, dimension_constants(2))
+    assert np.array_equal(assemble_form(g), assemble_form(g))
 
 
 # ------------------------------------------------------- 2D assembly
@@ -188,7 +182,7 @@ def test_2d_entries_match_reduced_oracles():
     c2 = dimension_constants(2)
     g = build_grid(box((0.0, 0.0), (3.0 * h, 3.0 * h)), h)
     assert g.count == 9
-    a = assemble_form(g).entries
+    a = assemble_form(g)
     idx = g.indices
 
     def entry(offset_a, offset_b):
@@ -251,7 +245,7 @@ def test_ball_matrix_invariant_under_swapping_axes():
     # the ball's cell set is symmetric under (i, j) -> (j, i), and so is the
     # kernel; the matrix must be too, bit for bit
     g = build_grid(ball((0.0, 0.0), 4.0), 0.125)
-    a = assemble_form(g).entries
+    a = assemble_form(g)
     position = {(int(i), int(j)): k for k, (i, j) in enumerate(g.indices)}
     swap = [position[(int(j), int(i))] for i, j in g.indices]
     assert np.array_equal(a[np.ix_(swap, swap)], a)
@@ -274,8 +268,8 @@ def test_2d_frozen_oracle_values_reproduce():
 def test_2d_offdiagonal_scales_quadratically():
     # unit-scale offset table means off-diagonal entries are proportional
     # to h^2; compare two grids with the same 3x3 index pattern
-    big = assemble_form(build_grid(box((0.0, 0.0), (0.75, 0.75)), 0.25)).entries
-    small = assemble_form(build_grid(box((0.0, 0.0), (0.375, 0.375)), 0.125)).entries
+    big = assemble_form(build_grid(box((0.0, 0.0), (0.75, 0.75)), 0.25))
+    small = assemble_form(build_grid(box((0.0, 0.0), (0.375, 0.375)), 0.125))
     ratio = small[0, 1] / big[0, 1]
     assert ratio == pytest.approx(0.25, rel=1e-13)
 
@@ -315,12 +309,11 @@ def test_matvec_matches_dense_product(domain, h, pad_axis):
     if pad_axis is not None:
         grid = _padded(grid, pad_axis, 0, 1)
     form = offset_form(grid)
-    assert form.dense is None  # no matrix until one is asked for
     v = np.random.default_rng(5).standard_normal((2, form.grid.count))
     got = [form.matvec(x) for x in v]
-    assert form.dense is None
+    a = assemble_form(grid)
     for x, y in zip(v, got):
-        want = form.entries @ x
+        want = a @ x
         assert np.linalg.norm(y - want) <= 1e-14 * np.linalg.norm(want)
     with pytest.raises(ValueError):
         form.matvec(np.ones(form.grid.count + 1))
@@ -347,7 +340,7 @@ def small_grids(draw):
 def test_matvec_matches_dense_product_on_random_grids(grid, seed):
     form = offset_form(grid)
     v = np.random.default_rng(seed).standard_normal(grid.count)
-    want = form.entries @ v
+    want = assemble_form(grid) @ v
     assert np.linalg.norm(form.matvec(v) - want) <= 1e-14 * np.linalg.norm(want)
 
 
@@ -381,7 +374,7 @@ def _sign_pattern_bases(grid: Grid) -> list[np.ndarray]:
 
 def _assert_blocks_are_the_matrix_in_the_sign_pattern_bases(grid: Grid) -> None:
     form = offset_form(grid)
-    a = form.entries
+    a = assemble_form(grid)
     bases = _sign_pattern_bases(grid)
     assert sum(basis.shape[1] for basis in bases) == grid.count
     blocks = list(form.blocks())
@@ -420,7 +413,7 @@ def test_grid_without_a_mirror_axis_is_one_block():
     assert lopsided.mirror_axes == ()
     form = offset_form(lopsided)
     (block,) = form.blocks()
-    assert np.array_equal(block, form.entries)
+    assert np.array_equal(block, assemble_form(lopsided))
 
 
 def test_grid_with_one_mirror_axis_has_two_blocks():
@@ -458,15 +451,17 @@ def test_grid_refuses_a_mask_that_is_not_boolean_with_one_axis_per_dimension():
 
 
 def test_rayleigh_of_eigenvector_is_eigenvalue():
-    m = assemble_form(build_grid(interval(-1.0, 1.0), 1.0 / 16.0))
-    lam, vecs = np.linalg.eigh(m.entries / m.mass_scale)
+    grid = build_grid(interval(-1.0, 1.0), 1.0 / 16.0)
+    m = offset_form(grid)
+    lam, vecs = np.linalg.eigh(assemble_form(grid) / m.mass_scale)
     assert rayleigh_quotient(m, vecs[:, 0]) == pytest.approx(lam[0], rel=1e-12)
     assert rayleigh_quotient(m, vecs[:, 3]) == pytest.approx(lam[3], rel=1e-12)
 
 
 def test_rayleigh_dominates_smallest_eigenvalue():
-    m = assemble_form(build_grid(interval(-1.0, 1.0), 1.0 / 16.0))
-    lam_min = float(np.linalg.eigvalsh(m.entries)[0] / m.mass_scale)
+    grid = build_grid(interval(-1.0, 1.0), 1.0 / 16.0)
+    m = offset_form(grid)
+    lam_min = float(np.linalg.eigvalsh(assemble_form(grid))[0] / m.mass_scale)
     rng = np.random.default_rng(17)
     for _ in range(20):
         v = rng.standard_normal(m.grid.count)
@@ -476,7 +471,7 @@ def test_rayleigh_dominates_smallest_eigenvalue():
 def test_rayleigh_of_boundary_ramp():
     dom = interval(-1.0, 1.0)
     grid = build_grid(dom, 1.0 / 64.0)
-    m = assemble_form(grid)
+    m = offset_form(grid)
     w = dom.test_function(TestFunctionSpec(sigma=0.25), grid.centers)
     q = rayleigh_quotient(m, w)
     assert math.isfinite(q)
@@ -491,13 +486,12 @@ def test_rayleigh_quotient_matches_dense_quotient(grid, seed):
     form = offset_form(grid)
     v = np.random.default_rng(seed).standard_normal(grid.count)
     got = rayleigh_quotient(form, v)
-    assert form.dense is None  # the quotient never gathers the matrix
-    want = float(v @ form.entries @ v) / (form.mass_scale * float(v @ v))
+    want = float(v @ assemble_form(grid) @ v) / (form.mass_scale * float(v @ v))
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_rayleigh_validation():
-    m = assemble_form(build_grid(interval(-1.0, 1.0), 0.25))
+    m = offset_form(build_grid(interval(-1.0, 1.0), 0.25))
     with pytest.raises(ValueError):
         rayleigh_quotient(m, np.zeros(m.grid.count))
     with pytest.raises(ValueError):

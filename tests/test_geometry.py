@@ -64,6 +64,14 @@ def test_basic_measures():
     assert bx.boundary_measure == pytest.approx(6.0)
 
 
+def test_ball_corners_are_plain_floats():
+    # the corners show in messages and reprs, where np.float64(...) did
+    b = ball((0.5, -0.25), 1.3)
+    assert b.lo == (0.5 - 1.3, -0.25 - 1.3) and b.hi == (0.5 + 1.3, -0.25 + 1.3)
+    assert all(type(v) is float for v in b.lo + b.hi)
+    assert "np." not in repr(build_grid(b, 0.25))
+
+
 def _both_sheets(dom, nu):
     """The sheets on both sides at depth nu, the boundary counted once at nu = 0."""
     return dom.boundary_measure if nu == 0.0 else dom._inner_sheet(nu) + dom._outer_sheet(nu)
