@@ -92,8 +92,11 @@ def _emit_csv(out: str | None, header: list[str], rows: Iterable) -> None:
     """Write the schema line, the header and one line per row, a line at a time."""
     with open(out, "w", newline="\n") if out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(f"{SCHEMA_LINE}\n{','.join(header)}\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if isinstance(rows, np.ndarray):  # the dumped matrix: one format string per row
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            fh.writelines(line % tuple(row.tolist()) for row in rows)
+        else:
+            fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 
 def _emit_json(out: str | None, payload: dict) -> None:
@@ -111,7 +114,11 @@ def _manifest_path(out: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; the contract says 1."""
+    """argparse exits with code 2 on usage errors; the contract says 1.  Flags
+    match in full only: as a prefix, ``--h`` reads as ``--help`` where no ``--h`` exists."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -195,16 +202,6 @@ def _peak_rss_mb() -> float:
     return peak / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS, KiB elsewhere
 
 
-def _default_c0(domain: Domain) -> float | None:
-    """The minimal admissible foliation constant in the domain's inradius
-    regime; None where it is not defined (pass --c0): in dimension 1 and
-    for domains not sandwiched between balls of radii R and 2R."""
-    if domain.dim < 2 or not domain.sandwiched:
-        return None
-    regime = "large" if domain.inradius >= 2.0 else "small"
-    return domain.minimal_c0(regime)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -244,9 +241,12 @@ def _cmd_bounds(args) -> int:
     if args.num_eigs is not None and args.variant == "corrected":
         raise ValueError("the sum bound of --num-eigs has only the variants 'statement' "
                          "and 'proof'; 'corrected' is for the smallest eigenvalue alone")
+    if args.sigma is None and (args.h is not None or args.cells is not None):
+        raise ValueError("--h and --cells set the grid of the --sigma Rayleigh quotient; "
+                         "without --sigma nothing reads them")
     domain = _domain_from_args(args)
     constants = dimension_constants(domain.dim)
-    c0 = args.c0 if args.c0 is not None else _default_c0(domain)
+    c0 = args.c0 if args.c0 is not None else domain.minimal_c0()
     radius = domain.inradius
     reports = {"lower_smallest": lower_bound_smallest(constants, domain.volume)}
     if c0 is not None:
@@ -592,7 +592,7 @@ def _sweep_radius(args, values: np.ndarray) -> tuple[list[str], list[list]]:
     rows = []
     for radius in values:
         radius = float(radius)
-        c0 = args.c0 if args.c0 is not None else _default_c0(ball((0.0,) * dim, radius))
+        c0 = args.c0 if args.c0 is not None else ball((0.0,) * dim, radius).minimal_c0()
         if c0 is None:
             raise ValueError("radius sweep in dimension 1 needs an explicit --c0")
         # lower bound for any domain inside the enclosing ball of radius 2R
@@ -693,6 +693,9 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--length", type=float, help="interval length (centered at 0)")
     p.add_argument("--radius", type=float, help="ball radius")
     p.add_argument("--side", help="box side lengths: A for a square or A,B")
+
+
+def _add_grid(p: _Parser) -> None:
     p.add_argument("--h", type=float, help="grid cell side (snapped to the domain)")
     p.add_argument("--cells", type=int, help="cells along the first axis instead of --h")
 
@@ -718,6 +721,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="closed-form bound report for a domain (JSON)")
     _add_common(p)
+    _add_grid(p)
     p.add_argument("--num-eigs", type=int, help="index k for the sum/eigenvalue bounds")
     p.add_argument("--variant", choices=("statement", "proof", "corrected"),
                    default="statement")
@@ -729,6 +733,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="assemble the form and compute eigenvalues (CSV)")
     _add_common(p)
+    _add_grid(p)
     p.add_argument("--num-eigs", type=int, required=True)
     p.add_argument("--delta", type=float,
                    help="also emit counting-envelope samples at exponents N/2 +- delta")

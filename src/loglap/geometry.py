@@ -1,10 +1,10 @@
 """Domains (intervals, boxes, balls in 1D/2D) and their boundary-layer geometry.
 
 The spectral bounds need a small amount of exact geometry: signed distance
-to the boundary, the measure of the level sets of that distance (the
-"foliation" sheets), the foliation regularity constant, and the clamp ramp
-test function of a boundary collar.  All of it is closed form for the
-three supported shapes.
+to the boundary, the foliation regularity constant c0 (the boundary measure
+over the inradius, doubled below inradius 2), and the clamp ramp test
+function of a boundary collar.  All of it is closed form for the three
+supported shapes.
 
 Sign convention: ``signed_distance`` is positive inside the domain,
 negative outside, zero on the boundary, and 1-Lipschitz.
@@ -19,9 +19,6 @@ from typing import Literal
 import numpy as np
 
 __all__ = ["Domain", "TestFunctionSpec", "interval", "box", "ball"]
-
-Regime = Literal["large", "small"]
-
 
 @dataclass(frozen=True)
 class TestFunctionSpec:
@@ -114,67 +111,40 @@ class Domain:
             rho = np.where(outside > 0.0, -outside, inside)
         return rho.reshape(shape) if shape else float(rho[0])
 
-    # -- foliation by the signed distance --------------------------------
-
-    def _inner_sheet(self, nu: float) -> float:
-        """H^{N-1} of the level set at signed distance nu >= 0 (at 0, the limit from inside)."""
-        rin = self.inradius
-        if self.dim == 1:
-            if nu < rin:
-                return 2.0
-            return 1.0 if nu == rin else 0.0
-        if self.kind == "ball":
-            return 2.0 * math.pi * (self.radius - nu) if nu < self.radius else 0.0
-        s1, s2 = float(self.sides[0]), float(self.sides[1])
-        if nu < rin:
-            return 2.0 * (s1 - 2.0 * nu) + 2.0 * (s2 - 2.0 * nu)
-        if nu == rin:
-            return abs(s1 - s2)
-        return 0.0
-
-    def _outer_sheet(self, nu: float) -> float:
-        """H^{N-1} of the level set at signed distance -nu <= 0 (at 0, the limit from outside)."""
-        if self.dim == 1:
-            return 2.0
-        if self.kind == "ball":
-            return 2.0 * math.pi * (self.radius + nu)
-        return 2.0 * float(np.sum(self.sides)) + 2.0 * math.pi * nu
-
     # -- foliation regularity constant ------------------------------------
 
-    def minimal_c0(self, regime: Regime) -> float:
+    def minimal_c0(self) -> float | None:
         """Least c0 >= 1 with c0^{-1} R^{N-1} <= sheet measure <= c0 R^{N-1}.
 
-        ``regime="large"`` uses the inner sheet for nu in [0, 1/2);
-        ``regime="small"`` uses both sheets for |nu| <= R/4, counting the
-        boundary once at nu = 0.  R is the inradius about the center.
-        Only defined for dimension >= 2, and only for domains sandwiched
-        between the concentric balls of radii R and 2R.
+        R is the inradius, and a sheet is a level set of the signed distance
+        at depth nu inside the domain (inner sheet) or outside it (outer
+        sheet).  From R = 2 on (the large-domain regime) the window is the
+        inner sheet for nu in [0, 1/2), and c0 = |dOmega| / R.  Below it
+        (the small regime) the window is the sum of both sheets for
+        |nu| <= R/4, counting the boundary once at nu = 0, and
+        c0 = 2 |dOmega| / R.  None where c0 is not defined: in dimension 1
+        and for domains not sandwiched between the concentric balls of radii
+        R and 2R.
 
-        The value is exact, not sampled: on the window every sheet measure
-        is linear in nu, so its extremes are the boundary measure (nu = 0),
-        the limit nu -> 0+, and the far end of the window.
+        Proof.  On each window every sheet measure is linear in nu: a
+        ball's sheets are the circles of radii R - nu and R + nu, and a box's
+        inner sheet loses 8 nu of the perimeter while its outer sheet gains
+        2 pi nu, a quarter circle per corner.  So each measure has its
+        extremes at the ends of the window.  In the large regime the inner
+        sheet falls from |dOmega| at nu = 0 to |dOmega| - pi (ball) or
+        |dOmega| - 4 (box) at nu = 1/2.  As |dOmega| >= 2 pi R (ball) or 8R
+        (box), it stays above R when R >= 2, and c0 = |dOmega| / R.  In the
+        small regime the sum of the inner and outer limits is 2 |dOmega| at
+        nu = 0.  At nu = R/4 that sum is 4 pi R = 2 |dOmega| for a ball, and
+        2 |dOmega| - a (1 - pi/4) for an a x b box with a <= b, which is
+        smaller.  No measure on the window falls below |dOmega| > R, so
+        c0 = 2 |dOmega| / R.
         """
-        if self.dim < 2:
-            raise ValueError("the foliation constant is only defined in dimension >= 2")
-        if regime not in ("large", "small"):
-            raise ValueError(f"unknown regime {regime!r}")
-        if not self.sandwiched:
-            raise ValueError("domain is not sandwiched between balls of radii R and 2R")
-        rin = self.inradius
-        if regime == "large":
-            if rin <= 0.5:
-                raise ValueError("inradius must exceed 1/2 for the large-domain regime")
-            ends = [self._inner_sheet(nu) for nu in (0.0, 0.5)]
-        else:
-            ends = [self._inner_sheet(nu) + self._outer_sheet(nu) for nu in (0.0, rin / 4.0)]
-        scale = rin ** (self.dim - 1)
-        c0 = 1.0
-        for m in (self.boundary_measure, *ends):
-            if not m > 0.0:
-                raise ValueError("foliation sheet degenerates on the admissible range")
-            c0 = max(c0, m / scale, scale / m)
-        return c0
+        if self.dim < 2 or not self.sandwiched:
+            return None
+        if self.inradius >= 2.0:
+            return self.boundary_measure / self.inradius
+        return 2.0 * self.boundary_measure / self.inradius
 
     # -- ramp test function -----------------------------------------------
 

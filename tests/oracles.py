@@ -6,8 +6,9 @@ from the recurrence and the Bernoulli tail and ln Gamma from libm, where
 cosine integral comes from panel quadrature / its large-argument series,
 eigenvalues from a characteristic-polynomial solve, and the kernel pair
 integrals from 1D quadrature of reduced (correlation) forms, in mpmath where
-double precision would cancel.  Slower and cruder than the production code,
-but fair as cross-checks.
+double precision would cancel, and the foliation constant from the level
+sets of the signed distance, where ``loglap.geometry`` has a closed form.
+Slower and cruder than the production code, but fair as cross-checks.
 """
 
 import math
@@ -276,6 +277,58 @@ def diagonal_inner_2d(h, angular=2048, levels=16, gauss_n=8):
         inner = -np.log(wall).mean(axis=1) * 2.0 * math.pi
         total += wi * float(np.dot(ws, inner))
     return total
+
+
+def inner_sheet(dom, nu):
+    """H^{N-1} of the level set of ``dom``'s signed distance at depth nu >= 0.
+
+    At nu = 0 it is the limit from inside.  mpmath at its working precision.
+    """
+    nu, rin = mpmath.mpf(nu), mpmath.mpf(dom.inradius)
+    if dom.dim == 1:
+        return mpmath.mpf(2 if nu < rin else 1 if nu == rin else 0)
+    if dom.kind == "ball":
+        return 2 * mpmath.pi * (dom.radius - nu) if nu < rin else mpmath.mpf(0)
+    s1, s2 = (mpmath.mpf(float(s)) for s in dom.sides)
+    if nu < rin:
+        return 2 * (s1 + s2) - 8 * nu  # the perimeter of the shrunken rectangle
+    return abs(s1 - s2) if nu == rin else mpmath.mpf(0)  # the leftover segment
+
+
+def outer_sheet(dom, nu):
+    """H^{N-1} of the level set of a 2D ``dom`` at signed distance -nu <= 0.
+
+    At nu = 0 it is the limit from outside.  mpmath at its working precision.
+    """
+    nu = mpmath.mpf(nu)
+    if dom.kind == "ball":
+        return 2 * mpmath.pi * (dom.radius + nu)
+    s1, s2 = (mpmath.mpf(float(s)) for s in dom.sides)
+    return 2 * (s1 + s2) + 2 * mpmath.pi * nu  # four sides and a quarter circle per corner
+
+
+def foliation_c0(dom, samples=33):
+    """The least c0 >= 1 with R^{N-1}/c0 <= m <= c0 R^{N-1} for every sheet measure
+    m on the depth window, as the maximum over ``samples`` depths of it (both
+    ends included) in 40-digit mpmath, rounded to the nearest float.
+
+    R is the inradius.  From R = 2 on the window is the inner sheet on
+    [0, 1/2]; below it, the inner plus the outer sheet on [0, R/4], with the
+    boundary alone at nu = 0 and their limits from either side beyond it.
+    """
+    with mpmath.workdps(40):
+        rin = mpmath.mpf(dom.inradius)
+        scale = rin ** (dom.dim - 1)
+        if dom.inradius >= 2.0:
+            measures = [inner_sheet(dom, nu) for nu in mpmath.linspace(0, 0.5, samples)]
+        else:
+            measures = [inner_sheet(dom, 0)] + [
+                inner_sheet(dom, nu) + outer_sheet(dom, nu)
+                for nu in mpmath.linspace(0, rin / 4, samples)
+            ]
+        c0 = max([mpmath.mpf(1)] + [max(m / scale, scale / m) for m in measures])
+    with mpmath.workprec(53):
+        return float(+c0)  # unary plus rounds to nearest at 53 bits
 
 
 # Frozen values of the 2D pair integrals at h = 0.25, produced by the

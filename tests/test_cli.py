@@ -27,6 +27,8 @@ import loglap
 from loglap.bounds import lower_bound_sum
 from loglap.cli import main
 from loglap.constants import dimension_constants
+from loglap.discretize import assemble_form, build_grid
+from loglap.geometry import ball, interval
 from loglap.specfun import EULER_GAMMA
 
 
@@ -393,6 +395,22 @@ def test_solve_dump_matrix_and_envelope(tmp_path):
     assert np.all(column(header, rows, "upper_envelope") >= 0.0)
 
 
+@pytest.mark.parametrize("argv, grid", [
+    (["--domain", "ball", "--radius", "1", "--h", "0.25"],
+     build_grid(ball((0.0, 0.0), 1.0), 0.25)),
+    (["--domain", "interval", "--length", "2", "--cells", "24"],
+     build_grid(interval(-1.0, 1.0), 2.0 / 24)),
+], ids=["ball", "interval"])
+def test_dump_matrix_parses_back_to_the_assembled_matrix(tmp_path, argv, grid):
+    # 17 significant digits carry every double: the dump is the matrix, bit for bit
+    mat = tmp_path / "matrix.csv"
+    assert main(["solve", *argv, "--num-eigs", "2", "--out", str(tmp_path / "run.csv"),
+                 "--dump-matrix", str(mat)]) == 0
+    header, rows = read_csv(mat)
+    assert header == [f"col{j}" for j in range(grid.count)]
+    assert np.array_equal(np.array([[float(v) for v in r] for r in rows]), assemble_form(grid))
+
+
 def test_dump_matrix_holds_the_matrix_and_one_line(tmp_path):
     # 1,696 cells: the matrix is 21.9 MiB, the 8*n*n bytes the memory refusal
     # counts.  The dump writes it a line at a time; a copy of it as Python
@@ -532,6 +550,19 @@ def test_bounds_refuses_the_corrected_variant_with_the_sum_bound(monkeypatch, ca
     assert captured.out == ""
     assert "the sum bound of --num-eigs has only the variants 'statement' and 'proof'" \
         in captured.err
+
+
+def test_bounds_refuses_grid_flags_without_sigma(monkeypatch, capsys):
+    # --h and --cells set the grid of the Rayleigh quotient alone
+    def no_bound(*args, **kwargs):
+        raise AssertionError("a bound was computed before the refusal")
+
+    monkeypatch.setattr("loglap.cli.lower_bound_smallest", no_bound)
+    for flag, value in (("--h", "0.125"), ("--cells", "16")):
+        assert main(["bounds", "--domain", "ball", "--radius", "4", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "without --sigma nothing reads them" in captured.err
 
 
 def test_bounds_domain_required():
@@ -740,6 +771,14 @@ def test_seed_and_sweep_variant_flags_rejected(capsys):
     # a sweep prints every variant
     assert main(["sweep", "--parameter", "radius", "--start", "2", "--stop", "4",
                  "--steps", "2", "--variant", "proof"]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--h", "0.1"), ("--cells", "7")])
+def test_sweep_rejects_grid_flags(flag, value, capsys):
+    # a sweep over h takes its cell sides from the range; no sweep reads these
+    assert main(["sweep", "--parameter", "k", "--start", "1", "--stop", "5", "--steps", "3",
+                 "--domain", "ball", "--radius", "4", flag, value]) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_subprocess_smoke():

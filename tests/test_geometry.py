@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from loglap.discretize import build_grid
 from loglap.geometry import Domain, TestFunctionSpec, ball, box, interval
+from oracles import foliation_c0, inner_sheet, outer_sheet
 
 
 def test_signed_distance_examples():
@@ -74,30 +76,33 @@ def test_ball_corners_are_plain_floats():
 
 def _both_sheets(dom, nu):
     """The sheets on both sides at depth nu, the boundary counted once at nu = 0."""
-    return dom.boundary_measure if nu == 0.0 else dom._inner_sheet(nu) + dom._outer_sheet(nu)
+    if nu == 0.0:
+        return dom.boundary_measure
+    return float(inner_sheet(dom, nu) + outer_sheet(dom, nu))
 
 
 def test_foliation_measure_examples():
+    # the level-set oracle that the closed-form c0 is held against
     b4 = ball((0.0, 0.0), 4.0)
-    assert b4._inner_sheet(0.5) == pytest.approx(2.0 * math.pi * 3.5, rel=1e-12)
+    assert float(inner_sheet(b4, 0.5)) == pytest.approx(2.0 * math.pi * 3.5, rel=1e-12)
     iv = interval(-1.0, 1.0)
-    assert iv._inner_sheet(0.3) == 2.0
+    assert inner_sheet(iv, 0.3) == 2.0
     b1 = ball((0.0, 0.0), 1.0)
     assert _both_sheets(b1, 0.25) == pytest.approx(4.0 * math.pi, rel=1e-12)
     # at depth zero both sheets reach the boundary from either side
     assert _both_sheets(b1, 0.0) == pytest.approx(2.0 * math.pi, rel=1e-12)
-    assert b1._inner_sheet(0.0) == b1._outer_sheet(0.0) == b1.boundary_measure
+    assert float(inner_sheet(b1, 0.0)) == float(outer_sheet(b1, 0.0)) == b1.boundary_measure
     # inner sheet vanishes past the inradius
-    assert b1._inner_sheet(1.5) == 0.0
-    assert b1._outer_sheet(1.5) == pytest.approx(2.0 * math.pi * 2.5, rel=1e-12)
+    assert inner_sheet(b1, 1.5) == 0.0
+    assert float(outer_sheet(b1, 1.5)) == pytest.approx(2.0 * math.pi * 2.5, rel=1e-12)
 
 
 def test_box_inner_sheet():
     bx = box((0.0, 0.0), (2.0, 1.0))
     # rectangle perimeter shrinks by 8*nu until the short axis collapses
-    assert bx._inner_sheet(0.25) == pytest.approx(6.0 - 2.0, rel=1e-12)
-    assert bx._inner_sheet(0.5) == pytest.approx(1.0)  # the leftover segment
-    assert bx._inner_sheet(0.7) == 0.0
+    assert float(inner_sheet(bx, 0.25)) == pytest.approx(6.0 - 2.0, rel=1e-12)
+    assert float(inner_sheet(bx, 0.5)) == pytest.approx(1.0)  # the leftover segment
+    assert inner_sheet(bx, 0.7) == 0.0
 
 
 def test_coarea_consistency():
@@ -110,45 +115,82 @@ def test_coarea_consistency():
         (interval(-1.0, 1.0), 0.25, 2.0 * 0.25),
     ]:
         nus = 0.5 * sigma * (g + 1.0)
-        sheets = np.array([dom._inner_sheet(float(nu)) for nu in nus])
+        sheets = np.array([float(inner_sheet(dom, float(nu))) for nu in nus])
         integral = 0.5 * sigma * float(w @ sheets)
         assert integral == pytest.approx(collar, abs=1e-8)
 
 
 def test_minimal_c0_examples():
-    assert ball((0.0, 0.0), 4.0).minimal_c0("large") == pytest.approx(2.0 * math.pi, rel=1e-9)
-    assert ball((0.0, 0.0), 0.1).minimal_c0("small") == pytest.approx(4.0 * math.pi, rel=1e-9)
-    # independent of the radius once comfortably above the depth window
-    vals = {ball((0.0, 0.0), r).minimal_c0("large") for r in (2.0, 4.0, 8.0)}
-    assert max(vals) - min(vals) <= 1e-9
+    # |dOmega| / R from inradius 2 on, twice that below
+    assert ball((0.0, 0.0), 4.0).minimal_c0() == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert ball((0.0, 0.0), 0.1).minimal_c0() == pytest.approx(4.0 * math.pi, rel=1e-15)
+    assert box((0.0, 0.0), (0.5, 0.5)).minimal_c0() == 16.0
+    assert box((0.0, 0.0), (4.0, 6.0)).minimal_c0() == 10.0
+    # independent of the radius in each regime
+    for radii in ((2.0, 4.0, 8.0), (0.01, 0.5, 1.999)):
+        vals = {ball((0.0, 0.0), r).minimal_c0() for r in radii}
+        assert max(vals) - min(vals) <= 1e-14
 
 
 def test_minimal_c0_two_sided_inequality():
-    for dom, regime, nu_hi in [
-        (ball((0.0, 0.0), 4.0), "large", 0.5 - 1e-9),
-        (ball((0.0, 0.0), 0.1), "small", 0.1 / 4.0),
-        (box((0.0, 0.0), (0.2, 0.2)), "small", 0.05 / 4.0),
+    for dom, nu_hi in [
+        (ball((0.0, 0.0), 4.0), 0.5 - 1e-9),
+        (ball((0.0, 0.0), 0.1), 0.1 / 4.0),
+        (box((0.0, 0.0), (0.2, 0.2)), 0.1 / 4.0),
+        (box((1.0, -2.0), (4.0, 5.0)), 0.5 - 1e-9),
     ]:
-        c0 = dom.minimal_c0(regime)
+        c0 = dom.minimal_c0()
         assert c0 >= 1.0
         rin = dom.inradius
         scale = rin ** (dom.dim - 1)
         for nu in [*np.linspace(0.0, nu_hi, 100), 1e-12]:
             nu = float(nu)
-            m = dom._inner_sheet(nu) if regime == "large" else _both_sheets(dom, nu)
+            m = float(inner_sheet(dom, nu)) if rin >= 2.0 else _both_sheets(dom, nu)
             assert m <= c0 * scale * (1.0 + 1e-9)
             assert m >= scale / c0 * (1.0 - 1e-9)
 
 
-def test_minimal_c0_errors():
-    with pytest.raises(ValueError):
-        interval(-1.0, 1.0).minimal_c0("large")
-    with pytest.raises(ValueError):
-        ball((0.0, 0.0), 4.0).minimal_c0("medium")
-    with pytest.raises(ValueError):
-        ball((0.0, 0.0), 0.4).minimal_c0("large")  # inradius below the depth window
-    with pytest.raises(ValueError):
-        box((0.0, 0.0), (1.0, 10.0)).minimal_c0("large")  # not ball-sandwiched
+_RADII = st.floats(min_value=math.exp(-6.0), max_value=math.exp(5.0))
+_POINTS = st.tuples(*[st.floats(min_value=-10.0, max_value=10.0)] * 2)
+
+
+@st.composite
+def _sandwiched_domains(draw):
+    r = draw(_RADII)
+    point = draw(st.one_of(st.just((0.0, 0.0)), _POINTS))  # a ball's center, a box's corner
+    if draw(st.booleans()):
+        return ball(point, r)
+    # a box lies between the balls of radii R and 2R iff its long side is
+    # at most sqrt(3) times its short side 2R
+    aspect = draw(st.floats(min_value=1.0, max_value=math.sqrt(3.0) * (1.0 - 1e-12)))
+    long_side = 2.0 * r * aspect
+    sides = (2.0 * r, long_side) if draw(st.booleans()) else (long_side, 2.0 * r)
+    return box(point, sides)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sandwiched_domains())
+def test_minimal_c0_is_the_window_maximum_of_the_level_sets(dom):
+    # the closed form against the maximum of the sheet measures over the
+    # depth window, evaluated in 40-digit arithmetic
+    assume(dom.sandwiched)
+    ref = foliation_c0(dom)
+    assert abs(dom.minimal_c0() - ref) <= math.ulp(ref)
+
+
+@pytest.mark.parametrize("radius", [1.999, 2.0])
+def test_minimal_c0_at_the_regime_boundary(radius):
+    # inradius 2 already belongs to the large regime
+    for dom in (ball((0.0, 0.0), radius), box((0.0, 0.0), (2.0 * radius, 3.0 * radius))):
+        ref = foliation_c0(dom)
+        assert abs(dom.minimal_c0() - ref) <= math.ulp(ref)
+
+
+def test_minimal_c0_undefined():
+    # no foliation constant in 1D or outside the R/2R sandwich
+    assert interval(-1.0, 1.0).minimal_c0() is None
+    assert ball(0.0, 4.0).minimal_c0() is None
+    assert box((0.0, 0.0), (1.0, 10.0)).minimal_c0() is None
 
 
 def test_test_function_examples():
