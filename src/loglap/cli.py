@@ -29,7 +29,7 @@ import math
 import random
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -69,15 +69,6 @@ __all__ = ["main"]
 
 SCHEMA_LINE = "#schema=1"
 
-_CONSTANT_FIELDS = (
-    "dim",
-    "kernel_constant",
-    "sphere_measure",
-    "zero_order_shift",
-    "volume_coefficient",
-    "counting_coefficient",
-)
-
 
 def _fmt(x) -> str:
     """17-significant-digit rendering used for every CSV number."""
@@ -88,9 +79,14 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _open_out(out: str | None):
+    """The file ``out``, written with LF line ends, or stdout when there is none."""
+    return open(out, "w", newline="\n") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit_csv(out: str | None, header: list[str], rows: Iterable) -> None:
     """Write the schema line, the header and one line per row, a line at a time."""
-    with open(out, "w", newline="\n") if out else contextlib.nullcontext(sys.stdout) as fh:
+    with _open_out(out) as fh:
         fh.write(f"{SCHEMA_LINE}\n{','.join(header)}\n")
         if isinstance(rows, np.ndarray):  # the dumped matrix: one format string per row
             line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
@@ -100,17 +96,8 @@ def _emit_csv(out: str | None, header: list[str], rows: Iterable) -> None:
 
 
 def _emit_json(out: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _manifest_path(out: str) -> str:
-    p = Path(out)
-    return str(p.with_suffix(".json")) if p.suffix != ".json" else str(p) + ".manifest.json"
+    with _open_out(out) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,36 +127,33 @@ def _parse_sides(text: str) -> tuple[float, ...]:
     return sides
 
 
+def _refuse_unread(args, names: Iterable[str], why: str) -> None:
+    """Refuse the flags ``--name`` among ``names`` that were given: ``why`` none is read."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{' and '.join(given)} given, but {why}")
+
+
 def _domain_from_args(args) -> Domain:
-    kind = getattr(args, "domain", None)
-    if kind is None:
+    """The domain of ``--domain`` and its one shape flag; the other shape flags are refused."""
+    if args.domain is None:
         raise ValueError("a domain is required: pass --domain interval|box|ball")
-    dim = getattr(args, "dim", None)
-    if kind == "interval":
-        if args.length is None:
-            raise ValueError("--domain interval needs --length")
-        if dim not in (None, 1):
-            raise ValueError("intervals are one-dimensional; drop --dim or use --dim 1")
+    shape = {"interval": "length", "ball": "radius", "box": "side"}[args.domain]
+    _refuse_unread(args, (name for name in ("length", "radius", "side") if name != shape),
+                   f"--domain {args.domain} reads --{shape} alone")
+    if getattr(args, shape) is None:
+        raise ValueError(f"--domain {args.domain} needs --{shape}")
+    if args.domain == "interval":
         half = args.length / 2.0
         return interval(-half, half)
-    if kind == "ball":
-        if args.radius is None:
-            raise ValueError("--domain ball needs --radius")
-        if dim not in (None, 2):
-            raise ValueError("the ball domain is wired for --dim 2 "
-                             "(use --domain interval in one dimension)")
+    if args.domain == "ball":
         return ball((0.0, 0.0), args.radius)
-    if kind == "box":
-        if args.side is None:
-            raise ValueError("--domain box needs --side A or --side A,B")
-        sides = _parse_sides(args.side)
-        if len(sides) == 1:
-            sides = (sides[0], sides[0])
-        if len(sides) != 2 or dim not in (None, 2):
-            raise ValueError("boxes are two-dimensional: --side A,B with --dim 2")
-        corner = (-sides[0] / 2.0, -sides[1] / 2.0)
-        return box(corner, sides)
-    raise ValueError(f"unknown domain kind {kind!r}")
+    sides = _parse_sides(args.side)
+    if len(sides) == 1:
+        sides = (sides[0], sides[0])
+    if len(sides) != 2:
+        raise ValueError("boxes are two-dimensional: --side A or --side A,B")
+    return box((-sides[0] / 2.0, -sides[1] / 2.0), sides)
 
 
 def _resolve_h(args, domain: Domain) -> float:
@@ -202,19 +186,31 @@ def _peak_rss_mb() -> float:
     return peak / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS, KiB elsewhere
 
 
+def _write_manifest(args, config: dict, record: dict, counts: str) -> None:
+    """With ``--out run.csv``, write the run's manifest to ``run.json`` and say so.
+
+    ``record`` holds the command's own fields beside the shared ones;
+    ``counts`` is what the "wrote" line says the CSV holds.
+    """
+    if not args.out:
+        return
+    out = Path(args.out)
+    path = str(out.with_suffix(".json")) if out.suffix != ".json" else str(out) + ".manifest.json"
+    _emit_json(path, {"command": args.command, "version": __version__, "config": config,
+                      **record, "peak_rss_mb": _peak_rss_mb()})
+    print(f"wrote {args.out} ({counts}) and {path}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_constants(args) -> int:
-    c = dimension_constants(args.dim)
-    values = [getattr(c, name) for name in _CONSTANT_FIELDS]
-    values.append(EULER_GAMMA)
-    names = list(_CONSTANT_FIELDS) + ["euler_gamma"]
-    width = max(len(n) for n in names)
-    for name, value in zip(names, values):
+    table = {**dataclasses.asdict(dimension_constants(args.dim)), "euler_gamma": EULER_GAMMA}
+    width = max(map(len, table))
+    for name, value in table.items():
         print(f"{name:<{width}}  {_fmt(value)}")
-    _emit_csv(args.out, ["name", "value"], list(zip(names, values)))
+    _emit_csv(args.out, ["name", "value"], table.items())
     return 0
 
 
@@ -241,9 +237,9 @@ def _cmd_bounds(args) -> int:
     if args.num_eigs is not None and args.variant == "corrected":
         raise ValueError("the sum bound of --num-eigs has only the variants 'statement' "
                          "and 'proof'; 'corrected' is for the smallest eigenvalue alone")
-    if args.sigma is None and (args.h is not None or args.cells is not None):
-        raise ValueError("--h and --cells set the grid of the --sigma Rayleigh quotient; "
-                         "without --sigma nothing reads them")
+    if args.sigma is None:
+        _refuse_unread(args, ("h", "cells"), "they set the grid of the --sigma Rayleigh "
+                                             "quotient; without --sigma nothing reads them")
     domain = _domain_from_args(args)
     constants = dimension_constants(domain.dim)
     c0 = args.c0 if args.c0 is not None else domain.minimal_c0()
@@ -300,11 +296,9 @@ def _cmd_solve(args) -> int:
     t2 = time.perf_counter()
     spectrum = eig_symmetric(form, args.num_eigs)
     t3 = time.perf_counter()
-    table = weyl_diagnostics(spectrum)
 
-    header = ["k", "lambda", "lambda_over_log_k", "partial_sum", "partial_sum_over_k_log_k"]
-    columns = ("k", "eigenvalue", "eigenvalue_over_log_k", "partial_sum", "partial_sum_ratio")
-    _emit_csv(args.out, header, [list(r) for r in zip(*(table[c] for c in columns))])
+    _emit_csv(args.out, ["k", "lambda", "lambda_over_log_k", "partial_sum",
+                         "partial_sum_over_k_log_k"], zip(*weyl_diagnostics(spectrum).values()))
 
     if args.dump_matrix:
         _emit_csv(args.dump_matrix, [f"col{j}" for j in range(grid.count)], dense)
@@ -316,76 +310,68 @@ def _cmd_solve(args) -> int:
         _emit_csv(env_out, ["t", "upper_envelope", "lower_envelope"],
                   [list(r) for r in zip(*envelope_samples(spectrum, domain.dim, args.delta))])
 
-    if args.out:
-        manifest = {
-            "command": "solve",
-            "version": __version__,
-            "config": {
-                "dim": domain.dim,
-                "domain": domain.kind,
-                "length": args.length,
-                "radius": args.radius,
-                "side": args.side,
-                "h_requested": h,
-                "h_effective": grid.h,
-                "cells": grid.count,
-                "num_eigs": args.num_eigs,
-                "delta": args.delta,
-                "out": args.out,
-            },
-            "timings_sec": {
-                "build_grid": t1 - t0,
-                "assemble": t2 - t1,
-                "eigensolve": t3 - t2,
-                "total": t3 - t0,
-            },
-            "results": {
-                "lambda_1": float(spectrum.eigenvalues[0]),
-                "lambda_k": float(spectrum.eigenvalues[-1]),
-            },
-            "eigensolve": spectrum.source,
-            "peak_rss_mb": _peak_rss_mb(),
-        }
-        _emit_json(_manifest_path(args.out), manifest)
-        print(f"wrote {args.out} ({args.num_eigs} rows, {grid.count} cells) "
-              f"and {_manifest_path(args.out)}")
+    config = {
+        "dim": domain.dim,
+        "domain": domain.kind,
+        "length": args.length,
+        "radius": args.radius,
+        "side": args.side,
+        "h_requested": h,
+        "h_effective": grid.h,
+        "cells": grid.count,
+        "num_eigs": args.num_eigs,
+        "delta": args.delta,
+        "out": args.out,
+    }
+    record = {
+        "timings_sec": {
+            "build_grid": t1 - t0,
+            "assemble": t2 - t1,
+            "eigensolve": t3 - t2,
+            "total": t3 - t0,
+        },
+        "results": {
+            "lambda_1": float(spectrum.eigenvalues[0]),
+            "lambda_k": float(spectrum.eigenvalues[-1]),
+        },
+        "eigensolve": spectrum.source,
+    }
+    _write_manifest(args, config, record, f"{args.num_eigs} rows, {grid.count} cells")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# verify suites.  Each returns a list of {"name", "passed", "detail"} dicts;
-# all numeric thresholds here restate module contracts, so a failing check
-# means a real regression rather than a loose tolerance.
+# verify suites.  Each takes the seed and yields its checks, one
+# {"name", "passed", "detail"} dict each; all numeric thresholds here restate
+# module contracts, so a failing check means a real regression rather than a
+# loose tolerance.
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _suite_constants() -> list[dict]:
-    checks = []
+def _suite_constants(seed: int) -> Iterator[dict]:
     worst = 0.0
     for n in range(1, 11):
         c = dimension_constants(n)
         worst = max(worst, abs(c.kernel_constant * c.sphere_measure - 2.0))
-    checks.append(_check("constants.kernel_times_sphere", worst <= 1e-12,
-                         f"max |c_N*omega - 2| over N=1..10 = {worst:.3e}"))
+    yield _check("constants.kernel_times_sphere", worst <= 1e-12,
+                 f"max |c_N*omega - 2| over N=1..10 = {worst:.3e}")
     r1 = dimension_constants(1).zero_order_shift
-    checks.append(_check("constants.shift_dim1", abs(r1 + 2.0 * EULER_GAMMA) <= 1e-12,
-                         f"|rho_1 + 2*gamma| = {abs(r1 + 2.0 * EULER_GAMMA):.3e}"))
+    yield _check("constants.shift_dim1", abs(r1 + 2.0 * EULER_GAMMA) <= 1e-12,
+                 f"|rho_1 + 2*gamma| = {abs(r1 + 2.0 * EULER_GAMMA):.3e}")
     d2 = dimension_constants(2).volume_coefficient
-    checks.append(_check("constants.volume_coefficient_dim2",
-                         abs(d2 - 1.0 / (4.0 * math.pi)) <= 1e-12,
-                         f"|d_2 - 1/(4 pi)| = {abs(d2 - 1.0 / (4.0 * math.pi)):.3e}"))
+    yield _check("constants.volume_coefficient_dim2",
+                 abs(d2 - 1.0 / (4.0 * math.pi)) <= 1e-12,
+                 f"|d_2 - 1/(4 pi)| = {abs(d2 - 1.0 / (4.0 * math.pi)):.3e}")
     shifts = [dimension_constants(n).zero_order_shift for n in range(1, 11)]
     increasing = all(b > a for a, b in zip(shifts, shifts[1:]))
-    checks.append(_check("constants.shift_monotone", increasing,
-                         "zero-order shift strictly increasing over N=1..10"))
-    return checks
+    yield _check("constants.shift_monotone", increasing,
+                 "zero-order shift strictly increasing over N=1..10")
 
 
-def _suite_roots() -> list[dict]:
-    checks = []
+def _suite_roots(seed: int) -> Iterator[dict]:
     # 1000 targets spread log-style in the offset from the left endpoint -1/e,
     # reaching up to 1e6: dense near the degenerate endpoint, sparse far out.
     offsets = np.geomspace(1e-9, 1e6 + 1.0 / math.e, 1000)
@@ -395,32 +381,30 @@ def _suite_roots() -> list[dict]:
         worst_res = max(worst_res, abs(res.residual))
         if not (res.envelope_low - 1e-12 <= res.root <= res.envelope_high + 1e-12):
             env_ok = False
-    checks.append(_check("roots.r_ln_r_residual", worst_res <= 1e-9,
-                         f"max |r ln r - c| = {worst_res:.3e} over 1000 targets"))
-    checks.append(_check("roots.r_ln_r_envelopes", env_ok,
-                         "closed-form bracket holds for every solved target"))
+    yield _check("roots.r_ln_r_residual", worst_res <= 1e-9,
+                 f"max |r ln r - c| = {worst_res:.3e} over 1000 targets")
+    yield _check("roots.r_ln_r_envelopes", env_ok,
+                 "closed-form bracket holds for every solved target")
     worst_rel, band_ok = 0.0, True
     for t in np.geomspace(8.8301, 1e6, 1000):
         res = solve_log_ratio(float(t))
         worst_rel = max(worst_rel, abs(res.residual) / t)
         if not (res.envelope_low - 1e-12 <= res.root < res.envelope_high):
             band_ok = False
-    checks.append(_check("roots.log_ratio_residual", worst_rel <= 1e-9,
-                         f"max relative residual = {worst_rel:.3e} over 1000 targets"))
-    checks.append(_check("roots.log_ratio_band", band_ok,
-                         "t(ln t - ln ln t) <= root < t ln t for every target"))
-    return checks
+    yield _check("roots.log_ratio_residual", worst_rel <= 1e-9,
+                 f"max relative residual = {worst_rel:.3e} over 1000 targets")
+    yield _check("roots.log_ratio_band", band_ok,
+                 "t(ln t - ln ln t) <= root < t ln t for every target")
 
 
-def _suite_symbol() -> list[dict]:
+def _suite_symbol(seed: int) -> Iterator[dict]:
     worst = max(abs(plane_wave_symbol_1d(float(t)) - 2.0 * math.log(t))
                 for t in np.geomspace(0.1, 100.0, 50))
-    return [_check("symbol.plane_wave_identity", worst <= 1e-8,
-                   f"sup |symbol(t) - 2 ln t| = {worst:.3e} on 50 log-spaced t in [0.1, 100]")]
+    yield _check("symbol.plane_wave_identity", worst <= 1e-8,
+                 f"sup |symbol(t) - 2 ln t| = {worst:.3e} on 50 log-spaced t in [0.1, 100]")
 
 
-def _suite_bounds(seed: int) -> list[dict]:
-    checks = []
+def _suite_bounds(seed: int) -> Iterator[dict]:
     c1 = dimension_constants(1)
     c2 = dimension_constants(2)
 
@@ -429,8 +413,8 @@ def _suite_bounds(seed: int) -> list[dict]:
                    (math.e ** 2, "slack_mass_loglog")):
         rep = log_moment_check(c1, BallProfile(radius=a, height=1.0))
         sharp.append(abs(rep.values[key]))
-    checks.append(_check("bounds.moment_sharpness", max(sharp) <= 1e-10,
-                         f"equality-case slacks = {[f'{s:.2e}' for s in sharp]}"))
+    yield _check("bounds.moment_sharpness", max(sharp) <= 1e-10,
+                 f"equality-case slacks = {[f'{s:.2e}' for s in sharp]}")
 
     rng = random.Random(seed)  # numpy.random would cost an import per process
     worst_slack = math.inf
@@ -441,8 +425,8 @@ def _suite_bounds(seed: int) -> list[dict]:
         for key in ("slack_lower_moment", "slack_mass_affine", "slack_mass_loglog"):
             if key in rep.values:
                 worst_slack = min(worst_slack, rep.values[key])
-    checks.append(_check("bounds.moment_random_profiles", worst_slack >= -1e-10,
-                         f"min slack over 500 random profiles = {worst_slack:.3e}"))
+    yield _check("bounds.moment_random_profiles", worst_slack >= -1e-10,
+                 f"min slack over 500 random profiles = {worst_slack:.3e}")
 
     coherent = True
     for k in (27, 40, 100, 1000):
@@ -450,14 +434,14 @@ def _suite_bounds(seed: int) -> list[dict]:
         per = lower_bound_eigenvalue(c1, 2.0, k).values["refined"]
         if s != k * per:
             coherent = False
-    checks.append(_check("bounds.sum_eigenvalue_coherence", coherent,
-                         "k * per-eigenvalue bound == sum bound bit-exactly"))
+    yield _check("bounds.sum_eigenvalue_coherence", coherent,
+                 "k * per-eigenvalue bound == sum bound bit-exactly")
 
     ks = range(27, 271)
     sums = [lower_bound_sum(c1, 2.0, k).values["refined"] for k in ks]
     monotone = all(b >= a for a, b in zip(sums, sums[1:]))
-    checks.append(_check("bounds.sum_monotone_in_k", monotone,
-                         "refined sum bound nondecreasing for k = 27..270 (length-2 interval)"))
+    yield _check("bounds.sum_monotone_in_k", monotone,
+                 "refined sum bound nondecreasing for k = 27..270 (length-2 interval)")
 
     dominated = True
     for k in (30, 100, 300):
@@ -467,8 +451,8 @@ def _suite_bounds(seed: int) -> list[dict]:
             if st.admissible["upper_bound"] and pf.admissible["upper_bound"]:
                 if st.values["upper_bound"] > pf.values["upper_bound"]:
                     dominated = False
-    checks.append(_check("bounds.upper_sum_variants_ordered", dominated,
-                         "statement variant <= proof variant at sampled (volume, k)"))
+    yield _check("bounds.upper_sum_variants_ordered", dominated,
+                 "statement variant <= proof variant at sampled (volume, k)")
 
     consistent = True
     details = []
@@ -482,12 +466,10 @@ def _suite_bounds(seed: int) -> list[dict]:
         details.append(f"R={radius:g}: {lo:.4g} <= {hi:.4g}")
         if lo > hi:
             consistent = False
-    checks.append(_check("bounds.lower_below_upper", consistent, "; ".join(details)))
-    return checks
+    yield _check("bounds.lower_below_upper", consistent, "; ".join(details))
 
 
-def _suite_sandwich() -> list[dict]:
-    checks = []
+def _suite_sandwich(seed: int) -> Iterator[dict]:
     c1 = dimension_constants(1)
     for length in (0.5, 1.0, 2.0, 4.0):
         domain = interval(-length / 2.0, length / 2.0)
@@ -497,24 +479,22 @@ def _suite_sandwich() -> list[dict]:
         ok = lam1 >= floor - 1e-10
         if length == 1.0:
             ok = ok and lam1 > 0.0
-        checks.append(_check(f"sandwich.interval_L{length:g}", ok,
-                             f"discrete lambda_1 = {lam1:.8f}, volume bound = {floor:.8f}"
-                             + (", positivity required" if length == 1.0 else "")))
-    return checks
+        yield _check(f"sandwich.interval_L{length:g}", ok,
+                     f"discrete lambda_1 = {lam1:.8f}, volume bound = {floor:.8f}"
+                     + (", positivity required" if length == 1.0 else ""))
 
 
-def _suite_weyl() -> list[dict]:
-    checks = []
+def _suite_weyl(seed: int) -> Iterator[dict]:
     synthetic = spectrum_from_values(2.0 * np.log(np.arange(1, 1001, dtype=float)))
     rep = counting_envelope(synthetic, 0.25, dimension_constants(1))
-    checks.append(_check("weyl.synthetic_envelopes",
-                         rep.verdicts["upper_decays"] and rep.verdicts["lower_grows"],
-                         f"verdicts = {rep.verdicts}"))
+    yield _check("weyl.synthetic_envelopes",
+                 rep.verdicts["upper_decays"] and rep.verdicts["lower_grows"],
+                 f"verdicts = {rep.verdicts}")
     rep0 = counting_envelope(synthetic, 0.0, dimension_constants(1))
     vals = [rep0.values[k] for k in ("upper_first_quartile_mean", "upper_last_quartile_mean")]
-    checks.append(_check("weyl.synthetic_critical_exponent",
-                         all(0.5 <= v <= 1.5 for v in vals),
-                         f"critical-exponent quartile means = {[f'{v:.4f}' for v in vals]}"))
+    yield _check("weyl.synthetic_critical_exponent",
+                 all(0.5 <= v <= 1.5 for v in vals),
+                 f"critical-exponent quartile means = {[f'{v:.4f}' for v in vals]}")
 
     domain = interval(-1.0, 1.0)
     grid = build_grid(domain, 1.0 / 512.0)
@@ -523,34 +503,31 @@ def _suite_weyl() -> list[dict]:
     window = slice(49, 100)
     # the middle of the 51 sorted ratios; np.median would load numpy.ma
     med = float(np.sort(table["eigenvalue_over_log_k"][window])[25])
-    checks.append(_check("weyl.eigenvalue_ratio_window", 0.65 * 2.0 <= med <= 1.35 * 2.0,
-                         f"median lambda_k/ln k over k=50..100 = {med:.6f} "
-                         f"(target band [1.3, 2.7])"))
+    yield _check("weyl.eigenvalue_ratio_window", 0.65 * 2.0 <= med <= 1.35 * 2.0,
+                 f"median lambda_k/ln k over k=50..100 = {med:.6f} "
+                 f"(target band [1.3, 2.7])")
     ratios = table["partial_sum_ratio"][window]
     increasing = bool(np.all(np.diff(ratios) > -1e-12)) and ratios[-1] > ratios[0]
-    checks.append(_check("weyl.partial_sum_ratio_increasing", increasing,
-                         f"partial-sum ratio rises {ratios[0]:.6f} -> {ratios[-1]:.6f} "
-                         f"toward 2 over k=50..100"))
-    return checks
+    yield _check("weyl.partial_sum_ratio_increasing", increasing,
+                 f"partial-sum ratio rises {ratios[0]:.6f} -> {ratios[-1]:.6f} "
+                 f"toward 2 over k=50..100")
 
 
 _SUITES = {
-    "constants": lambda seed: _suite_constants(),
-    "roots": lambda seed: _suite_roots(),
-    "symbol": lambda seed: _suite_symbol(),
+    "constants": _suite_constants,
+    "roots": _suite_roots,
+    "symbol": _suite_symbol,
     "bounds": _suite_bounds,
-    "sandwich": lambda seed: _suite_sandwich(),
-    "weyl": lambda seed: _suite_weyl(),
+    "sandwich": _suite_sandwich,
+    "weyl": _suite_weyl,
 }
 
 
 def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed expects a non-negative integer, got {args.seed}")
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    checks = []
-    for name in names:
-        checks += _SUITES[name](args.seed)
+    checks = [check for name in (_SUITES if args.suite == "all" else [args.suite])
+              for check in _SUITES[name](args.seed)]
     passed = all(c["passed"] for c in checks)
     report = {"suite": args.suite, "seed": args.seed, "checks": checks, "passed": passed}
     _emit_json(args.out, report)
@@ -584,17 +561,19 @@ def _sweep_values(args) -> np.ndarray:
 
 
 def _sweep_radius(args, values: np.ndarray) -> tuple[list[str], list[list]]:
+    _refuse_unread(args, ("domain", "length", "radius", "side"),
+                   "--parameter radius reads no domain: its radii come from the range")
     dim = args.dim if args.dim is not None else 2
     constants = dimension_constants(dim)
+    if args.c0 is None and dim != 2:
+        raise ValueError("a radius sweep has a default c0 in dimension 2 only: pass --c0")
     header = ["radius", "c0", "lower_volume_term", "upper_large_statement",
               "upper_large_proof", "upper_large_corrected", "upper_large_admissible",
               "upper_small"]
     rows = []
     for radius in values:
         radius = float(radius)
-        c0 = args.c0 if args.c0 is not None else ball((0.0,) * dim, radius).minimal_c0()
-        if c0 is None:
-            raise ValueError("radius sweep in dimension 1 needs an explicit --c0")
+        c0 = args.c0 if args.c0 is not None else ball((0.0, 0.0), radius).minimal_c0()
         # lower bound for any domain inside the enclosing ball of radius 2R
         vol = constants.sphere_measure / dim * (2.0 * radius) ** dim
         lo = lower_bound_smallest(constants, vol).values["volume_term"]
@@ -648,36 +627,28 @@ def _cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     if args.parameter == "radius":
         header, rows = _sweep_radius(args, values)
-    elif args.parameter == "k":
-        header, rows = _sweep_k(args, values)
     else:
-        header, rows = _sweep_h(args, values, solves)
+        _refuse_unread(args, ("dim", "c0"), f"--parameter {args.parameter} takes the "
+                                            "dimension from --domain and reads no c0")
+        header, rows = (_sweep_k(args, values) if args.parameter == "k"
+                        else _sweep_h(args, values, solves))
     elapsed = time.perf_counter() - t0
     _emit_csv(args.out, header, rows)
-    if args.out:
-        manifest = {
-            "command": "sweep",
-            "version": __version__,
-            "config": {
-                "parameter": args.parameter,
-                "start": args.start,
-                "stop": args.stop,
-                "steps": args.steps,
-                "dim": args.dim,
-                "domain": getattr(args, "domain", None),
-                "length": args.length,
-                "radius": args.radius,
-                "side": args.side,
-                "c0": args.c0,
-                "out": args.out,
-            },
-            "timings_sec": {"total": elapsed},
-            "rows": len(rows),
-            "eigensolves": solves,
-            "peak_rss_mb": _peak_rss_mb(),
-        }
-        _emit_json(_manifest_path(args.out), manifest)
-        print(f"wrote {args.out} ({len(rows)} rows) and {_manifest_path(args.out)}")
+    config = {
+        "parameter": args.parameter,
+        "start": args.start,
+        "stop": args.stop,
+        "steps": args.steps,
+        "dim": args.dim,
+        "domain": args.domain,
+        "length": args.length,
+        "radius": args.radius,
+        "side": args.side,
+        "c0": args.c0,
+        "out": args.out,
+    }
+    record = {"timings_sec": {"total": elapsed}, "rows": len(rows), "eigensolves": solves}
+    _write_manifest(args, config, record, f"{len(rows)} rows")
     return 0
 
 
@@ -685,10 +656,7 @@ def _cmd_sweep(args) -> int:
 # parser / entry point
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="flat key=value file; command-line flags override it")
-    p.add_argument("--out", help="output file (CSV or JSON depending on the command)")
-    p.add_argument("--dim", type=int, help="space dimension")
+def _add_domain(p: _Parser) -> None:
     p.add_argument("--domain", choices=("interval", "box", "ball"))
     p.add_argument("--length", type=float, help="interval length (centered at 0)")
     p.add_argument("--radius", type=float, help="ball radius")
@@ -707,20 +675,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("constants", help="print the dimension constants")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--config", help="flat key=value file; command-line flags override it")
-    p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("roots", help="solve the scalar root equations")
     p.add_argument("--map", choices=("rlnr", "logratio"), required=True)
     p.add_argument("--target", required=True,
                    help="target value(s), comma-separated")
-    p.add_argument("--config")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("bounds", help="closed-form bound report for a domain (JSON)")
-    _add_common(p)
+    _add_domain(p)
     _add_grid(p)
     p.add_argument("--num-eigs", type=int, help="index k for the sum/eigenvalue bounds")
     p.add_argument("--variant", choices=("statement", "proof", "corrected"),
@@ -732,7 +696,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("solve", help="assemble the form and compute eigenvalues (CSV)")
-    _add_common(p)
+    _add_domain(p)
     _add_grid(p)
     p.add_argument("--num-eigs", type=int, required=True)
     p.add_argument("--delta", type=float,
@@ -742,20 +706,24 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a self-check suite (JSON report)")
     p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
-    p.add_argument("--config")
-    p.add_argument("--out")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the randomized checks (default 0)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="evaluate bounds/eigenvalues over a parameter range")
-    _add_common(p)
+    _add_domain(p)
     p.add_argument("--parameter", choices=("radius", "k", "h"), required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--c0", type=float)
+    p.add_argument("--dim", type=int, help="space dimension of a radius sweep (default 2)")
+    p.add_argument("--c0", type=float, help="foliation constant of a radius sweep "
+                                            "(default: the 2D ball's)")
     p.set_defaults(func=_cmd_sweep)
+
+    for p in sub.choices.values():
+        p.add_argument("--config", help="flat key=value file; command-line flags override it")
+        p.add_argument("--out", help="output file (CSV or JSON depending on the command)")
     return parser
 
 

@@ -11,6 +11,7 @@ memory, not its parent's.  CSV outputs are parsed back and cross-checked
 against the library so the 17-digit formatting contract stays honest.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -26,7 +27,7 @@ import pytest
 import loglap
 from loglap.bounds import lower_bound_sum
 from loglap.cli import main
-from loglap.constants import dimension_constants
+from loglap.constants import DimensionConstants, dimension_constants
 from loglap.discretize import assemble_form, build_grid
 from loglap.geometry import ball, interval
 from loglap.specfun import EULER_GAMMA
@@ -72,6 +73,14 @@ def test_constants_csv(tmp_path, capsys):
     assert table["euler_gamma"] == pytest.approx(EULER_GAMMA, rel=1e-16)
     # the human-readable table goes to stdout regardless of --out
     assert "zero_order_shift" in capsys.readouterr().out
+
+
+def test_constants_rows_are_the_dataclass_fields_in_order(tmp_path):
+    out = tmp_path / "constants.csv"
+    assert main(["constants", "--dim", "3", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    fields = [f.name for f in dataclasses.fields(DimensionConstants)]
+    assert [name for name, _ in rows] == fields + ["euler_gamma"]
 
 
 def test_constants_errors():
@@ -412,11 +421,13 @@ def test_dump_matrix_parses_back_to_the_assembled_matrix(tmp_path, argv, grid):
 
 
 def test_dump_matrix_holds_the_matrix_and_one_line(tmp_path):
-    # 1,696 cells: the matrix is 21.9 MiB, the 8*n*n bytes the memory refusal
-    # counts.  The dump writes it a line at a time; a copy of it as Python
-    # lists and one string of the whole file took the peak to 307 MiB
+    # 732 cells: the matrix is 4.1 MiB, the 8*n*n bytes the memory refusal
+    # counts.  The dump writes it a line at a time and peaks at about 5.5 MiB;
+    # a copy of it as Python lists and one string of the whole file took the
+    # peak to about 57 MiB
+    n = 732
     matrix = tmp_path / "matrix.csv"
-    argv = ["solve", "--domain", "ball", "--radius", "3", "--h", "0.125", "--num-eigs", "5",
+    argv = ["solve", "--domain", "ball", "--radius", "2", "--h", "0.125", "--num-eigs", "5",
             "--out", str(tmp_path / "run.csv"), "--dump-matrix", str(matrix)]
     tracemalloc.start()
     try:
@@ -424,9 +435,9 @@ def test_dump_matrix_holds_the_matrix_and_one_line(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30 * 2**20
+    assert peak <= 8 * n * n + 2 * 2**20
     with open(matrix) as fh:
-        assert sum(1 for _ in fh) == 2 + 1696
+        assert sum(1 for _ in fh) == 2 + n
 
 
 def test_solve_tiling_error_names_plain_numbers(capsys):
@@ -565,6 +576,16 @@ def test_bounds_refuses_grid_flags_without_sigma(monkeypatch, capsys):
         assert "without --sigma nothing reads them" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--domain", "interval", "--length", "2", "--cells", "8", "--num-eigs", "2"],
+    ["bounds", "--domain", "interval", "--length", "2"],
+], ids=["solve", "bounds"])
+def test_dim_belongs_to_constants_and_sweep(argv, capsys):
+    # the domain fixes the dimension of a solve or a bound report
+    assert main([*argv, "--dim", "1"]) == 1
+    assert "unrecognized arguments: --dim 1" in capsys.readouterr().err
+
+
 def test_bounds_domain_required():
     assert main(["bounds", "--length", "2"]) == 1
     assert main(["bounds", "--domain", "ball"]) == 1  # --radius missing
@@ -687,6 +708,15 @@ def test_sweep_range_errors(tmp_path):
                  "--start", "5", "--stop", "40"]) == 1   # --steps required
 
 
+@pytest.mark.parametrize("dim", ["1", "3", "10"])
+def test_radius_sweep_asks_for_c0_outside_two_dimensions(dim, capsys):
+    # the 2D ball is the one default; no other dimension builds a ball
+    assert main(["sweep", "--parameter", "radius", "--dim", dim,
+                 "--start", "1", "--stop", "2", "--steps", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "loglap: error: a radius sweep has a default c0 in dimension 2 only: pass --c0\n")
+
+
 def test_sweep_refuses_k_beyond_the_exact_integers_of_floats(capsys):
     # 1e30 has no int64 cast: refused with the limit named, with no warning
     # from the cast and no wrapped-around index in the message
@@ -779,6 +809,36 @@ def test_sweep_rejects_grid_flags(flag, value, capsys):
     assert main(["sweep", "--parameter", "k", "--start", "1", "--stop", "5", "--steps", "3",
                  "--domain", "ball", "--radius", "4", flag, value]) == 1
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+_SWEEP_K = ["sweep", "--parameter", "k", "--start", "1", "--stop", "5", "--steps", "3",
+            "--domain", "interval", "--length", "2"]
+_SWEEP_H = ["sweep", "--parameter", "h", "--start", "0.5", "--stop", "0.25", "--steps", "2",
+            "--domain", "interval", "--length", "2"]
+_SWEEP_RADIUS = ["sweep", "--parameter", "radius", "--start", "2", "--stop", "4", "--steps", "2"]
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["solve", "--domain", "ball", "--radius", "2", "--length", "7", "--side", "3",
+      "--h", "0.5", "--num-eigs", "1"], "--length and --side"),
+    (["solve", "--domain", "interval", "--length", "2", "--radius", "1",
+      "--cells", "8", "--num-eigs", "1"], "--radius"),
+    (["bounds", "--domain", "box", "--side", "1", "--length", "2"], "--length"),
+    ([*_SWEEP_K, "--c0", "5"], "--c0"),
+    ([*_SWEEP_H, "--c0", "5"], "--c0"),
+    ([*_SWEEP_K, "--dim", "1"], "--dim"),
+    ([*_SWEEP_H, "--dim", "1", "--c0", "5"], "--dim and --c0"),
+    ([*_SWEEP_K, "--radius", "3"], "--radius"),
+    ([*_SWEEP_RADIUS, "--domain", "interval", "--length", "2"], "--domain and --length"),
+    ([*_SWEEP_RADIUS, "--radius", "3", "--side", "1"], "--radius and --side"),
+], ids=["solve-ball", "solve-interval", "bounds-box", "sweep-k-c0", "sweep-h-c0", "sweep-k-dim",
+        "sweep-h-dim-c0", "sweep-k-radius", "sweep-radius-domain", "sweep-radius-shape"])
+def test_unread_flags_are_refused(argv, unread, tmp_path, capsys):
+    # a flag the command would ignore is a usage error, refused before any output
+    assert main([*argv, "--out", str(tmp_path / "run.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err.startswith(f"loglap: error: {unread} given, but ")
 
 
 def test_subprocess_smoke():
