@@ -37,11 +37,14 @@ returns it, gathered from the table in row blocks, the same way in every
 dimension; it needs the 8*n*n-byte matrix plus a small fixed block, and a
 matrix larger than physical memory is refused first.  Only
 ``solve --dump-matrix`` asks for it.  The eigensolver reads
-``QuadFormMatrix.blocks``: A commutes with the reflection along each mirror
+``QuadFormMatrix.sectors``: A commutes with the reflection along each mirror
 axis of the grid (every grid :func:`build_grid` makes has all its axes), so
 it splits into one block per sign pattern of those axes, two of about n/2
-cells in 1D and four of about n/4 in 2D (Fässler & Stiefel, 1992), each
-gathered by the same row blocks without the n x n matrix.
+cells in 1D and four of about n/4 in 2D (Fässler & Stiefel, 1992).  A
+:class:`Sector` is that basis, and both of its uses read it: ``blocks``
+gathers each block by the same row blocks without the n x n matrix, and
+``sector_matvec`` applies the blocks of several sectors to their own
+vectors by one FFT pair.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from .specfun import CATALAN, EULER_GAMMA, TI2_HALF, cosint
 
 __all__ = [
     "Grid",
+    "Sector",
     "QuadFormMatrix",
     "build_grid",
     "offset_form",
@@ -141,6 +145,29 @@ class Grid:
         return tuple(d for d in range(self.dim) if np.array_equal(self.mask, np.flip(self.mask, d)))
 
 
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """One sign pattern e of a grid's mirror axes (:meth:`QuadFormMatrix.sectors`).
+
+    ``orbits`` is the grid's orbit table, one for all its sectors: column o
+    holds the cell numbers (in the grid's order) of r_T p for one cell p
+    per orbit of the reflections, row t for the t-th subset T of the mirror
+    axes in ``itertools.product((False, True), ...)`` order, T = {} first.
+    The sector's basis vectors are the orbits ``rows``, the vector at p
+    being sum_T (prod_{d in T} e_d) e_{r_T p} * scale_p / sqrt(2^|axes|),
+    with ``scale`` = 1/sqrt(|Stab p|) for the reflections that fix p.
+    """
+
+    signs: tuple[int, ...]
+    orbits: np.ndarray
+    rows: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return int(self.rows.shape[0])
+
+
 @dataclass(eq=False)
 class QuadFormMatrix:
     """Symmetric Galerkin matrix of the energy form on a grid, given by its offset table.
@@ -161,38 +188,83 @@ class QuadFormMatrix:
     def mass_scale(self) -> float:
         return self.grid.h ** self.grid.dim
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The blocks of the matrix in the sign-pattern basis of the grid's
-        mirror axes, gathered one at a time from the table, the largest first.
+    def sectors(self) -> list[Sector]:
+        """The sign-pattern sectors of the grid's mirror axes, the largest first.
 
         The reflections r_T along subsets T of the mirror axes commute with A.
-        The block of a sign pattern e (+1 or -1 per mirror axis, in the order
+        The sector of a sign pattern e (+1 or -1 per mirror axis, in the order
         of ``itertools.product((1, -1), ...)``) has one cell p per orbit,
-        2*p_d <= s_d on each mirror axis d (s = mask.shape - 1),
-        less those on the mirror line of an axis with sign -1, and entries
-        B[p, q] = sum_T (prod_{d in T} e_d) A[p, r_T q] / sqrt(|Stab p| |Stab q|)
-        (Cantoni & Butler, Linear Algebra Appl. 13, 1976, for one axis).  All
-        blocks' eigenvalues together are A's; with no mirror axis the one
-        block is A.  Raises ``ValueError`` before a gather when a block plus
-        LAPACK's copy of it would not fit in physical memory.
+        2*p_d <= s_d on each mirror axis d (s = mask.shape - 1), less those
+        on the mirror line of an axis with sign -1; a pattern can have none.
+        The basis vectors of all sectors together are an orthonormal basis of
+        the grid's cells (Fässler & Stiefel, 1992).  With no mirror axis the
+        one sector is every cell.
         """
         idx = self.grid.indices
         axes = list(self.grid.mirror_axes)
         s = np.array(self.grid.mask.shape) - 1
         lines = 2 * idx[:, axes] - s[axes]  # 0 on an axis's mirror line
         first = np.all(lines <= 0, axis=1)  # one cell per orbit
+        cells, lines = idx[first], lines[first]
+        number = np.zeros(self.grid.mask.shape, dtype=np.intp)  # lattice index -> cell number
+        number[self.grid.mask] = np.arange(len(idx))
+        orbits = []
+        for flips in itertools.product((False, True), repeat=len(axes)):
+            partner = cells.copy()
+            partner[:, axes] = np.where(flips, s[axes] - cells[:, axes], cells[:, axes])
+            orbits.append(number[tuple(partner.T)])
+        orbits = np.array(orbits)
+        sectors = []
         for signs in itertools.product((1, -1), repeat=len(axes)):
-            keep = first & ~np.any((lines == 0) & (np.array(signs) < 0), axis=1)
-            cells = idx[keep]
-            m = len(cells)
-            _require_memory(16 * m * m, f"a dense {m} x {m} block plus LAPACK's copy")
-            partners, weights = [], []
-            for flips in itertools.product((False, True), repeat=len(axes)):  # r_T, T = {} first
-                partners.append(cells.copy())
-                partners[-1][:, axes] = np.where(flips, s[axes] - cells[:, axes], cells[:, axes])
-                weights.append(math.prod(np.where(flips, signs, 1)))
+            keep = ~np.any((lines == 0) & (np.array(signs) < 0), axis=1)
             stabilizer = np.count_nonzero(lines[keep] == 0, axis=1)
-            yield _gather(cells, self.table, partners, weights, np.sqrt(0.5**stabilizer))
+            sectors.append(Sector(signs, orbits, np.flatnonzero(keep), np.sqrt(0.5**stabilizer)))
+        return sectors
+
+    def block(self, sector: Sector) -> np.ndarray:
+        """The matrix in a sector's basis, gathered from the table: entries
+        B[p, q] = sum_T (prod_{d in T} e_d) A[p, r_T q] / sqrt(|Stab p| |Stab q|)
+        (Cantoni & Butler, Linear Algebra Appl. 13, 1976, for one axis).
+        Raises ``ValueError`` before the gather when the block plus LAPACK's
+        copy of it would not fit in physical memory.
+        """
+        m = sector.count
+        _require_memory(16 * m * m, f"a dense {m} x {m} block plus LAPACK's copy")
+        partners = list(self.grid.indices[sector.orbits[:, sector.rows]])
+        weights = [math.prod(np.where(flips, sector.signs, 1))
+                   for flips in itertools.product((False, True), repeat=len(sector.signs))]
+        return _gather(partners[0], self.table, partners, weights, sector.scale)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The :meth:`block` of each of the :meth:`sectors`, gathered one at a
+        time.  All blocks' eigenvalues together are A's; with no mirror axis
+        the one block is A."""
+        for sector in self.sectors():
+            yield self.block(sector)
+
+    def sector_matvec(self, sectors: list[Sector], vectors: dict) -> dict:
+        """The products B u of the blocks of several sectors, by one matvec.
+
+        ``sectors`` is the list :meth:`sectors` returns, and ``vectors`` maps
+        a sector's place in it to a vector u in that sector's basis.  The
+        vectors are spread onto the cells and added up, A is applied once, and
+        the product is read back in each sector's basis: A commutes with the
+        reflections, so the sectors do not mix.  Spreading and reading back
+        are Walsh-Hadamard butterflies over the sign patterns on the orbit
+        table, with no BLAS call.
+        """
+        orbits = sectors[0].orbits
+        # 1/sqrt(2^axes |Stab p|) per orbit p; the all-plus sector has every orbit
+        scale = sectors[0].scale * len(orbits) ** -0.5
+        u = np.zeros(orbits.shape)  # row e: sector e's coefficients on the orbits
+        for i, v in vectors.items():
+            u[i, sectors[i].rows] = v
+        x = _butterflies(u)  # row t: the values on the cells r_T p
+        x *= scale
+        y = self.matvec(np.bincount(orbits.ravel(), weights=x.ravel(), minlength=self.grid.count))
+        w = _butterflies(y[orbits])
+        w *= scale
+        return {i: w[i, sectors[i].rows] for i in vectors}
 
     def matvec(self, v) -> np.ndarray:
         """The product A v, by one FFT pair on the circulant embedding of the table."""
@@ -428,6 +500,20 @@ def _gather(cells: np.ndarray, table: np.ndarray, partners: list, weights: list,
     entries[lined] *= scale[lined, None]
     entries[:, lined] *= scale[lined]
     return entries
+
+
+def _butterflies(a: np.ndarray) -> np.ndarray:
+    """Row t of the result is sum_e (prod_{d in T} e_d) a[e], for the rows of
+    ``a`` in sign-pattern order and T the t-th subset of the axes: the
+    Sylvester-Hadamard matrix of order len(a) = 2^axes, applied one axis at
+    a time."""
+    for d in range(len(a).bit_length() - 1):
+        pairs = a.reshape(2**d, 2, -1)  # rows with axis d's sign +1, then -1
+        a = np.empty_like(a)
+        out = a.reshape(pairs.shape)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+    return a
 
 
 def _fft_length(n: int) -> int:

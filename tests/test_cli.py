@@ -28,8 +28,8 @@ import loglap
 from loglap.bounds import lower_bound_sum
 from loglap.cli import main
 from loglap.constants import DimensionConstants, dimension_constants
-from loglap.discretize import assemble_form, build_grid
-from loglap.geometry import ball, interval
+from loglap.discretize import assemble_form, build_grid, offset_form
+from loglap.geometry import ball, box, interval
 from loglap.specfun import EULER_GAMMA
 
 
@@ -270,8 +270,11 @@ def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
     assert main(["solve", *grid, "--num-eigs", "10", "--out", str(out)]) == 0
     record = json.loads((tmp_path / "run.json").read_text())["eigensolve"]
     # the whole record: the spectrum's source, which a new key would change
-    assert set(record) == {"cells", "solver", "matvecs", "restarts", "max_residual"}
+    assert set(record) == {"cells", "solver", "sectors", "matvecs", "restarts", "max_residual"}
     assert record["cells"] == 2048 and record["solver"] == "lanczos"
+    # the even and odd sectors, each solved once and stepped on shared matvecs
+    assert record["sectors"] == [1024, 1024]
+    assert [len(solves) for solves in record["restarts"]] == [1, 1]
     assert record["matvecs"] > 10 and 0.0 <= record["max_residual"] <= 1e-13
     assert main(["solve", *grid, "--num-eigs", "74"]) == 1
     assert main(["solve", *grid, "--num-eigs", "1", "--dump-matrix", str(tmp_path / "m.csv")]) == 1
@@ -284,8 +287,8 @@ def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
 
 
 def test_lanczos_failure_exits_2(monkeypatch, capsys):
-    # with no restart allowed, the first 20-vector Lanczos basis does not
-    # reach the convergence test (that solve takes 3 restarts)
+    # with no restart allowed, the first 20-vector Lanczos bases do not
+    # reach the convergence test (that solve's two sectors take 3 and 4)
     monkeypatch.setattr("loglap.spectrum._LANCZOS_MAX_RESTARTS", 0)
     assert main(["solve", "--domain", "interval", "--length", "2", "--cells", "2048",
                  "--num-eigs", "1"]) == 2
@@ -332,21 +335,44 @@ def test_solve_checks_delta_before_the_eigensolve(monkeypatch, tmp_path):
 
 
 def test_lanczos_solve_is_independent_of_blas_threads(tmp_path):
-    # the same Lanczos solve under 1 and 2 OpenBLAS threads writes the same bytes
-    runs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from loglap.cli import main; import sys; sys.exit(main(sys.argv[1:]))",
-             "solve", "--domain", "interval", "--length", "2", "--cells", "2048",
-             "--num-eigs", "10", "--out", str(out)],
-            capture_output=True, text=True, timeout=300,
-            env=_child_env(OPENBLAS_NUM_THREADS=threads))
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(out.with_suffix(".json").read_text())["eigensolve"]["solver"] == "lanczos"
-        runs.append(out.read_bytes())
-    assert runs[0] == runs[1]
+    # the same Lanczos solve under 1 and 2 OpenBLAS threads writes the same
+    # bytes, on two sectors in 1D and on four in 2D
+    for name, grid, sectors in [
+        ("interval", ["--domain", "interval", "--length", "2", "--cells", "2048",
+                      "--num-eigs", "10"], 2),
+        ("ball", ["--domain", "ball", "--radius", "4", "--h", "0.125", "--num-eigs", "60"], 4),
+    ]:
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "from loglap.cli import main; import sys; sys.exit(main(sys.argv[1:]))",
+                 "solve", *grid, "--out", str(out)],
+                capture_output=True, text=True, timeout=300,
+                env=_child_env(OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            record = json.loads(out.with_suffix(".json").read_text())["eigensolve"]
+            assert record["solver"] == "lanczos" and len(record["sectors"]) == sectors
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1], name
+
+
+def test_lanczos_solve_with_empty_sectors_matches_lapack_on_the_blocks(tmp_path):
+    # a 1 x 2,048 box: every cell lies on the first axis's mirror line, so
+    # the two sign patterns with -1 on it have no cell and Lanczos runs on
+    # the other two
+    out = tmp_path / "strip.csv"
+    assert main(["solve", "--domain", "box", "--side", "0.0625,128", "--h", "0.0625",
+                 "--num-eigs", "10", "--out", str(out)]) == 0
+    record = json.loads(out.with_suffix(".json").read_text())["eigensolve"]
+    assert record["solver"] == "lanczos" and record["sectors"] == [1024, 1024, 0, 0]
+    assert record["restarts"][2:] == [[], []]
+    form = offset_form(build_grid(box((0.0, 0.0), (0.0625, 128.0)), 0.0625))
+    lapack = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in form.blocks()]))[:10]
+    lapack /= form.mass_scale
+    lam = column(*read_csv(out), "lambda")
+    assert np.max(np.abs(lam - lapack) / np.abs(lapack)) <= 1e-12
 
 
 def test_no_command_loads_scipy(tmp_path):

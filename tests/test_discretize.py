@@ -382,6 +382,18 @@ def _assert_blocks_are_the_matrix_in_the_sign_pattern_bases(grid: Grid) -> None:
     for block, basis in zip(blocks, bases):
         assert np.array_equal(block, block.T)
         assert np.allclose(block, basis.T @ a @ basis, rtol=0.0, atol=1e-15 * np.abs(a).max())
+    # one shared matvec applies every sector's block to its own vector, and
+    # a sector left out of a product is left out of its result
+    sectors = form.sectors()
+    rng = np.random.default_rng(grid.count)
+    vectors = {i: rng.standard_normal(basis.shape[1]) for i, basis in enumerate(bases)}
+    bound = 1e-14 * np.abs(a).sum(axis=1).max()
+    for chosen in (vectors, dict(list(vectors.items())[1:])):
+        products = form.sector_matvec(sectors, chosen)
+        assert products.keys() == chosen.keys()
+        for i, u in chosen.items():
+            want = bases[i].T @ (a @ (bases[i] @ u))
+            assert np.linalg.norm(products[i] - want) <= bound * np.linalg.norm(u)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

@@ -94,20 +94,35 @@ def ball_3080():
     return form, lapack
 
 
+def _lapack_on_the_blocks(form, k):
+    """The k smallest eigenvalues of the form's A / massScale, by LAPACK on its blocks."""
+    values = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in form.blocks()]))
+    return values[:k] / form.mass_scale
+
+
 def test_lanczos_matches_lapack_on_double_eigenvalues(ball_3080):
-    # a single-vector Krylov method sees one direction per eigenspace in exact
-    # arithmetic; the second copy of a double eigenvalue comes from rounding
+    # the ball's symmetry makes seven of these eigenvalues double: the
+    # diagonal reflection swaps the (+,-) and (-,+) sectors, and each double
+    # comes back as one copy from each
     form, lapack = ball_3080
     s = eig_symmetric(form, 30)
     assert s.source["solver"] == "lanczos"
-    # the ball's symmetry makes seven of these eigenvalues double; both copies come back
     assert np.sum(np.diff(lapack) < 1e-9) == 7
     assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
+    ev = s.eigenvalues
+    doubles = np.flatnonzero(np.diff(ev) <= 1e-13 * np.abs(ev[1:]))
+    assert doubles.size == 7
     assert s.source["matvecs"] > 30
     assert s.source["max_residual"] <= 1e-12 * form.mass_scale
-    # the Ritz vectors behind max_residual are orthonormal
-    _, vecs, _ = spectrum_module._lanczos(form, 30)
-    assert np.allclose(vecs.T @ vecs, np.eye(30), atol=1e-12)
+    sectors = form.sectors()
+    solved, _, _ = spectrum_module._solve_sectors(form, sectors, 30)
+    for i in doubles:
+        for sector, (values, _) in zip(sectors, solved):
+            copies = np.abs(values / form.mass_scale - ev[i]) <= 1e-13 * abs(ev[i])
+            assert np.count_nonzero(copies) == (1 if sector.signs in [(1, -1), (-1, 1)] else 0)
+    # the Ritz vectors behind max_residual are orthonormal in each sector
+    for _, vectors in solved:
+        assert np.allclose(vectors @ vectors.T, np.eye(len(vectors)), atol=1e-12)
 
 
 def test_lanczos_matches_lapack_on_an_interval():
@@ -124,9 +139,11 @@ def test_repeated_lanczos_solves_are_bit_identical(ball_3080):
     b = eig_symmetric(form, 10)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert a.source == b.source
-    (vals_a, vecs_a, stats_a), (vals_b, vecs_b, stats_b) = (
-        spectrum_module._lanczos(form, 10) for _ in range(2))
-    assert np.array_equal(vals_a, vals_b) and np.array_equal(vecs_a, vecs_b)
+    sectors = form.sectors()
+    (pairs_a, *stats_a), (pairs_b, *stats_b) = (
+        spectrum_module._solve_sectors(form, sectors, 10) for _ in range(2))
+    for (vals_a, vecs_a), (vals_b, vecs_b) in zip(pairs_a, pairs_b):
+        assert np.array_equal(vals_a, vals_b) and np.array_equal(vecs_a, vecs_b)
     assert stats_a == stats_b
 
 
@@ -148,6 +165,64 @@ def test_lanczos_breakdown_raises_numerics_error():
         eig_symmetric(form, 10)
 
 
+LANCZOS_GRIDS = {
+    "interval-odd": (interval(-1.0, 1.0), 2.0 / 601.0),
+    "box": (box((0.0, 0.0), (2.0, 1.5)), 1.0 / 16.0),
+    "square-odd": (box((0.0, 0.0), (1.9375, 1.9375)), 1.0 / 16.0),
+    "ball": (ball((0.0, 0.0), 2.0), 0.125),
+    "ball-off-center": (ball((0.3, -1.0), 2.0), 0.125),
+    "ball-centered-odd": (ball((0.0, 0.0), 2.5), 0.2),
+}
+
+
+@pytest.mark.parametrize("name", [*LANCZOS_GRIDS, "no-mirror-axis"])
+def test_lanczos_matches_lapack_on_the_blocks(monkeypatch, name):
+    # grids of 437-961 cells at k = n/28, with the solver floor lowered so
+    # that Lanczos runs on them; the odd lattices have cells on their mirror
+    # lines, so their sectors differ in size
+    monkeypatch.setattr(spectrum_module, "_LANCZOS_MIN_CELLS", 1)
+    grid = build_grid(*LANCZOS_GRIDS.get(name, LANCZOS_GRIDS["ball"]))
+    if name == "no-mirror-axis":
+        grid = _without_cell(grid, 0)
+    form = offset_form(grid)
+    k = grid.count // 28
+    s = eig_symmetric(form, k)
+    assert s.source["solver"] == "lanczos"
+    assert len(s.source["sectors"]) == 2 ** len(grid.mirror_axes)
+    assert sum(s.source["sectors"]) == grid.count
+    want = _lapack_on_the_blocks(form, k)
+    assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
+
+
+def test_sector_merge_solves_a_short_sector_again(monkeypatch, ball_3080):
+    # with one value asked of each sector first, the merge has four of the
+    # ten: every sector must be solved again for more
+    monkeypatch.setattr(spectrum_module, "_first_share", lambda k, cells, n: 1)
+    form, _ = ball_3080
+    s = eig_symmetric(form, 10)
+    assert all(len(solves) > 1 for solves in s.source["restarts"])
+    want = _lapack_on_the_blocks(form, 10)
+    assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
+
+
+def test_sectors_smaller_than_the_lanczos_basis_are_solved_by_lapack(monkeypatch):
+    # a row of 512 cells on the first axis's mirror line, with five cells at
+    # each end of the rows above and below it: the sign patterns with -1 on
+    # the first axis have 5 cells each, fewer than the 21 Lanczos vectors
+    monkeypatch.setattr(spectrum_module, "_LANCZOS_MIN_CELLS", 1)
+    mask = np.zeros((3, 512), dtype=bool)
+    mask[1] = True
+    mask[::2, :5] = mask[::2, -5:] = True
+    h = 1.0 / 16.0
+    grid = Grid(domain=box((0.0, 0.0), (3 * h, 512 * h)), h=h, corner=(0, 0), mask=mask)
+    form = offset_form(grid)
+    s = eig_symmetric(form, 10)
+    assert s.source["solver"] == "lanczos" and s.source["sectors"] == [261, 261, 5, 5]
+    assert [len(solves) for solves in s.source["restarts"]] == [1, 1, 0, 0]
+    want = _lapack_on_the_blocks(form, 10)
+    assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
+
+
 def _chosen_solver(monkeypatch, grid, k):
     """The solver eig_symmetric picks for k eigenvalues of the grid's form,
     with both solvers faked."""
@@ -156,7 +231,7 @@ def _chosen_solver(monkeypatch, grid, k):
     def fake(name):
         def solve(*args):
             ran.append(name)
-            return np.zeros(k) if name == "lapack" else (np.zeros(k), None, {})
+            return np.zeros(k) if name == "lapack" else (np.zeros(k), {})
         return solve
 
     monkeypatch.setattr(spectrum_module, "_lapack", fake("lapack"))
