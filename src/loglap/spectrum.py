@@ -105,8 +105,8 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     (:func:`_start_vector`); ``source`` then records the sectors' sizes as
     ``sectors``, the shared ``matvecs`` (residuals included), per sector the
     ``restarts`` of each Lanczos solve it took (a second one when the merge
-    asked it for more values; none for an empty sector or one of fewer
-    cells than the Lanczos basis, which LAPACK solves on its block) and the
+    asked it for more values; none for an empty sector or one of at most
+    twice the Lanczos basis, which LAPACK solves on its block) and the
     ``max_residual`` ||A v - lambda * massScale * v|| of the k unit Ritz
     vectors.  Everything else goes to LAPACK on the form's
     :meth:`~loglap.discretize.QuadFormMatrix.blocks`, each freed before the
@@ -255,12 +255,15 @@ def _sector_pairs(form: QuadFormMatrix, sector: Sector, k: int):
     """Generator for :func:`_lockstep`: ascending eigenvalues of a sector's
     block with their unit eigenvectors as rows, and the restart count.
 
-    A sector of more cells than the Lanczos basis (:func:`_basis_size`) runs
-    :func:`_thick_restart` for its k smallest pairs.  A smaller one, which
-    would leave Lanczos no room, gets all its pairs from LAPACK on its
-    gathered block and needs no product; its restart count is None.
+    A sector of more than twice as many cells as the Lanczos basis
+    (:func:`_basis_size`) runs :func:`_thick_restart` for its k smallest
+    pairs.  In a smaller one the basis fills much of the sector, and its
+    Krylov space can become invariant (Lanczos breaks down) while a dense
+    solve costs about as much as two restarts: it gets all its pairs from
+    LAPACK on its gathered block and needs no product; its restart count is
+    None.
     """
-    if sector.count > _basis_size(k):
+    if sector.count > 2 * _basis_size(k):
         return (yield from _thick_restart(sector.count, k))
     values, vectors = _lapack(form.block(sector), vectors=True)
     return values, vectors.T, None
@@ -282,7 +285,8 @@ def _basis_size(k: int) -> int:
 
 def _thick_restart(n: int, k: int):
     """Generator for :func:`_lockstep`: the k smallest eigenpairs of a
-    symmetric n x n operator by thick-restart Lanczos, n > :func:`_basis_size`.
+    symmetric n x n operator by thick-restart Lanczos, for n above twice
+    :func:`_basis_size`.
 
     It yields each vector whose product it needs and is sent the product.
     The basis holds m = _basis_size(k) vectors, started from

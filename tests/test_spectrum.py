@@ -205,7 +205,7 @@ def test_sector_merge_solves_a_short_sector_again(monkeypatch, ball_3080):
     assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
 
 
-def test_sectors_smaller_than_the_lanczos_basis_are_solved_by_lapack(monkeypatch):
+def test_sectors_up_to_twice_the_lanczos_basis_are_solved_by_lapack(monkeypatch):
     # a row of 512 cells on the first axis's mirror line, with five cells at
     # each end of the rows above and below it: the sign patterns with -1 on
     # the first axis have 5 cells each, fewer than the 21 Lanczos vectors
@@ -220,6 +220,14 @@ def test_sectors_smaller_than_the_lanczos_basis_are_solved_by_lapack(monkeypatch
     assert s.source["solver"] == "lanczos" and s.source["sectors"] == [261, 261, 5, 5]
     assert [len(solves) for solves in s.source["restarts"]] == [1, 1, 0, 0]
     want = _lapack_on_the_blocks(form, 10)
+    assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
+    # asked for 90 values, a 183-cell sector of the 732-cell ball would get
+    # 181 Lanczos vectors, and its Krylov space would become invariant
+    monkeypatch.setattr(spectrum_module, "_first_share", lambda k, cells, n: 90)
+    form = offset_form(build_grid(ball((0.0, 0.0), 2.0), 0.125))
+    s = eig_symmetric(form, 5)
+    assert s.source["sectors"] == [183] * 4 and s.source["restarts"] == [[]] * 4
+    want = _lapack_on_the_blocks(form, 5)
     assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
 
 
