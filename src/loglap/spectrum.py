@@ -147,9 +147,11 @@ def _start_vector(n: int) -> np.ndarray:
     """Lanczos's start: the first n outputs of SplitMix64 from seed 0 (Steele,
     Lea & Flood, OOPSLA 2014), mapped to [-1/2, 1/2).
 
-    Like a random vector it reaches every symmetry sector of a
-    reflection-symmetric grid, where a constant vector lies in the even one;
-    being a fixed hash of the cell index, it needs no random number generator.
+    Each sector's Lanczos starts from the vector of its size, indexed by
+    the sector's cells.  Like a random vector it has a component along every
+    eigenvector, where a structured one (a constant lies in the even sector
+    of a grid) can miss some; being a fixed hash of the cell index, it needs
+    no random number generator.
     """
     z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
