@@ -41,9 +41,9 @@ matrix larger than physical memory is refused first.  Only
 axis of the grid (every grid :func:`build_grid` makes has all its axes), so
 it splits into one block per sign pattern of those axes, two of about n/2
 cells in 1D and four of about n/4 in 2D (Fässler & Stiefel, 1992).  A
-:class:`Sector` is that basis, and both of its uses read it: ``blocks``
-gathers each block by the same row blocks without the n x n matrix, and
-``sector_matvec`` applies the blocks of several sectors to their own
+:class:`Sector` is that basis, and both of its uses read it: ``block``
+gathers a sector's block by the same row blocks without the n x n matrix,
+and ``sector_matvec`` applies the blocks of several sectors to their own
 vectors by one FFT pair.
 """
 
@@ -52,7 +52,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,13 +233,6 @@ class QuadFormMatrix:
         weights = [math.prod(np.where(flips, sector.signs, 1))
                    for flips in itertools.product((False, True), repeat=len(sector.signs))]
         return _gather(partners[0], self.table, partners, weights, sector.scale)
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The :meth:`block` of each of the :meth:`sectors`, gathered one at a
-        time.  All blocks' eigenvalues together are A's; with no mirror axis
-        the one block is A."""
-        for sector in self.sectors():
-            yield self.block(sector)
 
     def sector_matvec(self, sectors: list[Sector], vectors: dict) -> dict:
         """The products B u of the blocks of several sectors, by one matvec.

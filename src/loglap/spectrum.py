@@ -2,23 +2,22 @@
 
 The generalized problem A v = lambda * massScale * v with the identity-like
 mass of the indicator basis reduces to a standard symmetric problem for
-A / massScale.  :func:`eig_symmetric` picks its solver from the problem's
-size, and both solvers work in the sectors of
+A / massScale.  :func:`eig_symmetric` solves it in the sectors of
 :meth:`~loglap.discretize.QuadFormMatrix.sectors`, one per sign pattern of
 the grid's mirror axes: two of about n/2 cells for an interval and four of
 about n/4 for a box or ball (one, the whole grid, without a mirror axis).
-For a few eigenvalues of a large grid it runs thick-restart Lanczos (Wu &
-Simon, SIAM J. Matrix Anal. Appl. 22, 2000) in every sector at once on the
-form's FFT matvec, with no dense matrix: one product per step serves all
-sectors, so a solve costs as many FFT pairs as its longest sector takes.
-Otherwise it runs LAPACK's dense solver on each sector's block, a quarter
-(1D) and a sixteenth (2D) of the n x n solve's flops and memory.  Either
-way the sectors' eigenvalues are merged.  The solve's record, the
-spectrum's ``source``, names the solver, the cells and the sectors' sizes;
-for Lanczos also the matvecs (the Ritz residuals' included), each sector's
-restart count per solve and the largest residual ||A v - lambda M v||.  All
-solvers are deterministic, so results are reproducible bit for bit across
-runs on one machine.
+Each sector picks its solver from its size and the number of values asked
+of it.  A large sector asked for few runs thick-restart Lanczos (Wu &
+Simon, SIAM J. Matrix Anal. Appl. 22, 2000) on the form's FFT matvec, with
+no dense matrix; all such sectors are stepped together, so one product per
+step serves them all.  Any other sector gets all its values from LAPACK's
+dense solver on its block.  The sectors' eigenvalues are then merged.  The
+solve's record, the spectrum's ``source``, has the same keys for every
+solve: the cells, the sectors' sizes and solvers, the matvecs (the Ritz
+residuals' included), each sector's restart count per Lanczos solve and the
+largest residual ||A v - lambda M v|| of the Lanczos sectors.  Both solvers
+are deterministic, so results are reproducible bit for bit across runs on
+one machine.
 """
 
 from __future__ import annotations
@@ -39,38 +38,26 @@ __all__ = [
     "envelope_samples",
 ]
 
-# Solver policy: Lanczos on the matvec when n >= _LANCZOS_MIN_CELLS and
-# k <= n / _LANCZOS_CELLS_PER_EIGENVALUE, LAPACK otherwise.  The k limit comes
-# from the crossovers of whole-grid Lanczos near k = n/23, n/28 and n/22,
-# measured up to k = 220 on a 2,048-cell interval, the 3,080-cell ball and a
-# 4,096-cell interval.  Re-timed with the sector solvers on both sides:
-# milliseconds per solve, LAPACK on the blocks (gather included; it does not
-# depend on k) against sector Lanczos at k = 1, 10 and n/28 (symbol
-# included), on two cores with OpenBLAS, a fresh form each time, the best of
-# three runs of best of nine in one process:
-#   interval   n =   512: LAPACK   8.1; Lanczos  6.8, 11.5,  15.2 (k = 18)
-#                    640:         14.2;         10.1, 11.9,  16.7 (k = 22)
-#                    768:         17.0;          7.4, 13.3,  25.1 (k = 27)
-#                  1,024:         34.1;          8.2, 15.0,  30.9 (k = 36)
-#                  2,048:        170.2;         14.9, 23.4,  80.8 (k = 73)
-#   ball h=1/8 n =   732: LAPACK  10.9; Lanczos 13.7, 18.0,  28.1 (k = 26)
-#                  1,696:         63.3;         25.3, 31.1,  59.3 (k = 60)
-#                  2,016:         73.5;         24.5, 28.9, 120.2 (k = 72)
-#                  2,340:        101.6;         26.4, 35.2,  90.3 (k = 83)
-#                  2,700:        142.1;         39.6, 52.6, 113.0 (k = 96)
-#                  3,080:        191.4;         32.5, 43.5, 157.9 (k = 110)
-#   box 1/16   n = 2,025: LAPACK  75.4; Lanczos 22.9, 30.9, 106.7 (k = 72)
-#                  2,704:        154.2;         43.3, 45.4, 104.6 (k = 96)
-# The machine was shared and runs spread up to 1.7x.  Within each run the
-# ratio Lanczos/LAPACK at k = n/28 is 0.46-0.64 at 2,048 cells in 1D and
-# 0.9-2.3 below.  In 2D it is 0.7-1.3 from 2,340 cells on, 1.3-1.6 at
-# 2,016-2,025, 0.9-1.6 at 1,696 and 2.5-4.4 at 732; whole-grid Lanczos took
-# 2.8-3.7 at every 2D size in the same session.  So above the 2,048-cell
-# floor the 2D limit is no longer too generous.  These are timings of the
-# solvers alone; both limits stay until a benchmark workload solves grids on
-# each side of them.
-_LANCZOS_MIN_CELLS = 2048
-_LANCZOS_CELLS_PER_EIGENVALUE = 28
+# The solver rule per sector (:func:`_uses_lanczos`).  Milliseconds per
+# solve with every sector forced onto one solver, for sectors of c cells
+# asked for j values each; two cores, OpenBLAS, best of five in one process,
+# a fresh form each time (Lanczos pays the symbol):
+#                      LAPACK  Lanczos at j = 2, and at c/j = 32    24    20    16    12
+#   interval  c =  256    11.1                11.2         17.0   20.7  21.1  23.1  27.4
+#                  512    40.4                11.3         32.1   39.8  44.9  51.0  63.8
+#                1,024   192.4                24.1        101.1  122.8 123.9 155.3 199.3
+#                2,048  1165.0                38.3        385.0  614.5 703.8 644.5  1025
+#   ball h=1/8 c = 424    60.8                34.7         84.8   89.9 103.1 117.9 142.1
+#                  585   114.9                40.3        114.3  133.8 158.2 182.0 224.7
+#                  770   205.9                47.5        156.2  188.3 234.8 303.4 373.8
+#                1,755    1741                62.1        511.4  839.0 891.1  1346  2054
+# Below 512 cells Lanczos wins at most 1.8x, and only for a few values.  The
+# crossover c/j falls as c grows: 22-32 at 512-770 cells, 12-13 from 1,024
+# on.  c/j >= 16 loses about 1.5x (0.1 s) at most on the small sectors, and
+# takes the large ones' gains: a larger ratio would send the 1,755-cell
+# sectors at c/j = 20 to LAPACK, at twice the time.
+_LANCZOS_MIN_SECTOR = 512
+_LANCZOS_CELLS_PER_VALUE = 16
 # Sector solves of 2,048-50,920 cells converge in 3-76 restarts (the R=16,
 # h=1/8 ball at k = 10 takes 9-11, the 1 x 2,048 box 69-76).
 _LANCZOS_MAX_RESTARTS = 1000
@@ -99,46 +86,47 @@ def spectrum_from_values(values) -> Spectrum:
 def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     """Smallest ``k`` eigenvalues of the form's A / massScale, ascending.
 
-    A form of n >= 2048 cells with k <= n/28 is solved by thick-restart
-    Lanczos in its mirror sectors on its matvec (:func:`_lanczos`), each
-    sector started from a fixed hash of its cell index
-    (:func:`_start_vector`); ``source`` then records the sectors' sizes as
-    ``sectors``, the shared ``matvecs`` (residuals included), per sector the
-    ``restarts`` of each Lanczos solve it took (a second one when the merge
-    asked it for more values; none for an empty sector or one of at most
-    twice the Lanczos basis, which LAPACK solves on its block) and the
-    ``max_residual`` ||A v - lambda * massScale * v|| of the k unit Ritz
-    vectors.  Everything else goes to LAPACK on the form's
-    :meth:`~loglap.discretize.QuadFormMatrix.blocks`, each freed before the
-    next is gathered, and ``source`` records their sizes as ``sectors``.
-    The largest block plus LAPACK's copy sets the memory; ``ValueError`` is
-    raised when that exceeds physical memory.  ``source`` also names the
-    solver that ran and the number of cells.  Raises ``NumericsError`` when
-    a solver fails.
+    Each of the form's mirror sectors is solved by the solver its size and
+    share of the k values pick (:func:`_sector_pairs`), and the sectors'
+    values are merged (:func:`_solve_sectors`).  ``source`` records the
+    ``cells``, the sectors' sizes as ``sectors``, per sector the solver that
+    ran last as ``solvers`` (``"lanczos"`` or ``"lapack"``) and the restart
+    count of each Lanczos solve it took as ``restarts`` (a second one when
+    the merge asked it for more values; none for a LAPACK sector), the
+    shared ``matvecs`` (residuals included) and the largest residual
+    ||A v - lambda * massScale * v|| of the Lanczos sectors' unit Ritz
+    vectors among the k as ``max_residual`` (None when no Lanczos sector
+    holds one).  A LAPACK sector's block is gathered, solved and freed
+    before the next one is gathered: the largest block plus LAPACK's copy
+    sets the memory, and ``ValueError`` is raised when that exceeds
+    physical memory.  Raises ``NumericsError`` when a solver fails.
     """
     n = form.grid.count
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    source = {"cells": n}
-    if n >= _LANCZOS_MIN_CELLS and k * _LANCZOS_CELLS_PER_EIGENVALUE <= n:
-        vals, stats = _lanczos(form, k)
-        source.update(solver="lanczos", **stats)
-    else:
-        vals, sectors = [], []
-        for block in form.blocks():
-            sectors.append(block.shape[0])
-            vals.append(_lapack(block)[:k])
-            del block  # freed before the next block is gathered
-        vals = np.sort(np.concatenate(vals))[:k]
-        source.update(solver="lapack", sectors=sectors)
-    return Spectrum(eigenvalues=np.ascontiguousarray(vals / form.mass_scale), source=source)
+    sectors = form.sectors()
+    pairs, restarts, matvecs = _solve_sectors(form, sectors, k)
+    # the k smallest are a prefix of each sector's ascending values
+    merged = np.concatenate([values for values, _ in pairs])
+    chosen = np.argsort(merged, kind="stable")[:k]
+    owner = np.repeat(np.arange(len(pairs)), [values.size for values, _ in pairs])
+    taken = np.bincount(owner[chosen], minlength=len(pairs))
+    residuals, steps = _lockstep(form, sectors, {
+        i: _residual(values[:j], vectors[:j])
+        for i, ((values, vectors), j) in enumerate(zip(pairs, taken))
+        if j and vectors is not None})
+    source = {"cells": n, "sectors": [sector.count for sector in sectors],
+              "solvers": ["lapack" if vectors is None else "lanczos" for _, vectors in pairs],
+              "matvecs": matvecs + steps, "restarts": restarts,
+              "max_residual": max(residuals.values(), default=None)}
+    return Spectrum(eigenvalues=np.ascontiguousarray(merged[chosen] / form.mass_scale),
+                    source=source)
 
 
-def _lapack(a: np.ndarray, vectors: bool = False):
-    """LAPACK's eigenvalues of a symmetric matrix, ascending, or with ``vectors``
-    the pair (values, unit eigenvectors as columns)."""
+def _lapack(a: np.ndarray) -> np.ndarray:
+    """LAPACK's eigenvalues of a symmetric matrix, ascending."""
     try:
-        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NumericsError(f"symmetric eigensolver failed to converge: {exc}") from exc
 
@@ -160,46 +148,25 @@ def _start_vector(n: int) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
-def _lanczos(form: QuadFormMatrix, k: int) -> tuple[np.ndarray, dict]:
-    """The k smallest eigenvalues of the form's A by thick-restart Lanczos in
-    its mirror sectors (:func:`_solve_sectors`), and the solve's record.
-
-    The record lists the sectors' sizes, the matvecs, each sector's restart
-    count per solve and the largest residual ||A v - lambda v|| of the k
-    unit Ritz vectors, whose products share matvecs across sectors too.
-    """
-    sectors = form.sectors()
-    pairs, restarts, matvecs = _solve_sectors(form, sectors, k)
-    # the k smallest are a prefix of each sector's ascending values
-    merged = np.concatenate([values for values, _ in pairs])
-    chosen = np.argsort(merged, kind="stable")[:k]
-    owner = np.repeat(np.arange(len(pairs)), [values.size for values, _ in pairs])
-    taken = np.bincount(owner[chosen], minlength=len(pairs))
-    residuals, steps = _lockstep(form, sectors, {
-        i: _residual(values[:j], vectors[:j])
-        for i, ((values, vectors), j) in enumerate(zip(pairs, taken)) if j})
-    stats = {"sectors": [sector.count for sector in sectors], "matvecs": matvecs + steps,
-             "restarts": restarts, "max_residual": max(residuals.values())}
-    return merged[chosen], stats
-
-
 def _solve_sectors(form: QuadFormMatrix, sectors: list[Sector], k: int) -> tuple[list, list, int]:
     """Eigenpairs of each sector's block that hold the k smallest of A.
 
-    Each sector runs its own Krylov process on its block (:func:`_sector_pairs`),
-    and :func:`_lockstep` steps them together, so that one matvec serves
-    every sector at each step.  A sector first asks for
+    Each sector runs its own solve on its block (:func:`_sector_pairs`), and
+    :func:`_lockstep` steps the Lanczos ones together, so that one matvec
+    serves all of them at each step.  A sector first asks for
     :func:`_first_share` of the values, a few more than its share by Weyl's
     law, which splits them in proportion in the limit.  After the merge, a
     sector with cells left whose largest value lies below the merged k-th
     one may hold more of the k smallest: it is solved again for twice as
-    many, until none is.  Returns per sector its ascending values and unit
-    eigenvectors (rows, in the sector's basis) and the restart count of each
-    Lanczos solve it took, and the matvecs.
+    many, until none is.  A sector solved by LAPACK has all its values and
+    never grows.  Returns per sector its ascending values and unit
+    eigenvectors (rows, in the sector's basis; None for LAPACK and for an
+    empty sector) and the restart count of each Lanczos solve it took, and
+    the matvecs.
     """
     n = form.grid.count
     asked = [min(_first_share(k, sector.count, n), sector.count) for sector in sectors]
-    pairs = [(np.empty(0), np.empty((0, sector.count))) for sector in sectors]
+    pairs = [(np.empty(0), None) for _ in sectors]
     restarts = [[] for _ in sectors]
     matvecs = 0
     grow = [i for i, want in enumerate(asked) if want]
@@ -255,20 +222,28 @@ def _lockstep(form: QuadFormMatrix, sectors: list[Sector], runs: dict) -> tuple[
 
 def _sector_pairs(form: QuadFormMatrix, sector: Sector, k: int):
     """Generator for :func:`_lockstep`: ascending eigenvalues of a sector's
-    block with their unit eigenvectors as rows, and the restart count.
+    block, with their unit eigenvectors as rows, and the restart count.
 
-    A sector of more than twice as many cells as the Lanczos basis
-    (:func:`_basis_size`) runs :func:`_thick_restart` for its k smallest
-    pairs.  In a smaller one the basis fills much of the sector, and its
-    Krylov space can become invariant (Lanczos breaks down) while a dense
-    solve costs about as much as two restarts: it gets all its pairs from
-    LAPACK on its gathered block and needs no product; its restart count is
-    None.
+    A sector that :func:`_uses_lanczos` runs :func:`_thick_restart` for its
+    k smallest pairs.  Any other gets all its values from LAPACK on its
+    gathered block, with no vectors and no product; its vectors and restart
+    count are None.
     """
-    if sector.count > 2 * _basis_size(k):
+    if _uses_lanczos(sector.count, k):
         return (yield from _thick_restart(sector.count, k))
-    values, vectors = _lapack(form.block(sector), vectors=True)
-    return values, vectors.T, None
+    return _lapack(form.block(sector)), None, None
+
+
+def _uses_lanczos(cells: int, k: int) -> bool:
+    """Whether a sector of ``cells`` cells asked for k values runs Lanczos:
+    cells >= _LANCZOS_MIN_SECTOR and cells >= _LANCZOS_CELLS_PER_VALUE * k.
+
+    With _LANCZOS_MIN_SECTOR > 40 and _LANCZOS_CELLS_PER_VALUE >= 5 every
+    such sector has more than twice :func:`_basis_size` cells: in a smaller
+    one the basis fills much of the sector, and its Krylov space can become
+    invariant (Lanczos breaks down).
+    """
+    return cells >= max(_LANCZOS_MIN_SECTOR, _LANCZOS_CELLS_PER_VALUE * k)
 
 
 def _residual(values: np.ndarray, vectors: np.ndarray):

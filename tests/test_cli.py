@@ -158,7 +158,9 @@ def test_solve_csv_and_manifest(tmp_path):
     assert manifest["config"]["h_effective"] == pytest.approx(2.0 / 64.0, rel=1e-15)
     assert manifest["results"]["lambda_1"] == lam[0]
     assert manifest["timings_sec"]["total"] > 0.0
-    assert manifest["eigensolve"] == {"cells": 64, "solver": "lapack", "sectors": [32, 32]}
+    assert manifest["eigensolve"] == {
+        "cells": 64, "sectors": [32, 32], "solvers": ["lapack", "lapack"], "matvecs": 0,
+        "restarts": [[], []], "max_residual": None}
     assert manifest["peak_rss_mb"] > 0.0
 
 
@@ -260,8 +262,9 @@ def test_solve_refuses_eigensolve_larger_than_memory(monkeypatch, capsys):
 
 def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
     # 2048 cells: the matrix takes 32 MiB and the solve on its even and odd
-    # blocks 16 MiB; with 8 MiB of memory the dense paths refuse and
-    # k <= n/28 is solved by Lanczos on the matvec
+    # blocks 16 MiB; with 8 MiB of memory the dense paths refuse, and a k
+    # whose share of each 1,024-cell sector is small is solved by Lanczos on
+    # the matvec
     real_sysconf = os.sysconf
     fake = {"SC_PHYS_PAGES": 2048, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
@@ -270,20 +273,21 @@ def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
     assert main(["solve", *grid, "--num-eigs", "10", "--out", str(out)]) == 0
     record = json.loads((tmp_path / "run.json").read_text())["eigensolve"]
     # the whole record: the spectrum's source, which a new key would change
-    assert set(record) == {"cells", "solver", "sectors", "matvecs", "restarts", "max_residual"}
-    assert record["cells"] == 2048 and record["solver"] == "lanczos"
+    assert set(record) == {"cells", "sectors", "solvers", "matvecs", "restarts", "max_residual"}
+    assert record["cells"] == 2048 and record["solvers"] == ["lanczos", "lanczos"]
     # the even and odd sectors, each solved once and stepped on shared matvecs
     assert record["sectors"] == [1024, 1024]
     assert [len(solves) for solves in record["restarts"]] == [1, 1]
     assert record["matvecs"] > 10 and 0.0 <= record["max_residual"] <= 1e-13
-    assert main(["solve", *grid, "--num-eigs", "74"]) == 1
+    # 512 eigenvalues ask 296 of each sector, which LAPACK solves on its block
+    assert main(["solve", *grid, "--num-eigs", "512"]) == 1
     assert main(["solve", *grid, "--num-eigs", "1", "--dump-matrix", str(tmp_path / "m.csv")]) == 1
     sweep = tmp_path / "sweep.csv"
     assert main(["sweep", "--parameter", "h", "--domain", "interval", "--length", "2",
                  "--start", str(2 / 2048), "--stop", str(2 / 2048), "--steps", "1",
                  "--out", str(sweep)]) == 0
     solves = json.loads((tmp_path / "sweep.json").read_text())["eigensolves"]
-    assert [(s["cells"], s["solver"]) for s in solves] == [(2048, "lanczos")]
+    assert [(s["cells"], s["solvers"]) for s in solves] == [(2048, ["lanczos", "lanczos"])]
 
 
 def test_lanczos_failure_exits_2(monkeypatch, capsys):
@@ -353,7 +357,7 @@ def test_lanczos_solve_is_independent_of_blas_threads(tmp_path):
                 env=_child_env(OPENBLAS_NUM_THREADS=threads))
             assert proc.returncode == 0, proc.stderr
             record = json.loads(out.with_suffix(".json").read_text())["eigensolve"]
-            assert record["solver"] == "lanczos" and len(record["sectors"]) == sectors
+            assert record["solvers"] == ["lanczos"] * sectors
             runs.append(out.read_bytes())
         assert runs[0] == runs[1], name
 
@@ -366,10 +370,12 @@ def test_lanczos_solve_with_empty_sectors_matches_lapack_on_the_blocks(tmp_path)
     assert main(["solve", "--domain", "box", "--side", "0.0625,128", "--h", "0.0625",
                  "--num-eigs", "10", "--out", str(out)]) == 0
     record = json.loads(out.with_suffix(".json").read_text())["eigensolve"]
-    assert record["solver"] == "lanczos" and record["sectors"] == [1024, 1024, 0, 0]
+    assert record["sectors"] == [1024, 1024, 0, 0]
+    assert record["solvers"] == ["lanczos", "lanczos", "lapack", "lapack"]
     assert record["restarts"][2:] == [[], []]
     form = offset_form(build_grid(box((0.0, 0.0), (0.0625, 128.0)), 0.0625))
-    lapack = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in form.blocks()]))[:10]
+    blocks = [form.block(sector) for sector in form.sectors()]
+    lapack = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[:10]
     lapack /= form.mass_scale
     lam = column(*read_csv(out), "lambda")
     assert np.max(np.abs(lam - lapack) / np.abs(lapack)) <= 1e-12
@@ -404,8 +410,8 @@ def test_no_command_loads_scipy(tmp_path):
         assert proc.returncode == 0, (name, proc.stderr)
         assert proc.stdout.splitlines()[-1] == "[]", name
         if argv[0] == "solve":
-            solver = json.loads(out.with_suffix(".json").read_text())["eigensolve"]["solver"]
-            assert solver == name
+            solvers = json.loads(out.with_suffix(".json").read_text())["eigensolve"]["solvers"]
+            assert solvers == [name, name]
 
 
 def test_solve_dump_matrix_and_envelope(tmp_path):
@@ -719,7 +725,8 @@ def test_sweep_h(tmp_path):
     assert np.all(np.diff(lam1) <= 1e-12)             # refinement never increases it
     manifest = json.loads((tmp_path / "h.json").read_text())
     assert manifest["eigensolves"] == [
-        {"cells": c, "solver": "lapack", "sectors": [c // 2, c // 2]} for c in (16, 32, 64, 128)]
+        {"cells": c, "sectors": [c // 2, c // 2], "solvers": ["lapack", "lapack"], "matvecs": 0,
+         "restarts": [[], []], "max_residual": None} for c in (16, 32, 64, 128)]
     assert manifest["peak_rss_mb"] > 0.0
 
 

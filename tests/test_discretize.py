@@ -346,7 +346,7 @@ def test_matvec_matches_dense_product_on_random_grids(grid, seed):
 
 def _sign_pattern_bases(grid: Grid) -> list[np.ndarray]:
     """An orthonormal basis per sign pattern of the grid's mirror axes, in the
-    order of ``QuadFormMatrix.blocks``: for each cell p with 2 p_d <= s_d on
+    order of ``QuadFormMatrix.sectors``: for each cell p with 2 p_d <= s_d on
     every mirror axis, the normalized sum of sign * e_{r_T p} over the
     reflections r_T, dropped where it vanishes."""
     idx = grid.indices
@@ -377,7 +377,7 @@ def _assert_blocks_are_the_matrix_in_the_sign_pattern_bases(grid: Grid) -> None:
     a = assemble_form(grid)
     bases = _sign_pattern_bases(grid)
     assert sum(basis.shape[1] for basis in bases) == grid.count
-    blocks = list(form.blocks())
+    blocks = [form.block(sector) for sector in form.sectors()]
     assert len(blocks) == len(bases) == 2 ** len(grid.mirror_axes)
     for block, basis in zip(blocks, bases):
         assert np.array_equal(block, block.T)
@@ -424,7 +424,7 @@ def test_grid_without_a_mirror_axis_is_one_block():
     lopsided = _without_cells(build_grid(ball((0.0, 0.0), 1.0), 0.25), 1)
     assert lopsided.mirror_axes == ()
     form = offset_form(lopsided)
-    (block,) = form.blocks()
+    (block,) = [form.block(sector) for sector in form.sectors()]
     assert np.array_equal(block, assemble_form(lopsided))
 
 

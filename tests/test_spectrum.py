@@ -76,7 +76,9 @@ def test_mass_scale_and_residuals():
     for lam in s.eigenvalues:
         r = np.linalg.svd(assemble_form(m.grid) - lam * shift, compute_uv=False)[-1]
         assert r <= 1e-8 * (1.0 + abs(lam)) * m.mass_scale
-    assert s.source == {"cells": 64, "solver": "lapack", "sectors": [32, 32]}
+    # the whole record: LAPACK in both sectors leaves no matvec and no residual
+    assert s.source == {"cells": 64, "sectors": [32, 32], "solvers": ["lapack", "lapack"],
+                        "matvecs": 0, "restarts": [[], []], "max_residual": None}
 
 
 def test_eigensolver_deterministic():
@@ -96,8 +98,8 @@ def ball_3080():
 
 def _lapack_on_the_blocks(form, k):
     """The k smallest eigenvalues of the form's A / massScale, by LAPACK on its blocks."""
-    values = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in form.blocks()]))
-    return values[:k] / form.mass_scale
+    blocks = [form.block(sector) for sector in form.sectors()]
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[:k] / form.mass_scale
 
 
 def test_lanczos_matches_lapack_on_double_eigenvalues(ball_3080):
@@ -106,7 +108,7 @@ def test_lanczos_matches_lapack_on_double_eigenvalues(ball_3080):
     # comes back as one copy from each
     form, lapack = ball_3080
     s = eig_symmetric(form, 30)
-    assert s.source["solver"] == "lanczos"
+    assert s.source["solvers"] == ["lanczos"] * 4
     assert np.sum(np.diff(lapack) < 1e-9) == 7
     assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
     ev = s.eigenvalues
@@ -128,7 +130,7 @@ def test_lanczos_matches_lapack_on_double_eigenvalues(ball_3080):
 def test_lanczos_matches_lapack_on_an_interval():
     form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048.0))
     s = eig_symmetric(form, 10)
-    assert s.source["solver"] == "lanczos"
+    assert s.source["solvers"] == ["lanczos"] * 2
     lapack = np.linalg.eigvalsh(assemble_form(form.grid))[:10] / form.mass_scale
     assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
 
@@ -147,13 +149,20 @@ def test_repeated_lanczos_solves_are_bit_identical(ball_3080):
     assert stats_a == stats_b
 
 
+def _largest_lanczos_k(cells, n):
+    """The largest k whose first share of a sector of ``cells`` of n cells runs Lanczos."""
+    return max(k for k in range(1, n + 1) if spectrum_module._uses_lanczos(
+        cells, spectrum_module._first_share(k, cells, n)))
+
+
 def test_lanczos_matches_lapack_at_the_solver_limit():
-    # k = 73 is the largest k <= n/28 at 2,048 cells: the widest basis
-    # (m = 147) the policy gives Lanczos at this size
+    # the largest k the rule gives Lanczos at 2,048 cells: its widest basis
+    # at this size
     form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048.0))
-    s = eig_symmetric(form, 73)
-    assert s.source["solver"] == "lanczos"
-    lapack = np.linalg.eigvalsh(assemble_form(form.grid))[:73] / form.mass_scale
+    k = _largest_lanczos_k(1024, 2048)
+    s = eig_symmetric(form, k)
+    assert s.source["solvers"] == ["lanczos"] * 2
+    lapack = np.linalg.eigvalsh(assemble_form(form.grid))[:k] / form.mass_scale
     assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
 
 
@@ -177,18 +186,20 @@ LANCZOS_GRIDS = {
 
 @pytest.mark.parametrize("name", [*LANCZOS_GRIDS, "no-mirror-axis"])
 def test_lanczos_matches_lapack_on_the_blocks(monkeypatch, name):
-    # grids of 437-961 cells at k = n/28, with the solver floor lowered so
-    # that Lanczos runs on them; the odd lattices have cells on their mirror
-    # lines, so their sectors differ in size
-    monkeypatch.setattr(spectrum_module, "_LANCZOS_MIN_CELLS", 1)
+    # grids of 437-961 cells at k = n/28, with both limits of the rule
+    # lowered to the least the breakdown guard allows, so that Lanczos runs
+    # in every sector, also when the merge asks a sector again; the odd
+    # lattices have cells on their mirror lines, so their sectors differ in
+    # size
+    monkeypatch.setattr(spectrum_module, "_LANCZOS_MIN_SECTOR", 41)
+    monkeypatch.setattr(spectrum_module, "_LANCZOS_CELLS_PER_VALUE", 5)
     grid = build_grid(*LANCZOS_GRIDS.get(name, LANCZOS_GRIDS["ball"]))
     if name == "no-mirror-axis":
         grid = _without_cell(grid, 0)
     form = offset_form(grid)
     k = grid.count // 28
     s = eig_symmetric(form, k)
-    assert s.source["solver"] == "lanczos"
-    assert len(s.source["sectors"]) == 2 ** len(grid.mirror_axes)
+    assert s.source["solvers"] == ["lanczos"] * 2 ** len(grid.mirror_axes)
     assert sum(s.source["sectors"]) == grid.count
     want = _lapack_on_the_blocks(form, k)
     assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
@@ -208,8 +219,10 @@ def test_sector_merge_solves_a_short_sector_again(monkeypatch, ball_3080):
 def test_sectors_up_to_twice_the_lanczos_basis_are_solved_by_lapack(monkeypatch):
     # a row of 512 cells on the first axis's mirror line, with five cells at
     # each end of the rows above and below it: the sign patterns with -1 on
-    # the first axis have 5 cells each, fewer than the 21 Lanczos vectors
-    monkeypatch.setattr(spectrum_module, "_LANCZOS_MIN_CELLS", 1)
+    # the first axis have 5 cells each, fewer than the 20 Lanczos vectors;
+    # with the sector floor lowered to the least the breakdown guard allows,
+    # the two 261-cell sectors run Lanczos
+    monkeypatch.setattr(spectrum_module, "_LANCZOS_MIN_SECTOR", 41)
     mask = np.zeros((3, 512), dtype=bool)
     mask[1] = True
     mask[::2, :5] = mask[::2, -5:] = True
@@ -217,7 +230,8 @@ def test_sectors_up_to_twice_the_lanczos_basis_are_solved_by_lapack(monkeypatch)
     grid = Grid(domain=box((0.0, 0.0), (3 * h, 512 * h)), h=h, corner=(0, 0), mask=mask)
     form = offset_form(grid)
     s = eig_symmetric(form, 10)
-    assert s.source["solver"] == "lanczos" and s.source["sectors"] == [261, 261, 5, 5]
+    assert s.source["sectors"] == [261, 261, 5, 5]
+    assert s.source["solvers"] == ["lanczos", "lanczos", "lapack", "lapack"]
     assert [len(solves) for solves in s.source["restarts"]] == [1, 1, 0, 0]
     want = _lapack_on_the_blocks(form, 10)
     assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
@@ -231,41 +245,62 @@ def test_sectors_up_to_twice_the_lanczos_basis_are_solved_by_lapack(monkeypatch)
     assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
 
 
-def _chosen_solver(monkeypatch, grid, k):
-    """The solver eig_symmetric picks for k eigenvalues of the grid's form,
-    with both solvers faked."""
-    ran = []
-
-    def fake(name):
-        def solve(*args):
-            ran.append(name)
-            return np.zeros(k) if name == "lapack" else (np.zeros(k), {})
-        return solve
-
-    monkeypatch.setattr(spectrum_module, "_lapack", fake("lapack"))
-    monkeypatch.setattr(spectrum_module, "_lanczos", fake("lanczos"))
-    solver = eig_symmetric(offset_form(grid), k).source["solver"]
-    # LAPACK runs once on each block: 2 for an interval, 4 for a box
-    assert ran == {"lapack": ["lapack"] * 2**grid.dim, "lanczos": ["lanczos"]}[solver]
-    return solver
+def _box(nx, ny):
+    return build_grid(box((0.0, 0.0), (nx / 16.0, ny / 16.0)), 1.0 / 16.0)
 
 
-_SOLVER_CHOICES = [(dim, cells, k, solver) for dim in (1, 2) for cells, k, solver in [
-    (2047, 10, "lapack"), (2048, 10, "lanczos"), (2048, 73, "lanczos"), (2048, 74, "lapack"),
-]]
+# (grid, k, sectors, solvers); k = "last" is the largest k whose first share
+# the rule gives Lanczos, "first" the next one
+_SECTOR_CHOICES = {
+    # under the old 2,048-cell floor this grid paid about 8x at small k
+    "interval-2047-k10": (lambda: build_grid(interval(-1.0, 1.0), 2.0 / 2047.0), 10,
+                          [1024, 1023], ["lanczos", "lanczos"]),
+    "interval-1024-k10": (lambda: build_grid(interval(-1.0, 1.0), 2.0 / 1024.0), 10,
+                          [512, 512], ["lanczos", "lanczos"]),
+    "interval-1023-k10": (lambda: build_grid(interval(-1.0, 1.0), 2.0 / 1023.0), 10,
+                          [512, 511], ["lanczos", "lapack"]),
+    "interval-2048-last": (lambda: build_grid(interval(-1.0, 1.0), 2.0 / 2048.0), "last",
+                           [1024, 1024], ["lanczos", "lanczos"]),
+    "interval-2048-first": (lambda: build_grid(interval(-1.0, 1.0), 2.0 / 2048.0), "first",
+                            [1024, 1024], ["lapack", "lapack"]),
+    "box-32x64-k10": (lambda: _box(32, 64), 10, [512] * 4, ["lanczos"] * 4),
+    "box-31x64-k10": (lambda: _box(31, 64), 10, [512, 512, 480, 480],
+                      ["lanczos", "lanczos", "lapack", "lapack"]),
+    "box-32x64-last": (lambda: _box(32, 64), "last", [512] * 4, ["lanczos"] * 4),
+    "box-32x64-first": (lambda: _box(32, 64), "first", [512] * 4, ["lapack"] * 4),
+}
 
 
-@pytest.mark.parametrize("dim, cells, k, solver", _SOLVER_CHOICES, ids=[
-    f"{'' if dim == 1 else 'box-'}{cells}-{k}-{solver}" for dim, cells, k, solver in _SOLVER_CHOICES
-])
-def test_solver_choice_at_the_limits(monkeypatch, dim, cells, k, solver):
-    if dim == 1:
-        grid = build_grid(interval(-1.0, 1.0), 2.0 / cells)
-    else:  # boxes of 23 x 89 and 32 x 64 cells
-        nx, ny = {2047: (23, 89), 2048: (32, 64)}[cells]
-        grid = build_grid(box((0.0, 0.0), (nx / 16.0, ny / 16.0)), 1.0 / 16.0)
-    assert grid.count == cells
-    assert _chosen_solver(monkeypatch, grid, k) == solver
+@pytest.mark.parametrize("name", _SECTOR_CHOICES)
+def test_sector_solver_choice_at_the_limits(name):
+    # each sector picks its solver from its cells c and the values j asked
+    # of it: Lanczos when c >= _LANCZOS_MIN_SECTOR (512) and
+    # c >= _LANCZOS_CELLS_PER_VALUE * j, on either side of both limits
+    make, k, sectors, solvers = _SECTOR_CHOICES[name]
+    form = offset_form(make())
+    assert [sector.count for sector in form.sectors()] == sectors
+    if k in ("last", "first"):
+        k = _largest_lanczos_k(sectors[0], form.grid.count) + (k == "first")
+    s = eig_symmetric(form, k)
+    assert s.source["solvers"] == solvers
+    # no sector was asked again, so the choice is that of the first share
+    assert [len(solves) for solves in s.source["restarts"]] == [
+        int(solver == "lanczos") for solver in solvers]
+    want = _lapack_on_the_blocks(form, k)
+    assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
+
+
+def test_lanczos_sectors_hold_more_than_twice_their_basis():
+    # the rule's two limits, and the breakdown guard it keeps: every (c, j)
+    # it sends to Lanczos has more than twice the Lanczos basis in cells
+    floor = spectrum_module._LANCZOS_MIN_SECTOR
+    ratio = spectrum_module._LANCZOS_CELLS_PER_VALUE
+    uses_lanczos = spectrum_module._uses_lanczos
+    assert uses_lanczos(floor, 1) and not uses_lanczos(floor - 1, 1)
+    assert uses_lanczos(ratio * 100, 100) and not uses_lanczos(ratio * 100 - 1, 100)
+    too_small = [(c, j) for c in range(1, 2 * floor + 1) for j in range(1, c + 1)
+                 if uses_lanczos(c, j) and not c > 2 * spectrum_module._basis_size(j)]
+    assert too_small == []
 
 
 def _splitmix64(n):
@@ -344,7 +379,8 @@ def test_split_matches_the_full_lapack_solve(name):
     n = form.grid.count
     full = np.linalg.eigvalsh(assemble_form(form.grid)) / form.mass_scale
     s = eig_symmetric(form, n)
-    assert s.source["solver"] == "lapack" and s.source["sectors"] == SPLIT_SECTORS[name]
+    assert s.source["sectors"] == SPLIT_SECTORS[name]
+    assert s.source["solvers"] == ["lapack"] * len(SPLIT_SECTORS[name])
     assert sum(s.source["sectors"]) == n
     assert np.max(np.abs(s.eigenvalues - full) / np.abs(full)) <= 1e-12
 
@@ -357,8 +393,8 @@ def test_split_keeps_the_k_smallest_of_both_blocks(name):
     full = np.linalg.eigvalsh(assemble_form(form.grid))[:40] / form.mass_scale
     s = eig_symmetric(form, 40)
     assert np.max(np.abs(s.eigenvalues - full) / np.abs(full)) <= 1e-12
-    for block in form.blocks():
-        assert np.linalg.eigvalsh(block)[0] / form.mass_scale <= s.eigenvalues[-1]
+    for sector in form.sectors():
+        assert np.linalg.eigvalsh(form.block(sector))[0] / form.mass_scale <= s.eigenvalues[-1]
 
 
 def test_asymmetric_grid_takes_the_full_lapack_path():
@@ -366,7 +402,8 @@ def test_asymmetric_grid_takes_the_full_lapack_path():
     assert grid.mirror_axes == ()
     form = offset_form(grid)
     s = eig_symmetric(form, grid.count)
-    assert s.source == {"cells": grid.count, "solver": "lapack", "sectors": [grid.count]}
+    assert s.source == {"cells": grid.count, "sectors": [grid.count], "solvers": ["lapack"],
+                        "matvecs": 0, "restarts": [[]], "max_residual": None}
     assert np.array_equal(s.eigenvalues, np.linalg.eigvalsh(assemble_form(grid)) / form.mass_scale)
 
 
@@ -388,9 +425,30 @@ def test_split_needs_a_quarter_of_the_memory(monkeypatch):
         eig_symmetric(offset_form(grid), 5)
 
 
+@pytest.mark.parametrize("domain, h, k", [
+    (interval(-1.0, 1.0), 2.0 / 2048.0, 512),
+    (ball((0.0, 0.0), 4.0), 0.125, 300),
+], ids=["interval-2048-k512", "ball-3080-k300"])
+def test_lapack_solve_is_the_sorted_block_spectra_bit_for_bit(monkeypatch, domain, h, k):
+    # with LAPACK in every sector the solve is the k smallest of all the
+    # blocks' eigvalsh values, scaled: the same bits, not merely close ones;
+    # a sector solved whole is never asked again, so each block is gathered once
+    gathered = []
+    block = QuadFormMatrix.block
+    monkeypatch.setattr(QuadFormMatrix, "block",
+                        lambda self, sector: gathered.append(sector.count) or block(self, sector))
+    form = offset_form(build_grid(domain, h))
+    s = eig_symmetric(form, k)
+    assert s.source["solvers"] == ["lapack"] * len(s.source["sectors"])
+    assert gathered == s.source["sectors"]
+    assert s.source["matvecs"] == 0 and s.source["max_residual"] is None
+    assert np.array_equal(s.eigenvalues, _lapack_on_the_blocks(form, k))
+
+
 def test_lapack_solve_holds_one_block_at_a_time():
     # the 2,048-cell interval at k = 512: two blocks of 1,024 x 1,024, 8 MiB
-    # each; the first is freed before the second is gathered
+    # each; each sector's block is gathered, solved and freed before the
+    # next sector's is gathered
     form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048.0))
     tracemalloc.start()
     try:
@@ -398,7 +456,7 @@ def test_lapack_solve_holds_one_block_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert s.source["solver"] == "lapack" and s.source["sectors"] == [1024, 1024]
+    assert s.source["solvers"] == ["lapack"] * 2 and s.source["sectors"] == [1024, 1024]
     assert peak < 2 * 8 * 1024 * 1024
 
 
@@ -413,7 +471,7 @@ def test_discrete_dilation_identity(small, large, k):
     h = {1: 1.0 / 64.0, 2: 1.0 / 16.0}[small.dim]
     a = eig_symmetric(offset_form(build_grid(small, h)), k)
     b = eig_symmetric(offset_form(build_grid(large, 2.0 * h)), k)
-    assert a.source["solver"] == b.source["solver"]
+    assert a.source["solvers"] == b.source["solvers"]
     assert a.source["cells"] == b.source["cells"]
     assert np.max(np.abs(b.eigenvalues - (a.eigenvalues - 2.0 * math.log(2.0)))) <= 1e-12
 
