@@ -776,6 +776,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"loglap: error: a value overflows the float range ({exc.args[-1]})",
               file=sys.stderr)
         return 1
+    except MemoryError as exc:  # beyond an address-space limit that physical memory checks miss
+        print(f"loglap: error: out of memory ({exc})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -79,6 +79,14 @@ MAX_CELL_SIDE = 0.5
 
 # Gauss points per half-axis for separated cells; see _pair_batch_gauss.
 _SEPARATED_GAUSS_N = 10
+# Separated pairs per _pair_batch_gauss call.  With all pairs in one call
+# its three (pairs, 2n) temporaries made a table peak at 276 bytes per
+# lattice cell, 30 times the lattice refusal's 9; in blocks of this size
+# they take 3.9 MB, and the 510 x 510 table peaks at 40.  A table of fewer
+# pairs, such as the R = 4 and R = 6 balls' at h = 1/8 (1,950 and 4,462),
+# is one block and keeps its bits: threaded BLAS can round a product's
+# rows differently when it is split.
+_GAUSS_BLOCK_PAIRS = 2**13
 
 # Matrix entries gathered per row block; the gather's three block buffers
 # are this size.  From 2^13 to 2^17 the fill times of the 2,048-cell
@@ -259,13 +267,22 @@ class QuadFormMatrix:
         return {i: w[i, sectors[i].rows] for i in vectors}
 
     def matvec(self, v) -> np.ndarray:
-        """The product A v, by one FFT pair on the circulant embedding of the table."""
+        """The product A v, by one FFT pair on the circulant embedding of the table.
+
+        The first product raises ``ValueError`` before building the
+        circulant's spectrum when that, the padded vector and the two FFT
+        outputs would not fit in physical memory.
+        """
         v = np.asarray(v, dtype=float).ravel()
         if v.shape[0] != self.grid.count:
             raise ValueError(f"vector has length {v.shape[0]}, grid has {self.grid.count} cells")
         axes = tuple(range(self.table.ndim))
         shape = tuple(_fft_length(2 * size - 1) for size in self.table.shape)
         if self.symbol is None:
+            # real arrays of the full shape (x, the irfftn output) or of its
+            # rfft half (the symbol), and the complex rfftn output
+            full, half = math.prod(shape), math.prod(shape[:-1]) * (shape[-1] // 2 + 1)
+            _require_memory(16 * full + 24 * half, f"the {' x '.join(map(str, shape))} circulant")
             # The circulant's first column is even, so its spectrum is real;
             # the imaginary part is rounding.
             self.symbol = np.fft.rfftn(_circulant(self.table, shape), axes=axes).real.copy()
@@ -399,7 +416,9 @@ def _offset_table_2d(max_a: int, max_b: int) -> np.ndarray:
     half[:2, :2] = touching[: lo + 1, : hi + 1]
     p, q = np.triu_indices(lo + 1, 0, hi + 1)
     p, q = p[q >= 2], q[q >= 2]
-    half[p, q] = _pair_batch_gauss(np.stack([p, q], 1).astype(float), _SEPARATED_GAUSS_N)
+    for s in range(0, p.size, _GAUSS_BLOCK_PAIRS):
+        block = p[s : s + _GAUSS_BLOCK_PAIRS], q[s : s + _GAUSS_BLOCK_PAIRS]
+        half[block] = _pair_batch_gauss(np.stack(block, 1).astype(float), _SEPARATED_GAUSS_N)
     a, b = np.ogrid[: max_a + 1, : max_b + 1]
     return half[np.minimum(a, b), np.maximum(a, b)]
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import QuadFormMatrix, Sector
+from .discretize import QuadFormMatrix, Sector, _require_memory
 from .specfun import NumericsError
 
 __all__ = [
@@ -86,28 +86,57 @@ def spectrum_from_values(values) -> Spectrum:
 def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     """Smallest ``k`` eigenvalues of the form's A / massScale, ascending.
 
-    Each of the form's mirror sectors is solved by the solver its size and
-    share of the k values pick (:func:`_sector_pairs`), and the sectors'
-    values are merged (:func:`_solve_sectors`).  ``source`` records the
-    ``cells``, the sectors' sizes as ``sectors``, per sector the solver that
-    ran last as ``solvers`` (``"lanczos"`` or ``"lapack"``) and the restart
-    count of each Lanczos solve it took as ``restarts`` (a second one when
-    the merge asked it for more values; none for a LAPACK sector), the
-    shared ``matvecs`` (residuals included) and the largest residual
-    ||A v - lambda * massScale * v|| of the Lanczos sectors' unit Ritz
-    vectors among the k as ``max_residual`` (None when no Lanczos sector
-    holds one).  A LAPACK sector's block is gathered, solved and freed
-    before the next one is gathered: the largest block plus LAPACK's copy
-    sets the memory, and ``ValueError`` is raised when that exceeds
-    physical memory.  Raises ``NumericsError`` when a solver fails.
+    The solve runs in rounds over the form's mirror sectors.  A sector first
+    asks for :func:`_first_share` of the values, a few more than its share
+    by Weyl's law, which splits them in proportion in the limit.  Each round
+    picks every growing sector's solver from its size and ask
+    (:func:`_uses_lanczos`) and refuses the round's Lanczos bases when they
+    exceed physical memory.  It solves each LAPACK sector whole on its
+    block, gathered and freed before the next is gathered, and steps the
+    Lanczos sectors' :func:`_thick_restart` together (:func:`_lockstep`).
+    It then merges: the k smallest are a prefix of each sector's ascending
+    values, so a sector with cells left whose largest value lies below the
+    merged k-th one may hold more of them, and asks for twice as many in
+    the next round.  A LAPACK sector has all its values and never grows.
+
+    ``source`` records the ``cells``, the sectors' sizes as ``sectors``, per
+    sector the solver that ran last as ``solvers`` (``"lanczos"`` or
+    ``"lapack"``) and the restart count of each Lanczos solve it took as
+    ``restarts``, the shared ``matvecs`` (residuals included) and the
+    largest residual ||A v - lambda * massScale * v|| of the Lanczos
+    sectors' unit Ritz vectors among the k as ``max_residual`` (None when
+    no Lanczos sector holds one).  Raises ``ValueError`` before allocating a
+    block plus LAPACK's copy, or a round's bases, larger than physical
+    memory, and ``NumericsError`` when a solver fails.
     """
     n = form.grid.count
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     sectors = form.sectors()
-    pairs, restarts, matvecs = _solve_sectors(form, sectors, k)
-    # the k smallest are a prefix of each sector's ascending values
-    merged = np.concatenate([values for values, _ in pairs])
+    asked = [min(_first_share(k, sector.count, n), sector.count) for sector in sectors]
+    pairs = [(np.empty(0), None) for _ in sectors]  # ascending values; Ritz vectors or None
+    restarts = [[] for _ in sectors]
+    matvecs = 0
+    grow = [i for i, want in enumerate(asked) if want]
+    while grow:
+        lanczos = [i for i in grow if _uses_lanczos(sectors[i].count, asked[i])]
+        _require_memory(sum(8 * (_basis_size(asked[i]) + 1) * sectors[i].count for i in lanczos),
+                        f"a round of {len(lanczos)} Lanczos bases")
+        for i in grow:
+            if i not in lanczos:
+                pairs[i] = _lapack(form.block(sectors[i])), None
+        solved, steps = _lockstep(form, sectors, {
+            i: _thick_restart(sectors[i].count, asked[i]) for i in lanczos})
+        matvecs += steps
+        for i, (values, vectors, restart) in solved.items():
+            pairs[i] = values, vectors
+            restarts[i].append(restart)
+        merged = np.concatenate([values for values, _ in pairs])
+        kth = np.sort(merged)[k - 1] if merged.size >= k else math.inf
+        grow = [i for i, (values, _) in enumerate(pairs)
+                if values.size < sectors[i].count and values[-1] < kth]
+        for i in grow:
+            asked[i] = min(2 * asked[i], sectors[i].count)
     chosen = np.argsort(merged, kind="stable")[:k]
     owner = np.repeat(np.arange(len(pairs)), [values.size for values, _ in pairs])
     taken = np.bincount(owner[chosen], minlength=len(pairs))
@@ -148,44 +177,6 @@ def _start_vector(n: int) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
-def _solve_sectors(form: QuadFormMatrix, sectors: list[Sector], k: int) -> tuple[list, list, int]:
-    """Eigenpairs of each sector's block that hold the k smallest of A.
-
-    Each sector runs its own solve on its block (:func:`_sector_pairs`), and
-    :func:`_lockstep` steps the Lanczos ones together, so that one matvec
-    serves all of them at each step.  A sector first asks for
-    :func:`_first_share` of the values, a few more than its share by Weyl's
-    law, which splits them in proportion in the limit.  After the merge, a
-    sector with cells left whose largest value lies below the merged k-th
-    one may hold more of the k smallest: it is solved again for twice as
-    many, until none is.  A sector solved by LAPACK has all its values and
-    never grows.  Returns per sector its ascending values and unit
-    eigenvectors (rows, in the sector's basis; None for LAPACK and for an
-    empty sector) and the restart count of each Lanczos solve it took, and
-    the matvecs.
-    """
-    n = form.grid.count
-    asked = [min(_first_share(k, sector.count, n), sector.count) for sector in sectors]
-    pairs = [(np.empty(0), None) for _ in sectors]
-    restarts = [[] for _ in sectors]
-    matvecs = 0
-    grow = [i for i, want in enumerate(asked) if want]
-    while grow:
-        solved, steps = _lockstep(form, sectors, {
-            i: _sector_pairs(form, sectors[i], asked[i]) for i in grow})
-        matvecs += steps
-        for i, (values, vectors, restart) in solved.items():
-            pairs[i] = values, vectors
-            restarts[i] += [] if restart is None else [restart]
-        merged = np.sort(np.concatenate([values for values, _ in pairs]))
-        kth = merged[k - 1] if merged.size >= k else math.inf
-        grow = [i for i, (values, _) in enumerate(pairs)
-                if values.size < sectors[i].count and values[-1] < kth]
-        for i in grow:
-            asked[i] = min(2 * asked[i], sectors[i].count)
-    return pairs, restarts, matvecs
-
-
 def _first_share(k: int, cells: int, n: int) -> int:
     """Values a sector of ``cells`` of the n cells first asks for: ceil(1.15 k cells / n) + 1."""
     return math.ceil(1.15 * k * cells / n) + 1
@@ -199,14 +190,9 @@ def _lockstep(form: QuadFormMatrix, sectors: list[Sector], runs: dict) -> tuple[
     sent that product.  Each step serves every running generator by one
     :meth:`~loglap.discretize.QuadFormMatrix.sector_matvec`.  Returns the
     generators' return values by place, and the number of matvecs: the
-    longest run, not the sum.
+    longest run, not the sum.  Every generator yields at least once.
     """
-    done, pending = {}, {}
-    for i, run in runs.items():
-        try:
-            pending[i] = next(run)
-        except StopIteration as stop:
-            done[i] = stop.value
+    done, pending = {}, {i: next(run) for i, run in runs.items()}
     matvecs = 0
     while pending:
         products = form.sector_matvec(sectors, pending)
@@ -218,20 +204,6 @@ def _lockstep(form: QuadFormMatrix, sectors: list[Sector], runs: dict) -> tuple[
                 done[i] = stop.value
                 del pending[i]
     return done, matvecs
-
-
-def _sector_pairs(form: QuadFormMatrix, sector: Sector, k: int):
-    """Generator for :func:`_lockstep`: ascending eigenvalues of a sector's
-    block, with their unit eigenvectors as rows, and the restart count.
-
-    A sector that :func:`_uses_lanczos` runs :func:`_thick_restart` for its
-    k smallest pairs.  Any other gets all its values from LAPACK on its
-    gathered block, with no vectors and no product; its vectors and restart
-    count are None.
-    """
-    if _uses_lanczos(sector.count, k):
-        return (yield from _thick_restart(sector.count, k))
-    return _lapack(form.block(sector)), None, None
 
 
 def _uses_lanczos(cells: int, k: int) -> bool:

@@ -6,8 +6,9 @@ works the way a shell would invoke it, a Lanczos solve is repeated under two
 BLAS thread counts, which are fixed at process start, fresh processes
 check that no command loads scipy, numpy.random or numpy.polynomial, a
 Rayleigh quotient on a grid too large for a dense matrix measures its own
-peak memory, and a solve spawned by a large process records its own peak
-memory, not its parent's.  CSV outputs are parsed back and cross-checked
+peak memory, a solve spawned by a large process records its own peak
+memory, not its parent's, and an allocation beyond an address-space limit
+exits 1.  CSV outputs are parsed back and cross-checked
 against the library so the 17-digit formatting contract stays honest.
 """
 
@@ -15,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -258,6 +260,48 @@ def test_solve_refuses_eigensolve_larger_than_memory(monkeypatch, capsys):
     assert "32 x 32 block plus LAPACK's copy" in capsys.readouterr().err
     assert main(["bounds", *grid, "--sigma", "0.5"]) == 0
     assert json.loads(capsys.readouterr().out)["rayleigh"]["cells"] == 64
+
+
+def test_solve_refuses_lanczos_bases_larger_than_memory(monkeypatch, tmp_path, capsys):
+    # the 2,048-cell interval at k = 10: each 1,024-cell sector runs Lanczos
+    # for 7 values on 21 basis vectors, 344,064 bytes for the two; 256 KiB
+    # holds the grid and the table, and the bases are refused before any
+    # of them is allocated or any output written
+    real_sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": 64, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
+    assert main(["solve", "--domain", "interval", "--length", "2", "--cells", "2048",
+                 "--num-eigs", "10", "--out", str(tmp_path / "run.csv")]) == 1
+    assert "loglap: error: a round of 2 Lanczos bases needs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bounds_refuses_a_circulant_larger_than_memory(monkeypatch, tmp_path, capsys):
+    # the R = 6, h = 1/8 ball: its 96 x 96 lattice and 94 x 94 table fit in
+    # 512 KiB, but the first matvec's 192 x 192 circulant needs 1,036,800
+    # bytes for its symbol, its vector and the two FFT outputs
+    real_sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": 128, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
+    assert main(["bounds", "--domain", "ball", "--radius", "6", "--h", "0.125",
+                 "--sigma", "1", "--out", str(tmp_path / "bounds.json")]) == 1
+    assert "loglap: error: the 192 x 192 circulant needs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_exits_1_without_a_traceback():
+    # a sweep of 4e8 values needs 3 GiB for the values alone, within physical
+    # memory but beyond a 1.5 GiB address-space limit: numpy's MemoryError
+    # exits 1 with one error line
+    limit = (1536 << 20,) * 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "loglap.cli", "sweep", "--parameter", "k", "--start", "1",
+         "--stop", "3", "--steps", "400000000"],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("loglap: error: out of memory (Unable to allocate")
+    assert "Traceback" not in proc.stderr
 
 
 def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):

@@ -21,6 +21,7 @@ from loglap.discretize import (
 )
 from loglap.geometry import TestFunctionSpec, ball, box, interval
 from loglap.specfun import EULER_GAMMA
+import loglap.discretize as discretize_module
 import oracles
 
 
@@ -291,6 +292,33 @@ def test_assembly_peak_memory_is_the_matrix_plus_a_small_block(domain, h):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * n * n + 16 * 2**20
+
+
+def test_2d_table_in_blocks_is_the_table_in_one(monkeypatch):
+    # the R = 4, h = 1/8 ball's 1,950 separated pairs in blocks of 100, the
+    # last one short: every pair lands in its slot, and each slot's value is
+    # the one-block value up to the last bit that a threaded product moves
+    grid = build_grid(ball((0.0, 0.0), 4.0), 0.125)
+    whole = offset_form(grid).table
+    monkeypatch.setattr(discretize_module, "_GAUSS_BLOCK_PAIRS", 100)
+    np.testing.assert_allclose(offset_form(grid).table, whole, rtol=4e-16, atol=0.0)
+
+
+def test_2d_table_peaks_at_its_lattice_arrays_plus_one_block():
+    # the R = 32, h = 1/8 ball: a 510 x 510 table with 130,302 separated
+    # pairs.  The table, its upper half and the pairs' indices take about 25
+    # bytes per lattice cell, and the quadrature one block's three
+    # (pairs, 2n) temporaries; for all pairs at once they took 276 bytes
+    # per lattice cell
+    grid = build_grid(ball((0.0, 0.0), 32.0), 0.125)
+    tracemalloc.start()
+    try:
+        offset_form(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 3 * 8 * discretize_module._GAUSS_BLOCK_PAIRS * 2 * discretize_module._SEPARATED_GAUSS_N
+    assert peak <= 32 * grid.mask.size + block + 2**20
 
 
 @pytest.mark.parametrize(

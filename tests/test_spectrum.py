@@ -102,6 +102,17 @@ def _lapack_on_the_blocks(form, k):
     return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[:k] / form.mass_scale
 
 
+def _sector_lanczos(form, k):
+    """Each sector's Lanczos solve for its first share of k, stepped together
+    as by eig_symmetric: per sector (values, Ritz vectors, restarts) in the
+    sectors' order, and the matvecs."""
+    sectors = form.sectors()
+    runs = {i: spectrum_module._thick_restart(sector.count, spectrum_module._first_share(
+        k, sector.count, form.grid.count)) for i, sector in enumerate(sectors)}
+    solved, matvecs = spectrum_module._lockstep(form, sectors, runs)
+    return [solved[i] for i in range(len(sectors))], matvecs
+
+
 def test_lanczos_matches_lapack_on_double_eigenvalues(ball_3080):
     # the ball's symmetry makes seven of these eigenvalues double: the
     # diagonal reflection swaps the (+,-) and (-,+) sectors, and each double
@@ -116,14 +127,15 @@ def test_lanczos_matches_lapack_on_double_eigenvalues(ball_3080):
     assert doubles.size == 7
     assert s.source["matvecs"] > 30
     assert s.source["max_residual"] <= 1e-12 * form.mass_scale
-    sectors = form.sectors()
-    solved, _, _ = spectrum_module._solve_sectors(form, sectors, 30)
+    # each sector was solved once, for its first share: the same solves again
+    solved = _sector_lanczos(form, 30)[0]
+    assert [[restarts] for _, _, restarts in solved] == s.source["restarts"]
     for i in doubles:
-        for sector, (values, _) in zip(sectors, solved):
+        for sector, (values, _, _) in zip(form.sectors(), solved):
             copies = np.abs(values / form.mass_scale - ev[i]) <= 1e-13 * abs(ev[i])
             assert np.count_nonzero(copies) == (1 if sector.signs in [(1, -1), (-1, 1)] else 0)
     # the Ritz vectors behind max_residual are orthonormal in each sector
-    for _, vectors in solved:
+    for _, vectors, _ in solved:
         assert np.allclose(vectors @ vectors.T, np.eye(len(vectors)), atol=1e-12)
 
 
@@ -141,12 +153,12 @@ def test_repeated_lanczos_solves_are_bit_identical(ball_3080):
     b = eig_symmetric(form, 10)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert a.source == b.source
-    sectors = form.sectors()
-    (pairs_a, *stats_a), (pairs_b, *stats_b) = (
-        spectrum_module._solve_sectors(form, sectors, 10) for _ in range(2))
-    for (vals_a, vecs_a), (vals_b, vecs_b) in zip(pairs_a, pairs_b):
+    (solved_a, steps_a), (solved_b, steps_b) = (_sector_lanczos(form, 10) for _ in range(2))
+    for (vals_a, vecs_a, restarts_a), (vals_b, vecs_b, restarts_b) in zip(solved_a, solved_b):
         assert np.array_equal(vals_a, vals_b) and np.array_equal(vecs_a, vecs_b)
-    assert stats_a == stats_b
+        assert restarts_a == restarts_b
+    assert steps_a == steps_b
+    assert [[restarts] for _, _, restarts in solved_a] == a.source["restarts"]
 
 
 def _largest_lanczos_k(cells, n):
