@@ -55,7 +55,7 @@ from .discretize import (
     rayleigh_quotient,
 )
 from .geometry import Domain, TestFunctionSpec, ball, box, interval
-from .roots import solve_log_ratio, solve_r_ln_r
+from .roots import RootResult, solve_log_ratio, solve_r_ln_r
 from .specfun import EULER_GAMMA, NumericsError
 from .spectrum import (
     _check_envelope_args,
@@ -186,9 +186,10 @@ def _peak_rss_mb() -> float:
     return peak / (2**20 if sys.platform == "darwin" else 2**10)  # bytes on macOS, KiB elsewhere
 
 
-def _write_manifest(args, config: dict, record: dict, counts: str) -> None:
+def _write_manifest(args, record: dict, counts: str) -> None:
     """With ``--out run.csv``, write the run's manifest to ``run.json`` and say so.
 
+    ``config`` is the parsed command line, every flag of the command;
     ``record`` holds the command's own fields beside the shared ones;
     ``counts`` is what the "wrote" line says the CSV holds.
     """
@@ -196,6 +197,7 @@ def _write_manifest(args, config: dict, record: dict, counts: str) -> None:
         return
     out = Path(args.out)
     path = str(out.with_suffix(".json")) if out.suffix != ".json" else str(out) + ".manifest.json"
+    config = {name: value for name, value in vars(args).items() if name not in ("command", "func")}
     _emit_json(path, {"command": args.command, "version": __version__, "config": config,
                       **record, "peak_rss_mb": _peak_rss_mb()})
     print(f"wrote {args.out} ({counts}) and {path}")
@@ -223,13 +225,11 @@ def _cmd_roots(args) -> int:
     rows = []
     for t in targets:
         res = solver(t)
-        rows.append([res.target, res.root, res.residual,
-                     res.envelope_low, res.envelope_high, res.iterations])
+        rows.append(dataclasses.astuple(res))
         print(f"map={args.map} target={_fmt(t)}  root={_fmt(res.root)}  "
               f"residual={res.residual:.3e}  bracket=[{_fmt(res.envelope_low)}, "
               f"{_fmt(res.envelope_high)}]")
-    _emit_csv(args.out, ["target", "root", "residual",
-                         "envelope_low", "envelope_high", "iterations"], rows)
+    _emit_csv(args.out, [field.name for field in dataclasses.fields(RootResult)], rows)
     return 0
 
 
@@ -280,8 +280,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.num_eigs is None or args.num_eigs < 1:
-        raise ValueError("--num-eigs is required and must be >= 1")
+    if args.num_eigs < 1:
+        raise ValueError("--num-eigs must be >= 1")
     if args.delta is not None:
         _check_envelope_args(args.num_eigs, args.delta)  # refuse before the eigensolve, not after
     domain = _domain_from_args(args)
@@ -291,8 +291,8 @@ def _cmd_solve(args) -> int:
     t1 = time.perf_counter()
     # --dump-matrix gathers before the solve: a matrix too large for memory
     # is refused before any output.
-    dense = assemble_form(grid) if args.dump_matrix else None
     form = offset_form(grid)
+    dense = assemble_form(form) if args.dump_matrix else None
     t2 = time.perf_counter()
     spectrum = eig_symmetric(form, args.num_eigs)
     t3 = time.perf_counter()
@@ -310,20 +310,8 @@ def _cmd_solve(args) -> int:
         _emit_csv(env_out, ["t", "upper_envelope", "lower_envelope"],
                   [list(r) for r in zip(*envelope_samples(spectrum, domain.dim, args.delta))])
 
-    config = {
-        "dim": domain.dim,
-        "domain": domain.kind,
-        "length": args.length,
-        "radius": args.radius,
-        "side": args.side,
-        "h_requested": h,
-        "h_effective": grid.h,
-        "cells": grid.count,
-        "num_eigs": args.num_eigs,
-        "delta": args.delta,
-        "out": args.out,
-    }
     record = {
+        "grid": {"dim": domain.dim, "h_requested": h, "h_effective": grid.h, "cells": grid.count},
         "timings_sec": {
             "build_grid": t1 - t0,
             "assemble": t2 - t1,
@@ -336,7 +324,7 @@ def _cmd_solve(args) -> int:
         },
         "eigensolve": spectrum.source,
     }
-    _write_manifest(args, config, record, f"{args.num_eigs} rows, {grid.count} cells")
+    _write_manifest(args, record, f"{args.num_eigs} rows, {grid.count} cells")
     return 0
 
 
@@ -543,7 +531,7 @@ def _cmd_verify(args) -> int:
 
 
 def _sweep_values(args) -> np.ndarray:
-    if args.steps is None or args.steps < 1:
+    if args.steps < 1:
         raise ValueError("empty sweep range: --steps must be >= 1")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise ValueError("sweep endpoints must be finite")
@@ -634,21 +622,8 @@ def _cmd_sweep(args) -> int:
                         else _sweep_h(args, values, solves))
     elapsed = time.perf_counter() - t0
     _emit_csv(args.out, header, rows)
-    config = {
-        "parameter": args.parameter,
-        "start": args.start,
-        "stop": args.stop,
-        "steps": args.steps,
-        "dim": args.dim,
-        "domain": args.domain,
-        "length": args.length,
-        "radius": args.radius,
-        "side": args.side,
-        "c0": args.c0,
-        "out": args.out,
-    }
     record = {"timings_sec": {"total": elapsed}, "rows": len(rows), "eigensolves": solves}
-    _write_manifest(args, config, record, f"{len(rows)} rows")
+    _write_manifest(args, record, f"{len(rows)} rows")
     return 0
 
 

@@ -35,24 +35,29 @@ Solvers*, SIAM 2007); :func:`rayleigh_quotient` is one such product.
 The dense matrix is a view that the form never holds: :func:`assemble_form`
 returns it, gathered from the table in row blocks, the same way in every
 dimension; it needs the 8*n*n-byte matrix plus a small fixed block, and a
-matrix larger than physical memory is refused first.  Only
-``solve --dump-matrix`` asks for it.  The eigensolver reads
-``QuadFormMatrix.sectors``: A commutes with the reflection along each mirror
-axis of the grid (every grid :func:`build_grid` makes has all its axes), so
-it splits into one block per sign pattern of those axes, two of about n/2
-cells in 1D and four of about n/4 in 2D (Fässler & Stiefel, 1992).  A
-:class:`Sector` is that basis, and both of its uses read it: ``block``
-gathers a sector's block by the same row blocks without the n x n matrix,
-and ``sector_matvec`` applies the blocks of several sectors to their own
-vectors by one FFT pair.
+matrix larger than memory is refused first.  Only ``solve --dump-matrix``
+asks for it.  The eigensolver reads ``QuadFormMatrix.sectors``, built once
+per form: A commutes with the reflection along each mirror axis of the grid
+(every grid :func:`build_grid` makes has all its axes), so it splits into
+one block per sign pattern of those axes, two of about n/2 cells in 1D and
+four of about n/4 in 2D (Fässler & Stiefel, 1992).  A :class:`Sector` is
+that basis, and both of its uses read it: ``block`` gathers a sector's block
+by the same row blocks without the n x n matrix, and ``sector_matvec``
+applies the blocks of several sectors to their own vectors by one FFT pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from dataclasses import dataclass, field
+
+try:
+    import resource
+except ImportError:  # POSIX only: elsewhere physical memory is the one bound
+    resource = None
 
 import numpy as np
 # numpy.fft is loaded with the module, not inside the first matvec or table.
@@ -154,7 +159,7 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class Sector:
-    """One sign pattern e of a grid's mirror axes (:meth:`QuadFormMatrix.sectors`).
+    """One sign pattern e of a grid's mirror axes (:attr:`QuadFormMatrix.sectors`).
 
     ``orbits`` is the grid's orbit table, one for all its sectors: column o
     holds the cell numbers (in the grid's order) of r_T p for one cell p
@@ -195,6 +200,7 @@ class QuadFormMatrix:
     def mass_scale(self) -> float:
         return self.grid.h ** self.grid.dim
 
+    @functools.cached_property
     def sectors(self) -> list[Sector]:
         """The sign-pattern sectors of the grid's mirror axes, the largest first.
 
@@ -205,7 +211,7 @@ class QuadFormMatrix:
         on the mirror line of an axis with sign -1; a pattern can have none.
         The basis vectors of all sectors together are an orthonormal basis of
         the grid's cells (Fässler & Stiefel, 1992).  With no mirror axis the
-        one sector is every cell.
+        one sector is every cell.  Built once per form.
         """
         idx = self.grid.indices
         axes = list(self.grid.mirror_axes)
@@ -233,7 +239,7 @@ class QuadFormMatrix:
         B[p, q] = sum_T (prod_{d in T} e_d) A[p, r_T q] / sqrt(|Stab p| |Stab q|)
         (Cantoni & Butler, Linear Algebra Appl. 13, 1976, for one axis).
         Raises ``ValueError`` before the gather when the block plus LAPACK's
-        copy of it would not fit in physical memory.
+        copy of it would not fit in memory.
         """
         m = sector.count
         _require_memory(16 * m * m, f"a dense {m} x {m} block plus LAPACK's copy")
@@ -242,17 +248,17 @@ class QuadFormMatrix:
                    for flips in itertools.product((False, True), repeat=len(sector.signs))]
         return _gather(partners[0], self.table, partners, weights, sector.scale)
 
-    def sector_matvec(self, sectors: list[Sector], vectors: dict) -> dict:
+    def sector_matvec(self, vectors: dict) -> dict:
         """The products B u of the blocks of several sectors, by one matvec.
 
-        ``sectors`` is the list :meth:`sectors` returns, and ``vectors`` maps
-        a sector's place in it to a vector u in that sector's basis.  The
-        vectors are spread onto the cells and added up, A is applied once, and
-        the product is read back in each sector's basis: A commutes with the
-        reflections, so the sectors do not mix.  Spreading and reading back
-        are Walsh-Hadamard butterflies over the sign patterns on the orbit
-        table, with no BLAS call.
+        ``vectors`` maps a sector's place in :attr:`sectors` to a vector u in
+        that sector's basis.  The vectors are spread onto the cells and added
+        up, A is applied once, and the product is read back in each sector's
+        basis: A commutes with the reflections, so the sectors do not mix.
+        Spreading and reading back are Walsh-Hadamard butterflies over the
+        sign patterns on the orbit table, with no BLAS call.
         """
+        sectors = self.sectors
         orbits = sectors[0].orbits
         # 1/sqrt(2^axes |Stab p|) per orbit p; the all-plus sector has every orbit
         scale = sectors[0].scale * len(orbits) ** -0.5
@@ -270,8 +276,8 @@ class QuadFormMatrix:
         """The product A v, by one FFT pair on the circulant embedding of the table.
 
         The first product raises ``ValueError`` before building the
-        circulant's spectrum when that, the padded vector and the two FFT
-        outputs would not fit in physical memory.
+        circulant's spectrum when that, the padded vector, the two FFT
+        outputs and an FFT line would not fit in memory.
         """
         v = np.asarray(v, dtype=float).ravel()
         if v.shape[0] != self.grid.count:
@@ -280,9 +286,11 @@ class QuadFormMatrix:
         shape = tuple(_fft_length(2 * size - 1) for size in self.table.shape)
         if self.symbol is None:
             # real arrays of the full shape (x, the irfftn output) or of its
-            # rfft half (the symbol), and the complex rfftn output
+            # rfft half (the symbol), the complex rfftn output, and the
+            # complex line that numpy's FFT copies a strided axis through
             full, half = math.prod(shape), math.prod(shape[:-1]) * (shape[-1] // 2 + 1)
-            _require_memory(16 * full + 24 * half, f"the {' x '.join(map(str, shape))} circulant")
+            _require_memory(16 * full + 24 * half + 16 * max(shape),
+                            f"the {' x '.join(map(str, shape))} circulant")
             # The circulant's first column is even, so its spectrum is real;
             # the imaginary part is rounding.
             self.symbol = np.fft.rfftn(_circulant(self.table, shape), axes=axes).real.copy()
@@ -302,7 +310,7 @@ def build_grid(domain: Domain, h: float) -> Grid:
     are ordered lexicographically by lattice index, which makes every
     downstream computation deterministic, and dyadic refinement h -> h/2
     splits each cell into 2^N children of the finer grid (nested subspaces).
-    A bounding-box lattice too large for physical memory, or of more than
+    A bounding-box lattice too large for memory, or of more than
     2^63 cells, raises ``ValueError``.
     """
     if not (0.0 < h <= MAX_CELL_SIDE) or not math.isfinite(h):
@@ -429,12 +437,20 @@ def _diagonal_entry_2d(h: float, constants: DimensionConstants) -> float:
 
 
 def _require_memory(nbytes: int, what: str) -> None:
-    """Raise ``ValueError`` when ``nbytes`` exceed the physical memory."""
-    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > ram:
+    """Raise ``ValueError`` when ``nbytes`` exceed the physical memory or
+    the process's soft address-space limit (``RLIMIT_AS``), whichever is
+    smaller: beyond the limit numpy would raise ``MemoryError`` only after
+    the work before the allocation."""
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    name = "of physical memory"
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY and soft < limit:
+            limit, name = soft, "address-space limit (RLIMIT_AS)"
+    if nbytes > limit:
         raise ValueError(
             f"{what} needs {nbytes / 2**30:.1f} GiB, "
-            f"more than the {ram / 2**30:.1f} GiB of physical memory"
+            f"more than the {limit / 2**30:.1f} GiB {name}"
         )
 
 
@@ -457,17 +473,17 @@ def offset_form(grid: Grid) -> QuadFormMatrix:
     return QuadFormMatrix(grid=grid, table=table)
 
 
-def assemble_form(grid: Grid) -> np.ndarray:
-    """The dense n x n matrix of :func:`offset_form`, gathered from its table.
+def assemble_form(form: QuadFormMatrix) -> np.ndarray:
+    """The dense n x n matrix of a form, gathered from its table.
 
     For writing the matrix out (``solve --dump-matrix``); solves and
     Rayleigh quotients need only the table.  Raises ``ValueError`` before
-    anything is allocated when the matrix would not fit in physical memory.
+    anything is allocated when the matrix would not fit in memory.
     """
-    idx = grid.indices
+    idx = form.grid.indices
     n = len(idx)
     _require_memory(8 * n * n, f"a dense {n} x {n} matrix")
-    return _gather(idx, offset_form(grid).table, [idx], [1], np.ones(n))
+    return _gather(idx, form.table, [idx], [1], np.ones(n))
 
 
 def _gather(cells: np.ndarray, table: np.ndarray, partners: list, weights: list,
@@ -478,7 +494,7 @@ def _gather(cells: np.ndarray, table: np.ndarray, partners: list, weights: list,
     ``partners[t]`` of that shape; the first is ``cells`` with weight 1.
     Symmetric positions read the same slots, so the result equals its
     transpose bit for bit.  Peak memory is the result plus three blocks;
-    callers refuse a result too large for physical memory first.
+    callers refuse a result too large for memory first.
     """
     size = cells.shape[0]
     cols = cells.T  # (dim, size) lattice coordinates

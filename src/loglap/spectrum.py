@@ -3,7 +3,7 @@
 The generalized problem A v = lambda * massScale * v with the identity-like
 mass of the indicator basis reduces to a standard symmetric problem for
 A / massScale.  :func:`eig_symmetric` solves it in the sectors of
-:meth:`~loglap.discretize.QuadFormMatrix.sectors`, one per sign pattern of
+:attr:`~loglap.discretize.QuadFormMatrix.sectors`, one per sign pattern of
 the grid's mirror axes: two of about n/2 cells for an interval and four of
 about n/4 for a box or ball (one, the whole grid, without a mirror axis).
 Each sector picks its solver from its size and the number of values asked
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import QuadFormMatrix, Sector, _require_memory
+from .discretize import QuadFormMatrix, _require_memory
 from .specfun import NumericsError
 
 __all__ = [
@@ -91,7 +91,7 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     by Weyl's law, which splits them in proportion in the limit.  Each round
     picks every growing sector's solver from its size and ask
     (:func:`_uses_lanczos`) and refuses the round's Lanczos bases when they
-    exceed physical memory.  It solves each LAPACK sector whole on its
+    exceed memory.  It solves each LAPACK sector whole on its
     block, gathered and freed before the next is gathered, and steps the
     Lanczos sectors' :func:`_thick_restart` together (:func:`_lockstep`).
     It then merges: the k smallest are a prefix of each sector's ascending
@@ -106,13 +106,13 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     largest residual ||A v - lambda * massScale * v|| of the Lanczos
     sectors' unit Ritz vectors among the k as ``max_residual`` (None when
     no Lanczos sector holds one).  Raises ``ValueError`` before allocating a
-    block plus LAPACK's copy, or a round's bases, larger than physical
-    memory, and ``NumericsError`` when a solver fails.
+    block plus LAPACK's copy, or a round's bases, larger than memory,
+    and ``NumericsError`` when a solver fails.
     """
     n = form.grid.count
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    sectors = form.sectors()
+    sectors = form.sectors
     asked = [min(_first_share(k, sector.count, n), sector.count) for sector in sectors]
     pairs = [(np.empty(0), None) for _ in sectors]  # ascending values; Ritz vectors or None
     restarts = [[] for _ in sectors]
@@ -125,7 +125,7 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
         for i in grow:
             if i not in lanczos:
                 pairs[i] = _lapack(form.block(sectors[i])), None
-        solved, steps = _lockstep(form, sectors, {
+        solved, steps = _lockstep(form, {
             i: _thick_restart(sectors[i].count, asked[i]) for i in lanczos})
         matvecs += steps
         for i, (values, vectors, restart) in solved.items():
@@ -140,7 +140,7 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     chosen = np.argsort(merged, kind="stable")[:k]
     owner = np.repeat(np.arange(len(pairs)), [values.size for values, _ in pairs])
     taken = np.bincount(owner[chosen], minlength=len(pairs))
-    residuals, steps = _lockstep(form, sectors, {
+    residuals, steps = _lockstep(form, {
         i: _residual(values[:j], vectors[:j])
         for i, ((values, vectors), j) in enumerate(zip(pairs, taken))
         if j and vectors is not None})
@@ -182,20 +182,20 @@ def _first_share(k: int, cells: int, n: int) -> int:
     return math.ceil(1.15 * k * cells / n) + 1
 
 
-def _lockstep(form: QuadFormMatrix, sectors: list[Sector], runs: dict) -> tuple[dict, int]:
+def _lockstep(form: QuadFormMatrix, runs: dict) -> tuple[dict, int]:
     """Drive generators in sectors' coordinates on one shared matvec per step.
 
-    ``runs`` maps a sector's place in ``sectors`` to a generator that yields
-    each vector u whose product B u with its sector's block it needs and is
-    sent that product.  Each step serves every running generator by one
-    :meth:`~loglap.discretize.QuadFormMatrix.sector_matvec`.  Returns the
-    generators' return values by place, and the number of matvecs: the
+    ``runs`` maps a sector's place in the form's ``sectors`` to a generator
+    that yields each vector u whose product B u with its sector's block it
+    needs and is sent that product.  Each step serves every running generator
+    by one :meth:`~loglap.discretize.QuadFormMatrix.sector_matvec`.  Returns
+    the generators' return values by place, and the number of matvecs: the
     longest run, not the sum.  Every generator yields at least once.
     """
     done, pending = {}, {i: next(run) for i, run in runs.items()}
     matvecs = 0
     while pending:
-        products = form.sector_matvec(sectors, pending)
+        products = form.sector_matvec(pending)
         matvecs += 1
         for i, w in products.items():
             try:

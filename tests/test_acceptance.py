@@ -100,7 +100,7 @@ def test_criterion_04_assembly_matches_quadrature():
     worst_1d = 0.0
     for h in (0.125, 0.0625, 0.03125):
         grid = build_grid(interval(-4.0 * h, 4.0 * h), h)
-        entries = assemble_form(grid)
+        entries = assemble_form(offset_form(grid))
         for i in range(8):
             for j in range(8):
                 if i == j:
@@ -113,7 +113,7 @@ def test_criterion_04_assembly_matches_quadrature():
     c2 = dimension_constants(2)
     h = 0.25
     grid = build_grid(box((0.0, 0.0), (0.75, 0.75)), h)
-    entries = assemble_form(grid)
+    entries = assemble_form(offset_form(grid))
     pair_refs = {
         (0, 1): oracles.edge_pair_2d(h),
         (1, 1): oracles.corner_pair_2d(h),

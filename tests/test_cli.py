@@ -156,8 +156,13 @@ def test_solve_csv_and_manifest(tmp_path):
 
     manifest = json.loads((tmp_path / "solve.json").read_text())
     assert manifest["command"] == "solve"
-    assert manifest["config"]["cells"] == 64
-    assert manifest["config"]["h_effective"] == pytest.approx(2.0 / 64.0, rel=1e-15)
+    # config is the parsed command line: every flag solve parses, given or not
+    assert set(manifest["config"]) == {"domain", "length", "radius", "side", "h", "cells",
+                                       "num_eigs", "delta", "dump_matrix", "config", "out"}
+    assert manifest["config"]["cells"] == 64 and manifest["config"]["h"] is None
+    assert set(manifest["grid"]) == {"dim", "h_requested", "h_effective", "cells"}
+    assert manifest["grid"]["dim"] == 1 and manifest["grid"]["cells"] == 64
+    assert manifest["grid"]["h_effective"] == pytest.approx(2.0 / 64.0, rel=1e-15)
     assert manifest["results"]["lambda_1"] == lam[0]
     assert manifest["timings_sec"]["total"] > 0.0
     assert manifest["eigensolve"] == {
@@ -267,19 +272,34 @@ def test_solve_refuses_lanczos_bases_larger_than_memory(monkeypatch, tmp_path, c
     # for 7 values on 21 basis vectors, 344,064 bytes for the two; 256 KiB
     # holds the grid and the table, and the bases are refused before any
     # of them is allocated or any output written
+    argv = ["solve", "--domain", "interval", "--length", "2", "--cells", "2048",
+            "--num-eigs", "10", "--out", str(tmp_path / "run.csv")]
     real_sysconf = os.sysconf
     fake = {"SC_PHYS_PAGES": 64, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
-    assert main(["solve", "--domain", "interval", "--length", "2", "--cells", "2048",
-                 "--num-eigs", "10", "--out", str(tmp_path / "run.csv")]) == 1
-    assert "loglap: error: a round of 2 Lanczos bases needs" in capsys.readouterr().err
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "loglap: error: a round of 2 Lanczos bases needs" in err and "physical memory" in err
+    assert list(tmp_path.iterdir()) == []
+    # the same 256 KiB as a soft address-space limit, beside the machine's
+    # physical memory: past the limit numpy would fail only after the work
+    # before the bases
+    monkeypatch.setattr(os, "sysconf", real_sysconf)
+    real_getrlimit = resource.getrlimit
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (
+        (256 << 10, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS
+        else real_getrlimit(which)))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "loglap: error: a round of 2 Lanczos bases needs" in err
+    assert "address-space limit" in err
     assert list(tmp_path.iterdir()) == []
 
 
 def test_bounds_refuses_a_circulant_larger_than_memory(monkeypatch, tmp_path, capsys):
     # the R = 6, h = 1/8 ball: its 96 x 96 lattice and 94 x 94 table fit in
-    # 512 KiB, but the first matvec's 192 x 192 circulant needs 1,036,800
-    # bytes for its symbol, its vector and the two FFT outputs
+    # 512 KiB, but the first matvec's 192 x 192 circulant needs 1,039,872
+    # bytes for its symbol, its vector, the two FFT outputs and one FFT line
     real_sysconf = os.sysconf
     fake = {"SC_PHYS_PAGES": 128, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))
@@ -418,7 +438,7 @@ def test_lanczos_solve_with_empty_sectors_matches_lapack_on_the_blocks(tmp_path)
     assert record["solvers"] == ["lanczos", "lanczos", "lapack", "lapack"]
     assert record["restarts"][2:] == [[], []]
     form = offset_form(build_grid(box((0.0, 0.0), (0.0625, 128.0)), 0.0625))
-    blocks = [form.block(sector) for sector in form.sectors()]
+    blocks = [form.block(sector) for sector in form.sectors]
     lapack = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[:10]
     lapack /= form.mass_scale
     lam = column(*read_csv(out), "lambda")
@@ -486,14 +506,22 @@ def test_solve_dump_matrix_and_envelope(tmp_path):
     (["--domain", "interval", "--length", "2", "--cells", "24"],
      build_grid(interval(-1.0, 1.0), 2.0 / 24)),
 ], ids=["ball", "interval"])
-def test_dump_matrix_parses_back_to_the_assembled_matrix(tmp_path, argv, grid):
-    # 17 significant digits carry every double: the dump is the matrix, bit for bit
+def test_dump_matrix_parses_back_to_the_assembled_matrix(tmp_path, monkeypatch, argv, grid):
+    # 17 significant digits carry every double: the dump is the matrix, bit
+    # for bit, gathered from the one offset table that the solve builds
+    builds = []
+    for name in ("_offset_table_2d", "_entry_row_1d"):
+        build = getattr(loglap.discretize, name)
+        monkeypatch.setattr(loglap.discretize, name,
+                            lambda *a, build=build: builds.append(a) or build(*a))
     mat = tmp_path / "matrix.csv"
     assert main(["solve", *argv, "--num-eigs", "2", "--out", str(tmp_path / "run.csv"),
                  "--dump-matrix", str(mat)]) == 0
+    assert len(builds) == 1
     header, rows = read_csv(mat)
     assert header == [f"col{j}" for j in range(grid.count)]
-    assert np.array_equal(np.array([[float(v) for v in r] for r in rows]), assemble_form(grid))
+    assert np.array_equal(np.array([[float(v) for v in r] for r in rows]),
+                          assemble_form(offset_form(grid)))
 
 
 def test_dump_matrix_holds_the_matrix_and_one_line(tmp_path):
@@ -768,6 +796,9 @@ def test_sweep_h(tmp_path):
     lam1 = column(header, rows, "lambda_1")
     assert np.all(np.diff(lam1) <= 1e-12)             # refinement never increases it
     manifest = json.loads((tmp_path / "h.json").read_text())
+    assert set(manifest["config"]) == {"domain", "length", "radius", "side", "parameter",
+                                       "start", "stop", "steps", "dim", "c0", "config", "out"}
+    assert manifest["config"]["parameter"] == "h" and manifest["config"]["steps"] == 4
     assert manifest["eigensolves"] == [
         {"cells": c, "sectors": [c // 2, c // 2], "solvers": ["lapack", "lapack"], "matvecs": 0,
          "restarts": [[], []], "max_residual": None} for c in (16, 32, 64, 128)]

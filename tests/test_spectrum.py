@@ -59,7 +59,7 @@ def test_eigensolver_against_charpoly_oracle():
             sides = (2 * h, 3 * h) if i % 4 == 1 else (3 * h, 2 * h)
             grid = build_grid(box((0.0, 0.0), sides), h)
         form = offset_form(grid)
-        a = assemble_form(grid)
+        a = assemble_form(form)
         got = eig_symmetric(form, grid.count).eigenvalues
         want = (eigvals_charpoly(a - a[0, 0] * np.eye(grid.count)) + a[0, 0]) / form.mass_scale
         worst = max(worst, float(np.max(np.abs(got - want))))
@@ -74,7 +74,7 @@ def test_mass_scale_and_residuals():
     assert np.all(np.diff(s.eigenvalues) >= -1e-14)
     shift = np.eye(m.grid.count) * m.mass_scale
     for lam in s.eigenvalues:
-        r = np.linalg.svd(assemble_form(m.grid) - lam * shift, compute_uv=False)[-1]
+        r = np.linalg.svd(assemble_form(m) - lam * shift, compute_uv=False)[-1]
         assert r <= 1e-8 * (1.0 + abs(lam)) * m.mass_scale
     # the whole record: LAPACK in both sectors leaves no matvec and no residual
     assert s.source == {"cells": 64, "sectors": [32, 32], "solvers": ["lapack", "lapack"],
@@ -92,13 +92,13 @@ def test_eigensolver_deterministic():
 def ball_3080():
     """The R=4, h=1/8 ball (3,080 cells) with LAPACK's 30 smallest eigenvalues."""
     form = offset_form(build_grid(ball((0.0, 0.0), 4.0), 0.125))
-    lapack = np.linalg.eigvalsh(assemble_form(form.grid))[:30] / form.mass_scale
+    lapack = np.linalg.eigvalsh(assemble_form(form))[:30] / form.mass_scale
     return form, lapack
 
 
 def _lapack_on_the_blocks(form, k):
     """The k smallest eigenvalues of the form's A / massScale, by LAPACK on its blocks."""
-    blocks = [form.block(sector) for sector in form.sectors()]
+    blocks = [form.block(sector) for sector in form.sectors]
     return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[:k] / form.mass_scale
 
 
@@ -106,10 +106,10 @@ def _sector_lanczos(form, k):
     """Each sector's Lanczos solve for its first share of k, stepped together
     as by eig_symmetric: per sector (values, Ritz vectors, restarts) in the
     sectors' order, and the matvecs."""
-    sectors = form.sectors()
+    sectors = form.sectors
     runs = {i: spectrum_module._thick_restart(sector.count, spectrum_module._first_share(
         k, sector.count, form.grid.count)) for i, sector in enumerate(sectors)}
-    solved, matvecs = spectrum_module._lockstep(form, sectors, runs)
+    solved, matvecs = spectrum_module._lockstep(form, runs)
     return [solved[i] for i in range(len(sectors))], matvecs
 
 
@@ -131,7 +131,7 @@ def test_lanczos_matches_lapack_on_double_eigenvalues(ball_3080):
     solved = _sector_lanczos(form, 30)[0]
     assert [[restarts] for _, _, restarts in solved] == s.source["restarts"]
     for i in doubles:
-        for sector, (values, _, _) in zip(form.sectors(), solved):
+        for sector, (values, _, _) in zip(form.sectors, solved):
             copies = np.abs(values / form.mass_scale - ev[i]) <= 1e-13 * abs(ev[i])
             assert np.count_nonzero(copies) == (1 if sector.signs in [(1, -1), (-1, 1)] else 0)
     # the Ritz vectors behind max_residual are orthonormal in each sector
@@ -143,7 +143,7 @@ def test_lanczos_matches_lapack_on_an_interval():
     form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048.0))
     s = eig_symmetric(form, 10)
     assert s.source["solvers"] == ["lanczos"] * 2
-    lapack = np.linalg.eigvalsh(assemble_form(form.grid))[:10] / form.mass_scale
+    lapack = np.linalg.eigvalsh(assemble_form(form))[:10] / form.mass_scale
     assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
 
 
@@ -174,7 +174,7 @@ def test_lanczos_matches_lapack_at_the_solver_limit():
     k = _largest_lanczos_k(1024, 2048)
     s = eig_symmetric(form, k)
     assert s.source["solvers"] == ["lanczos"] * 2
-    lapack = np.linalg.eigvalsh(assemble_form(form.grid))[:k] / form.mass_scale
+    lapack = np.linalg.eigvalsh(assemble_form(form))[:k] / form.mass_scale
     assert np.max(np.abs(s.eigenvalues - lapack)) <= 1e-12
 
 
@@ -290,7 +290,7 @@ def test_sector_solver_choice_at_the_limits(name):
     # c >= _LANCZOS_CELLS_PER_VALUE * j, on either side of both limits
     make, k, sectors, solvers = _SECTOR_CHOICES[name]
     form = offset_form(make())
-    assert [sector.count for sector in form.sectors()] == sectors
+    assert [sector.count for sector in form.sectors] == sectors
     if k in ("last", "first"):
         k = _largest_lanczos_k(sectors[0], form.grid.count) + (k == "first")
     s = eig_symmetric(form, k)
@@ -389,7 +389,7 @@ def _without_cell(grid: Grid, i: int) -> Grid:
 def test_split_matches_the_full_lapack_solve(name):
     form = offset_form(build_grid(*SPLIT_GRIDS[name]))
     n = form.grid.count
-    full = np.linalg.eigvalsh(assemble_form(form.grid)) / form.mass_scale
+    full = np.linalg.eigvalsh(assemble_form(form)) / form.mass_scale
     s = eig_symmetric(form, n)
     assert s.source["sectors"] == SPLIT_SECTORS[name]
     assert s.source["solvers"] == ["lapack"] * len(SPLIT_SECTORS[name])
@@ -402,10 +402,10 @@ def test_split_keeps_the_k_smallest_of_both_blocks(name):
     # k = 40 < n: the merge of the blocks' values keeps the 40 smallest of
     # A, and each block holds some of them
     form = offset_form(build_grid(*SPLIT_GRIDS[name]))
-    full = np.linalg.eigvalsh(assemble_form(form.grid))[:40] / form.mass_scale
+    full = np.linalg.eigvalsh(assemble_form(form))[:40] / form.mass_scale
     s = eig_symmetric(form, 40)
     assert np.max(np.abs(s.eigenvalues - full) / np.abs(full)) <= 1e-12
-    for sector in form.sectors():
+    for sector in form.sectors:
         assert np.linalg.eigvalsh(form.block(sector))[0] / form.mass_scale <= s.eigenvalues[-1]
 
 
@@ -416,7 +416,7 @@ def test_asymmetric_grid_takes_the_full_lapack_path():
     s = eig_symmetric(form, grid.count)
     assert s.source == {"cells": grid.count, "sectors": [grid.count], "solvers": ["lapack"],
                         "matvecs": 0, "restarts": [[]], "max_residual": None}
-    assert np.array_equal(s.eigenvalues, np.linalg.eigvalsh(assemble_form(grid)) / form.mass_scale)
+    assert np.array_equal(s.eigenvalues, np.linalg.eigvalsh(assemble_form(form)) / form.mass_scale)
 
 
 def test_split_needs_a_quarter_of_the_memory(monkeypatch):
