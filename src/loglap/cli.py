@@ -538,7 +538,8 @@ def _sweep_values(args) -> np.ndarray:
     if args.parameter in ("radius", "h") and (args.start <= 0.0 or args.stop <= 0.0):
         raise ValueError(f"{args.parameter} sweep needs positive endpoints")
     if args.parameter == "k":
-        values = np.unique(np.rint(np.linspace(args.start, args.stop, args.steps)))
+        values = np.sort(np.rint(np.linspace(args.start, args.stop, args.steps)))
+        values = values[np.diff(values, prepend=-np.inf) > 0]  # np.unique would load numpy.ma
         if values.size == 0 or values[0] < 1 or values[-1] > 2**53:
             raise ValueError("k sweep needs integer indices from 1 to 2^53, where floats are exact")
         return values.astype(int)

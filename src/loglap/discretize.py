@@ -23,8 +23,9 @@ slot is closed form.  In 2D the diagonal is closed form, and the other slots
 scale like h^2 and are computed once at unit scale: touching offsets (shared
 edge, shared corner) by closed forms in Catalan's constant and the inverse
 tangent integral, separated offsets by a Gauss rule on the pair integral
-reduced to the difference variable (a tent weight per axis).  Every slot of
-the table, in 1D and 2D, is within 1e-12 relative of the exact integral.
+reduced to the difference variable (a tent weight per axis), with fewer
+points the farther apart the cells are.  Every slot of the table, in 1D and
+2D, is within 1e-12 relative of the exact integral.
 
 The table is the operator.  :func:`offset_form` builds it and nothing else;
 it is the size of the grid's mask.  ``QuadFormMatrix.matvec`` applies the
@@ -82,15 +83,15 @@ __all__ = [
 
 MAX_CELL_SIDE = 0.5
 
-# Gauss points per half-axis for separated cells; see _pair_batch_gauss.
+# Gauss points per half-axis for the separated pairs nearest each other;
+# see _separated_points.
 _SEPARATED_GAUSS_N = 10
 # Separated pairs per _pair_batch_gauss call.  With all pairs in one call
 # its three (pairs, 2n) temporaries made a table peak at 276 bytes per
 # lattice cell, 30 times the lattice refusal's 9; in blocks of this size
-# they take 3.9 MB, and the 510 x 510 table peaks at 40.  A table of fewer
-# pairs, such as the R = 4 and R = 6 balls' at h = 1/8 (1,950 and 4,462),
-# is one block and keeps its bits: threaded BLAS can round a product's
-# rows differently when it is split.
+# they take 3 * 8 * 2n bytes per pair, 2.0 MB at n = 5, and the 510 x 510
+# table peaks at 32 bytes per lattice cell (8.35 MB traced) in its final
+# gather from the upper half, after the quadrature.
 _GAUSS_BLOCK_PAIRS = 2**13
 
 # Matrix entries gathered per row block; the gather's three block buffers
@@ -388,6 +389,28 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 2.0 * v[0] ** 2
 
 
+def _separated_points(q: np.ndarray) -> np.ndarray:
+    """Gauss points per half-axis for separated pairs (p, q), p <= q.
+
+    The integrand of :func:`_pair_batch_gauss` has its nearest singularity,
+    for p = 0, on the axis of q, 2q - 1 half-lengths of the nearer half-axis
+    from its center.  It is analytic inside the Bernstein ellipse of
+    parameter rho = (2q - 1) + sqrt((2q - 1)^2 - 1) through that point, so
+    the n-point rule's error falls like rho^(-2n) (Trefethen, SIAM Rev. 50,
+    2008).  Measured against 32-digit integrals for q = 2 to 2,000 and
+    n = 2 to 7, it stays below 100 rho^(-2n) relative, so
+    n = ceil(17.6 / ln rho) keeps every slot within 1e-13
+    (100 e^-35.2 = 5.2e-14), ten times inside the 1e-12 contract: 5 points
+    from q = 9, 4 from 21, 3 from 89, 2 from 1,660 and 1 from 11,003,299.
+    Where the bound asks for more than 5 (q <= 8, a few dozen pairs) the
+    pairs take _SEPARATED_GAUSS_N.
+    """
+    x = 2.0 * q - 1.0
+    points = np.ceil(17.6 / np.log(x + np.sqrt(x * x - 1.0))).astype(int)
+    points[points > 5] = _SEPARATED_GAUSS_N
+    return points
+
+
 def _pair_batch_gauss(offsets: np.ndarray, n: int) -> np.ndarray:
     """Integrals of |x-y|^(-2) over batches of separated unit-cell pairs.
 
@@ -396,9 +419,11 @@ def _pair_batch_gauss(offsets: np.ndarray, n: int) -> np.ndarray:
     density 1 - |s| on [-1, 1], so each pair integral is the integral of
     (1 - |s|)(1 - |t|) / ((a + s)^2 + (b + t)^2) over [-1, 1]^2.  That is
     analytic on each quadrant, and n Gauss-Legendre points per half-axis
-    (:func:`_gauss_legendre`) converge geometrically: at n = 10 every offset
-    meets the 1e-12 contract (7.8e-15 at worst).  Looping over one axis's 2n
-    nodes keeps temporaries at (pairs, 2n).
+    (:func:`_gauss_legendre`) converge geometrically, the faster the farther
+    apart the cells are (:func:`_separated_points`).  Looping over one axis's
+    2n nodes keeps temporaries at (pairs, 2n).  The sums are numpy's, not
+    BLAS's, so a pair's value does not depend on the thread count or on the
+    other pairs in the batch.
     """
     x, w = _gauss_legendre(n)
     nodes = 0.5 * np.concatenate((-1.0 - x, 1.0 + x))  # n per half-axis
@@ -408,7 +433,7 @@ def _pair_batch_gauss(offsets: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros(len(offsets))
     for j, ws in enumerate(weights):
         np.divide(1.0, np.add(du2[:, j, None], dv2, out=kernel), out=kernel)
-        out += ws * (kernel @ weights)
+        out += ws * np.einsum("pj,j->p", kernel, weights)
     return out
 
 
@@ -422,11 +447,15 @@ def _offset_table_2d(max_a: int, max_b: int) -> np.ndarray:
     half = np.full((lo + 1, hi + 1), np.nan)  # half[p, q] for p <= q
     touching = np.array([[np.nan, _EDGE_UNIT_2D], [_EDGE_UNIT_2D, _CORNER_UNIT_2D]])
     half[:2, :2] = touching[: lo + 1, : hi + 1]
-    p, q = np.triu_indices(lo + 1, 0, hi + 1)
-    p, q = p[q >= 2], q[q >= 2]
-    for s in range(0, p.size, _GAUSS_BLOCK_PAIRS):
-        block = p[s : s + _GAUSS_BLOCK_PAIRS], q[s : s + _GAUSS_BLOCK_PAIRS]
-        half[block] = _pair_batch_gauss(np.stack(block, 1).astype(float), _SEPARATED_GAUSS_N)
+    columns = np.arange(2, hi + 1)
+    points = _separated_points(columns)
+    for n in set(points.tolist()):
+        band = columns[points == n]
+        p, q = np.nonzero(np.arange(lo + 1)[:, None] <= band)
+        q = band[q]
+        for s in range(0, p.size, _GAUSS_BLOCK_PAIRS):
+            block = p[s : s + _GAUSS_BLOCK_PAIRS], q[s : s + _GAUSS_BLOCK_PAIRS]
+            half[block] = _pair_batch_gauss(np.stack(block, 1).astype(float), n)
     a, b = np.ogrid[: max_a + 1, : max_b + 1]
     return half[np.minimum(a, b), np.maximum(a, b)]
 
@@ -448,10 +477,15 @@ def _require_memory(nbytes: int, what: str) -> None:
         if soft != resource.RLIM_INFINITY and soft < limit:
             limit, name = soft, "address-space limit (RLIMIT_AS)"
     if nbytes > limit:
-        raise ValueError(
-            f"{what} needs {nbytes / 2**30:.1f} GiB, "
-            f"more than the {limit / 2**30:.1f} GiB {name}"
-        )
+        raise ValueError(f"{what} needs {_binary_size(nbytes)}, "
+                         f"more than the {_binary_size(limit)} {name}")
+
+
+def _binary_size(nbytes: int) -> str:
+    """A byte count in the largest binary unit, up to TiB, that it fills:
+    ``336.0 KiB``, ``19.3 GiB``."""
+    k = min(max(int(nbytes).bit_length() - 1, 0) // 10, 4)
+    return f"{nbytes / 1024**k:.1f} {('B', 'KiB', 'MiB', 'GiB', 'TiB')[k]}"
 
 
 def offset_form(grid: Grid) -> QuadFormMatrix:

@@ -280,6 +280,7 @@ def test_solve_refuses_lanczos_bases_larger_than_memory(monkeypatch, tmp_path, c
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "loglap: error: a round of 2 Lanczos bases needs" in err and "physical memory" in err
+    assert "needs 336.0 KiB, more than the 256.0 KiB of physical memory" in err
     assert list(tmp_path.iterdir()) == []
     # the same 256 KiB as a soft address-space limit, beside the machine's
     # physical memory: past the limit numpy would fail only after the work
@@ -293,6 +294,7 @@ def test_solve_refuses_lanczos_bases_larger_than_memory(monkeypatch, tmp_path, c
     err = capsys.readouterr().err
     assert "loglap: error: a round of 2 Lanczos bases needs" in err
     assert "address-space limit" in err
+    assert "needs 336.0 KiB, more than the 256.0 KiB address-space limit" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -446,15 +448,15 @@ def test_lanczos_solve_with_empty_sectors_matches_lapack_on_the_blocks(tmp_path)
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # numpy is the only runtime dependency, and no command loads numpy.random
-    # or numpy.polynomial, which importing numpy does not: neither importing
-    # the CLI nor a Lanczos solve, a LAPACK solve, a Rayleigh quotient or the
-    # verify suites leaves one behind
+    # numpy is the only runtime dependency, and no command loads numpy.random,
+    # numpy.polynomial or numpy.ma, which importing numpy does not: neither
+    # importing the CLI nor a Lanczos solve, a LAPACK solve, a Rayleigh
+    # quotient, a k sweep or the verify suites leaves one behind
     script = (
         "import sys\n"
         "import loglap.cli\n"
         "code = loglap.cli.main(sys.argv[1:])\n"
-        "banned = ('scipy', 'numpy.random', 'numpy.polynomial')\n"
+        "banned = ('scipy', 'numpy.random', 'numpy.polynomial', 'numpy.ma')\n"
         "print(sorted(m for m in sys.modules\n"
         "             if any(m == b or m.startswith(b + '.') for b in banned)))\n"
         "sys.exit(code)\n"
@@ -466,6 +468,8 @@ def test_no_command_loads_scipy(tmp_path):
         "rayleigh": ["bounds", "--domain", "ball", "--radius", "1", "--h", "0.125",
                      "--sigma", "0.5"],
         "verify": ["verify", "--suite", "all"],
+        "sweep": ["sweep", "--parameter", "k", "--domain", "interval", "--length", "2",
+                  "--start", "1", "--stop", "20", "--steps", "5"],
     }
     for name, argv in commands.items():
         out = tmp_path / f"{name}.out"

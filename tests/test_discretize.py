@@ -233,13 +233,45 @@ def test_2d_separated_entries_exact_to_rounding(offsets):
             assert abs(table[slot] - ref) <= 1e-12 * abs(ref), slot
 
 
+def test_2d_separated_entries_hold_the_contract_at_every_band_edge():
+    # the first q of each point count of the graded rule, where that count's
+    # error is largest, with p = 0, 1 and q, against 32-digit integrals.  The
+    # slots come from one 1,661 x 1,661 table; the 1-point band starts beyond
+    # any table a test can build, so its pairs go through the rule directly
+    edges = {10: 2, 5: 9, 4: 21, 3: 89, 2: 1660, 1: 11_003_299}
+    q = np.array(list(edges.values()))
+    assert list(discretize_module._separated_points(q)) == list(edges)
+    assert list(discretize_module._separated_points(q[1:] - 1)) == list(edges)[:-1]
+    table = discretize_module._offset_table_2d(1660, 1660)
+    for n, q in edges.items():
+        pairs = [(0, q), (1, q), (q, q)]
+        got = (table[tuple(np.transpose(pairs))] if q < table.shape[0]
+               else discretize_module._pair_batch_gauss(np.array(pairs, dtype=float), n))
+        ref = [oracles.separated_pair_unit_2d_mp(a, b) for a, b in pairs]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0, err_msg=f"q = {q}")
+
+
+def test_2d_table_integrates_far_pairs_with_fewer_points(monkeypatch):
+    # kernel evaluations, len(offsets) * (2n)^2 summed over the quadrature's
+    # calls, for the R = 6, h = 1/8 ball's 94 x 94 table: 1,784,800 with 10
+    # points per half-axis for all 4,462 separated pairs, 293,496 graded
+    calls = []
+    batch = discretize_module._pair_batch_gauss
+    monkeypatch.setattr(discretize_module, "_pair_batch_gauss", lambda offsets, n: (
+        calls.append(len(offsets) * (2 * n) ** 2) or batch(offsets, n)))
+    offset_form(build_grid(ball((0.0, 0.0), 6.0), 0.125))
+    assert 0 < sum(calls) <= 300_000
+
+
 def test_gauss_legendre_rule_matches_numpy():
-    # the Golub-Welsch rule of the separated 2D slots against numpy's leggauss,
-    # which the package does not import
-    x, w = _gauss_legendre(10)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(10)
-    assert np.max(np.abs(x - ref_x)) <= 1e-14
-    assert np.max(np.abs(w - ref_w)) <= 1e-14
+    # the Golub-Welsch rules of the separated 2D slots, at every point count
+    # the graded rule uses, against numpy's leggauss, which the package does
+    # not import
+    for n in (1, 2, 3, 4, 5, 10):
+        x, w = _gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - ref_x)) <= 1e-14, n
+        assert np.max(np.abs(w - ref_w)) <= 1e-14, n
 
 
 def test_ball_matrix_invariant_under_swapping_axes():
@@ -296,12 +328,12 @@ def test_assembly_peak_memory_is_the_matrix_plus_a_small_block(domain, h):
 
 def test_2d_table_in_blocks_is_the_table_in_one(monkeypatch):
     # the R = 4, h = 1/8 ball's 1,950 separated pairs in blocks of 100, the
-    # last one short: every pair lands in its slot, and each slot's value is
-    # the one-block value up to the last bit that a threaded product moves
+    # last one of each point count short: every pair lands in its slot, with
+    # the one-block value bit for bit, since no BLAS product sums a pair
     grid = build_grid(ball((0.0, 0.0), 4.0), 0.125)
     whole = offset_form(grid).table
     monkeypatch.setattr(discretize_module, "_GAUSS_BLOCK_PAIRS", 100)
-    np.testing.assert_allclose(offset_form(grid).table, whole, rtol=4e-16, atol=0.0)
+    assert np.array_equal(offset_form(grid).table, whole)
 
 
 def test_2d_table_peaks_at_its_lattice_arrays_plus_one_block():
