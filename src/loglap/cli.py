@@ -9,7 +9,7 @@ Conventions shared by every subcommand:
 
 * CSV output starts with the literal line ``#schema=1`` followed by a
   header row; every number is printed with 17 significant digits, so a CSV
-  is a bit-exact function of the run configuration.
+  is a bit-exact function of the run configuration and the BLAS thread count.
 * JSON side files (run manifests, verify reports) carry non-deterministic
   content such as timings; the CSV never does.
 * ``--config FILE`` reads flat ``key=value`` lines whose keys mirror the

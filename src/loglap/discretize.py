@@ -53,7 +53,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 try:
     import resource
@@ -86,12 +86,10 @@ MAX_CELL_SIDE = 0.5
 # Gauss points per half-axis for the separated pairs nearest each other;
 # see _separated_points.
 _SEPARATED_GAUSS_N = 10
-# Separated pairs per _pair_batch_gauss call.  With all pairs in one call
-# its three (pairs, 2n) temporaries made a table peak at 276 bytes per
-# lattice cell, 30 times the lattice refusal's 9; in blocks of this size
-# they take 3 * 8 * 2n bytes per pair, 2.0 MB at n = 5, and the 510 x 510
-# table peaks at 32 bytes per lattice cell (8.35 MB traced) in its final
-# gather from the upper half, after the quadrature.
+# Separated pairs per _pair_batch_gauss call, at most: its three (pairs, 2n)
+# temporaries take 3 * 8 * 2n bytes per pair, 2.0 MB at n = 5, so the
+# 510 x 510 table peaks at the table plus one block, 14.2 bytes per lattice
+# cell (3.69 MB traced).  With all pairs in one call it peaked at 276.
 _GAUSS_BLOCK_PAIRS = 2**13
 
 # Matrix entries gathered per row block; the gather's three block buffers
@@ -181,7 +179,7 @@ class Sector:
         return int(self.rows.shape[0])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QuadFormMatrix:
     """Symmetric Galerkin matrix of the energy form on a grid, given by its offset table.
 
@@ -189,13 +187,12 @@ class QuadFormMatrix:
     grid's cells (absolute offset per axis, diagonal in slot (0, ..., 0)).
     The generalized eigenproblem is A v = lambda * mass_scale * v with
     mass_scale = h^N (the indicator basis is orthogonal with that norm).
-    The form holds no n x n matrix (:func:`assemble_form` returns one);
-    ``symbol`` holds the circulant's spectrum once :meth:`matvec` has run.
+    The form is the grid and the table, never an n x n matrix (:func:`assemble_form`
+    returns one); ``symbol`` and ``sectors`` are built from them when first read.
     """
 
     grid: Grid
     table: np.ndarray
-    symbol: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def mass_scale(self) -> float:
@@ -273,33 +270,33 @@ class QuadFormMatrix:
         w *= scale
         return {i: w[i, sectors[i].rows] for i in vectors}
 
-    def matvec(self, v) -> np.ndarray:
-        """The product A v, by one FFT pair on the circulant embedding of the table.
+    @functools.cached_property
+    def symbol(self) -> np.ndarray:
+        """The rfft half of the spectrum of :meth:`matvec`'s circulant, built
+        once.  Raises ``ValueError`` first when it and the product's arrays
+        would not fit in memory: the padded vector and the irfftn output (real,
+        full shape), the complex rfftn output (rfft half) and the complex line
+        that numpy's FFT copies a strided axis through."""
+        shape = tuple(_fft_length(2 * size - 1) for size in self.table.shape)
+        full, half = math.prod(shape), math.prod(shape[:-1]) * (shape[-1] // 2 + 1)
+        _require_memory(16 * full + 24 * half + 16 * max(shape),
+                        f"the {' x '.join(map(str, shape))} circulant")
+        # the circulant's first column is even: its spectrum is real up to rounding
+        return np.fft.rfftn(_circulant(self.table, shape), axes=tuple(range(len(shape)))).real.copy()
 
-        The first product raises ``ValueError`` before building the
-        circulant's spectrum when that, the padded vector, the two FFT
-        outputs and an FFT line would not fit in memory.
-        """
+    def matvec(self, v) -> np.ndarray:
+        """The product A v, by one FFT pair on the circulant embedding of the table."""
         v = np.asarray(v, dtype=float).ravel()
         if v.shape[0] != self.grid.count:
             raise ValueError(f"vector has length {v.shape[0]}, grid has {self.grid.count} cells")
+        symbol = self.symbol  # built, or refused, before the product's own arrays
         axes = tuple(range(self.table.ndim))
         shape = tuple(_fft_length(2 * size - 1) for size in self.table.shape)
-        if self.symbol is None:
-            # real arrays of the full shape (x, the irfftn output) or of its
-            # rfft half (the symbol), the complex rfftn output, and the
-            # complex line that numpy's FFT copies a strided axis through
-            full, half = math.prod(shape), math.prod(shape[:-1]) * (shape[-1] // 2 + 1)
-            _require_memory(16 * full + 24 * half + 16 * max(shape),
-                            f"the {' x '.join(map(str, shape))} circulant")
-            # The circulant's first column is even, so its spectrum is real;
-            # the imaginary part is rounding.
-            self.symbol = np.fft.rfftn(_circulant(self.table, shape), axes=axes).real.copy()
         box = tuple(map(slice, self.table.shape))  # the mask's place in the circulant
         x = np.zeros(shape)
         x[box][self.grid.mask] = v
         x = np.fft.rfftn(x, axes=axes)
-        x *= self.symbol
+        x *= symbol
         return np.fft.irfftn(x, s=shape, axes=axes)[box][self.grid.mask]
 
 
@@ -440,24 +437,26 @@ def _pair_batch_gauss(offsets: np.ndarray, n: int) -> np.ndarray:
 def _offset_table_2d(max_a: int, max_b: int) -> np.ndarray:
     """Unit-scale kernel integrals indexed by absolute lattice offset (a, b).
 
-    Pairs a <= b are integrated once and mirrored, so the table is exactly
-    symmetric.  Entry (0, 0) is left NaN; the diagonal has its own closed form.
+    Pairs a <= b are integrated once, in blocks of columns b of one point
+    count, and mirrored in place, so the table is exactly symmetric.  Entry
+    (0, 0) is left NaN; the diagonal has its own closed form.
     """
     lo, hi = sorted((max_a, max_b))
-    half = np.full((lo + 1, hi + 1), np.nan)  # half[p, q] for p <= q
+    table = np.full((lo + 1, hi + 1), np.nan)  # table[p, q], integrated for p <= q
     touching = np.array([[np.nan, _EDGE_UNIT_2D], [_EDGE_UNIT_2D, _CORNER_UNIT_2D]])
-    half[:2, :2] = touching[: lo + 1, : hi + 1]
+    table[:2, :2] = touching[: lo + 1, : hi + 1]
     columns = np.arange(2, hi + 1)
     points = _separated_points(columns)
+    width = max(1, _GAUSS_BLOCK_PAIRS // (lo + 1))  # columns per block
     for n in set(points.tolist()):
         band = columns[points == n]
-        p, q = np.nonzero(np.arange(lo + 1)[:, None] <= band)
-        q = band[q]
-        for s in range(0, p.size, _GAUSS_BLOCK_PAIRS):
-            block = p[s : s + _GAUSS_BLOCK_PAIRS], q[s : s + _GAUSS_BLOCK_PAIRS]
-            half[block] = _pair_batch_gauss(np.stack(block, 1).astype(float), n)
-    a, b = np.ogrid[: max_a + 1, : max_b + 1]
-    return half[np.minimum(a, b), np.maximum(a, b)]
+        for s in range(0, band.size, width):
+            q = band[s : s + width]
+            p, j = np.nonzero(np.arange(lo + 1)[:, None] <= q)
+            table[p, q[j]] = _pair_batch_gauss(np.stack((p, q[j]), 1).astype(float), n)
+    for p in range(1, lo + 1):
+        table[p, :p] = table[:p, p]
+    return np.ascontiguousarray(table.T) if max_a > max_b else table
 
 
 def _diagonal_entry_2d(h: float, constants: DimensionConstants) -> float:
@@ -500,7 +499,8 @@ def offset_form(grid: Grid) -> QuadFormMatrix:
     if grid.dim == 1:
         table = _entry_row_1d(spans[0], h, constants)
     elif grid.dim == 2:
-        table = -constants.kernel_constant * h * h * _offset_table_2d(*spans)
+        table = _offset_table_2d(*spans)
+        table *= -constants.kernel_constant * h * h
         table[0, 0] = _diagonal_entry_2d(h, constants)
     else:
         raise ValueError(f"assembly supports dimensions 1 and 2, got {grid.dim}")

@@ -16,8 +16,8 @@ solve's record, the spectrum's ``source``, has the same keys for every
 solve: the cells, the sectors' sizes and solvers, the matvecs (the Ritz
 residuals' included), each sector's restart count per Lanczos solve and the
 largest residual ||A v - lambda M v|| of the Lanczos sectors.  Both solvers
-are deterministic, so results are reproducible bit for bit across runs on
-one machine.
+are deterministic, so results are reproducible bit for bit on one machine
+for a fixed BLAS thread count.
 """
 
 from __future__ import annotations

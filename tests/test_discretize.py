@@ -1,5 +1,6 @@
 """Grid construction and energy-form assembly against quadrature oracles."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -336,12 +337,11 @@ def test_2d_table_in_blocks_is_the_table_in_one(monkeypatch):
     assert np.array_equal(offset_form(grid).table, whole)
 
 
-def test_2d_table_peaks_at_its_lattice_arrays_plus_one_block():
+def test_2d_table_peaks_at_the_table_plus_one_block():
     # the R = 32, h = 1/8 ball: a 510 x 510 table with 130,302 separated
-    # pairs.  The table, its upper half and the pairs' indices take about 25
-    # bytes per lattice cell, and the quadrature one block's three
-    # (pairs, 2n) temporaries; for all pairs at once they took 276 bytes
-    # per lattice cell
+    # pairs.  The table is built, mirrored and scaled in place, 8 bytes per
+    # lattice cell, and the quadrature adds one block's three (pairs, 2n)
+    # temporaries and its pairs' indices; no index array spans the lattice
     grid = build_grid(ball((0.0, 0.0), 32.0), 0.125)
     tracemalloc.start()
     try:
@@ -350,7 +350,28 @@ def test_2d_table_peaks_at_its_lattice_arrays_plus_one_block():
     finally:
         tracemalloc.stop()
     block = 3 * 8 * discretize_module._GAUSS_BLOCK_PAIRS * 2 * discretize_module._SEPARATED_GAUSS_N
-    assert peak <= 32 * grid.mask.size + block + 2**20
+    assert peak <= 8 * grid.mask.size + block + 2**20
+
+
+def test_form_is_frozen_and_builds_its_symbol_once():
+    form = offset_form(build_grid(ball((0.0, 0.0), 2.0), 0.25))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        form.table = np.zeros_like(form.table)
+    assert "symbol" not in vars(form)
+    v = np.ones(form.grid.count)
+    form.matvec(v)
+    symbol = form.symbol
+    form.matvec(v)
+    assert form.symbol is symbol
+
+
+def test_2d_table_of_a_tall_box_is_the_transpose_of_the_wide_one():
+    # 2 x 5 and 5 x 2 boxes at h = 1/16: a 32 x 80 and an 80 x 32 table,
+    # the second built as the first and transposed
+    wide = offset_form(build_grid(box((0.0, 0.0), (2.0, 5.0)), 1.0 / 16.0)).table
+    tall = offset_form(build_grid(box((0.0, 0.0), (5.0, 2.0)), 1.0 / 16.0)).table
+    assert tall.shape == (80, 32) and tall.flags["C_CONTIGUOUS"]
+    assert np.array_equal(tall, wide.T)
 
 
 @pytest.mark.parametrize("radius", [4.0, 8.0, 16.0, 32.0])
