@@ -31,8 +31,9 @@ The table is the operator.  :func:`offset_form` builds it and nothing else;
 it is the size of the grid's mask.  ``QuadFormMatrix.matvec`` applies the
 matrix without forming it: the mask places v in a circulant twice its size
 per axis (rounded up to a fast FFT length) that embeds the table, and one
-FFT pair applies it (Chan & Jin, *An Introduction to Iterative Toeplitz
-Solvers*, SIAM 2007); :func:`rayleigh_quotient` is one such product.
+FFT pair over the mask's box applies it (Chan & Jin, *An Introduction to
+Iterative Toeplitz Solvers*, SIAM 2007); :func:`rayleigh_quotient` is one
+such product.
 The dense matrix is a view that the form never holds: :func:`assemble_form`
 returns it, gathered from the table in row blocks, the same way in every
 dimension; it needs the 8*n*n-byte matrix plus a small fixed block, and a
@@ -273,31 +274,44 @@ class QuadFormMatrix:
     @functools.cached_property
     def symbol(self) -> np.ndarray:
         """The rfft half of the spectrum of :meth:`matvec`'s circulant, built
-        once.  Raises ``ValueError`` first when it and the product's arrays
-        would not fit in memory: the padded vector and the irfftn output (real,
-        full shape), the complex rfftn output (rfft half) and the complex line
-        that numpy's FFT copies a strided axis through."""
+        once.  Raises ``ValueError`` first when its build would not fit in
+        memory: the circulant's first column (real, full shape), a transform's
+        complex input and output (rfft halves) and the complex line that
+        numpy's FFT copies a strided axis through.  The count also bounds the
+        product's peak: this symbol (a real rfft half), two complex rfft
+        halves and the line; its other arrays are the size of the box."""
         shape = tuple(_fft_length(2 * size - 1) for size in self.table.shape)
         full, half = math.prod(shape), math.prod(shape[:-1]) * (shape[-1] // 2 + 1)
-        _require_memory(16 * full + 24 * half + 16 * max(shape),
+        _require_memory(8 * full + 32 * half + 16 * max(shape),
                         f"the {' x '.join(map(str, shape))} circulant")
         # the circulant's first column is even: its spectrum is real up to rounding
         return np.fft.rfftn(_circulant(self.table, shape), axes=tuple(range(len(shape)))).real.copy()
 
     def matvec(self, v) -> np.ndarray:
-        """The product A v, by one FFT pair on the circulant embedding of the table."""
+        """The product A v, by one FFT pair on the circulant embedding of the table.
+
+        The FFTs run over the mask's bounding box, the circulant's leading
+        corner, alone: each forward transform pads its axis with zeros, and
+        each inverse one keeps the box's entries of its axis only.  No zero
+        row of the circulant is transformed and no row outside the box is
+        inverted.  The axes go in the order of ``rfftn`` and ``irfftn``, whose
+        product on the zero-padded circulant this is, bit for bit.
+        """
         v = np.asarray(v, dtype=float).ravel()
         if v.shape[0] != self.grid.count:
             raise ValueError(f"vector has length {v.shape[0]}, grid has {self.grid.count} cells")
         symbol = self.symbol  # built, or refused, before the product's own arrays
-        axes = tuple(range(self.table.ndim))
-        shape = tuple(_fft_length(2 * size - 1) for size in self.table.shape)
-        box = tuple(map(slice, self.table.shape))  # the mask's place in the circulant
-        x = np.zeros(shape)
-        x[box][self.grid.mask] = v
-        x = np.fft.rfftn(x, axes=axes)
+        box = self.table.shape
+        shape = tuple(_fft_length(2 * size - 1) for size in box)
+        x = np.zeros(box)
+        x[self.grid.mask] = v
+        x = np.fft.rfft(x, n=shape[-1], axis=-1)
+        for d in reversed(range(len(box) - 1)):
+            x = np.fft.fft(x, n=shape[d], axis=d)
         x *= symbol
-        return np.fft.irfftn(x, s=shape, axes=axes)[box][self.grid.mask]
+        for d in range(len(box) - 1):
+            x = np.fft.ifft(x, axis=d)[(slice(None),) * d + (slice(box[d]),)]
+        return np.fft.irfft(x, n=shape[-1], axis=-1)[..., : box[-1]][self.grid.mask]
 
 
 def build_grid(domain: Domain, h: float) -> Grid:

@@ -14,10 +14,10 @@ step serves them all.  Any other sector gets all its values from LAPACK's
 dense solver on its block.  The sectors' eigenvalues are then merged.  The
 solve's record, the spectrum's ``source``, has the same keys for every
 solve: the cells, the sectors' sizes and solvers, the matvecs (the Ritz
-residuals' included), each sector's restart count per Lanczos solve and the
-largest residual ||A v - lambda M v|| of the Lanczos sectors.  Both solvers
-are deterministic, so results are reproducible bit for bit on one machine
-for a fixed BLAS thread count.
+residuals' included), per sector and Lanczos solve the restarts and the
+steps orthogonalized twice, and the largest residual ||A v - lambda M v||
+of the Lanczos sectors.  Both solvers are deterministic, so results are
+reproducible bit for bit on one machine for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -40,22 +40,21 @@ __all__ = [
 
 # The solver rule per sector (:func:`_uses_lanczos`).  Milliseconds per
 # solve with every sector forced onto one solver, for sectors of c cells
-# asked for j values each; two cores, OpenBLAS, best of five in one process,
-# a fresh form each time (Lanczos pays the symbol):
+# asked for j values each; two cores, OpenBLAS, the least of six runs of best
+# of five in one process, a fresh form each time (Lanczos pays the symbol):
 #                      LAPACK  Lanczos at j = 2, and at c/j = 32    24    20    16    12
-#   interval  c =  256    11.1                11.2         17.0   20.7  21.1  23.1  27.4
-#                  512    40.4                11.3         32.1   39.8  44.9  51.0  63.8
-#                1,024   192.4                24.1        101.1  122.8 123.9 155.3 199.3
-#                2,048  1165.0                38.3        385.0  614.5 703.8 644.5  1025
-#   ball h=1/8 c = 424    60.8                34.7         84.8   89.9 103.1 117.9 142.1
-#                  585   114.9                40.3        114.3  133.8 158.2 182.0 224.7
-#                  770   205.9                47.5        156.2  188.3 234.8 303.4 373.8
-#                1,755    1741                62.1        511.4  839.0 891.1  1346  2054
-# Below 512 cells Lanczos wins at most 1.8x, and only for a few values.  The
-# crossover c/j falls as c grows: 22-32 at 512-770 cells, 12-13 from 1,024
-# on.  c/j >= 16 loses about 1.5x (0.1 s) at most on the small sectors, and
-# takes the large ones' gains: a larger ratio would send the 1,755-cell
-# sectors at c/j = 20 to LAPACK, at twice the time.
+#   interval  c =  256     7.5                 5.4          9.2   10.4  10.8  12.0  14.3
+#                  512    33.1                 6.3         17.8   21.0  23.1  25.4  32.4
+#                1,024   153.5                10.3         43.1   54.6  69.0  87.3 119.9
+#                2,048    1059                17.2        182.8  290.4 397.7 410.0 574.5
+#   ball h=1/8 c = 424    46.3                17.3         41.1   39.7  44.5  52.9  62.3
+#                  585    96.3                19.6         52.2   57.6  70.4  84.4 115.0
+#                  770   158.0                22.5         80.0   90.4 117.7 137.7 173.1
+#                1,755    1483                47.8        344.5  477.2 587.3 879.1  1037
+# The machine is shared: one entry varied up to 2x across the six runs.
+# Below 512 cells Lanczos wins 1.4-2.7x for two values and at most 1.2x for
+# c/j >= 20.  The crossover c/j is 12-14 at 512-770 cells and below 12 from
+# 1,024 on, so c/j >= 16 loses to LAPACK on no sector of 512 cells or more.
 _LANCZOS_MIN_SECTOR = 512
 _LANCZOS_CELLS_PER_VALUE = 16
 # Sector solves of 2,048-50,920 cells converge in 3-76 restarts (the R=16,
@@ -101,13 +100,14 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
 
     ``source`` records the ``cells``, the sectors' sizes as ``sectors``, per
     sector the solver that ran last as ``solvers`` (``"lanczos"`` or
-    ``"lapack"``) and the restart count of each Lanczos solve it took as
-    ``restarts``, the shared ``matvecs`` (residuals included) and the
-    largest residual ||A v - lambda * massScale * v|| of the Lanczos
-    sectors' unit Ritz vectors among the k as ``max_residual`` (None when
-    no Lanczos sector holds one).  Raises ``ValueError`` before allocating a
-    block plus LAPACK's copy, or a round's bases, larger than memory,
-    and ``NumericsError`` when a solver fails.
+    ``"lapack"``), the restart count of each Lanczos solve it took as
+    ``restarts`` and the number of that solve's steps that orthogonalized
+    twice as ``reorthogonalized``, the shared ``matvecs`` (residuals
+    included) and the largest residual ||A v - lambda * massScale * v|| of
+    the Lanczos sectors' unit Ritz vectors among the k as ``max_residual``
+    (None when no Lanczos sector holds one).  Raises ``ValueError`` before
+    allocating a block plus LAPACK's copy, or a round's bases, larger than
+    memory, and ``NumericsError`` when a solver fails.
     """
     n = form.grid.count
     if not (1 <= k <= n):
@@ -116,6 +116,7 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     asked = [min(_first_share(k, sector.count, n), sector.count) for sector in sectors]
     pairs = [(np.empty(0), None) for _ in sectors]  # ascending values; Ritz vectors or None
     restarts = [[] for _ in sectors]
+    reorthogonalized = [[] for _ in sectors]
     matvecs = 0
     grow = [i for i, want in enumerate(asked) if want]
     while grow:
@@ -128,9 +129,10 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
         solved, steps = _lockstep(form, {
             i: _thick_restart(sectors[i].count, asked[i]) for i in lanczos})
         matvecs += steps
-        for i, (values, vectors, restart) in solved.items():
+        for i, (values, vectors, restart, second) in solved.items():
             pairs[i] = values, vectors
             restarts[i].append(restart)
+            reorthogonalized[i].append(second)
         merged = np.concatenate([values for values, _ in pairs])
         kth = np.sort(merged)[k - 1] if merged.size >= k else math.inf
         grow = [i for i, (values, _) in enumerate(pairs)
@@ -147,6 +149,7 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     source = {"cells": n, "sectors": [sector.count for sector in sectors],
               "solvers": ["lapack" if vectors is None else "lanczos" for _, vectors in pairs],
               "matvecs": matvecs + steps, "restarts": restarts,
+              "reorthogonalized": reorthogonalized,
               "max_residual": max(residuals.values(), default=None)}
     return Spectrum(eigenvalues=np.ascontiguousarray(merged[chosen] / form.mass_scale),
                     source=source)
@@ -239,20 +242,25 @@ def _thick_restart(n: int, k: int):
 
     It yields each vector whose product it needs and is sent the product.
     The basis holds m = _basis_size(k) vectors, started from
-    :func:`_start_vector`, each orthogonalized twice against all before it.
-    The projected matrix keeps the analytic recurrence coefficients:
-    tridiagonal, with an arrowhead coupling the Ritz vectors kept at a
-    restart to the residual direction (Wu & Simon, SIAM J. Matrix Anal.
-    Appl. 22, 2000).  Each restart keeps k + (m - k)//2 Ritz vectors.  A
-    wanted Ritz pair converges when its residual estimate |beta * s_m| is at
-    most eps/2 * max(eps^(2/3), |theta|), ARPACK's test at tol = 0; it is
-    then locked: it stays in the basis, and its coupling, which is below
-    that bound, is dropped from the projected matrix.  Without locking the
-    estimates of converged pairs hover at that bound, rounding's floor, and
-    the solve stalls.  Returns the ascending values, the unit Ritz vectors
-    as rows and the restart count.  Raises ``NumericsError`` after
-    ``_LANCZOS_MAX_RESTARTS`` restarts, or when the basis breaks down (the
-    new direction has no component outside the basis).
+    :func:`_start_vector`.  The projected matrix keeps the analytic
+    recurrence coefficients: tridiagonal, with an arrowhead coupling the
+    Ritz vectors kept at a restart to the residual direction (Wu & Simon,
+    SIAM J. Matrix Anal. Appl. 22, 2000).  Each product w loses its
+    recurrence terms, then one classical Gram-Schmidt pass against all the
+    vectors before it, and a second pass only when the first leaves ||w||
+    below 1/sqrt(2) of its norm before that pass (the DGKS test: Daniel,
+    Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).  Each restart keeps
+    k + (m - k)//2 Ritz vectors.  A wanted Ritz pair converges when its
+    residual estimate |beta * s_m| is at most eps/2 * max(eps^(2/3),
+    |theta|), ARPACK's test at tol = 0; it is then locked: it stays in the
+    basis, and its coupling, which is below that bound, is dropped from the
+    projected matrix.  Without locking the estimates of converged pairs
+    hover at that bound, rounding's floor, and the solve stalls.  Returns
+    the ascending values, the unit Ritz vectors as rows, the restart count
+    and the number of steps that took the second pass.  Raises
+    ``NumericsError`` after ``_LANCZOS_MAX_RESTARTS`` restarts, or when the
+    basis breaks down (the new direction has no component outside the
+    basis).
     """
     m = _basis_size(k)
     keep = k + (m - k) // 2
@@ -264,6 +272,7 @@ def _thick_restart(n: int, k: int):
     locked = 0  # leading rows: converged Ritz vectors, uncoupled in t
     first = 0  # rows before ``first`` are Ritz vectors kept at the last restart
     matvecs = 0
+    second = 0  # steps that took the second Gram-Schmidt pass
     for restart in range(_LANCZOS_MAX_RESTARTS + 1):
         for j in range(first, m):
             w = yield basis[j]
@@ -272,9 +281,13 @@ def _thick_restart(n: int, k: int):
             t[j, j] = basis[j] @ w
             lo = 0 if j == first else j - 1  # the arrowhead row, or the tridiagonal one
             w -= t[j, j] * basis[j] + t[j, lo:j] @ basis[lo:j]
-            for _ in range(2):
-                w -= (basis[: j + 1] @ w) @ basis[: j + 1]
+            before = np.linalg.norm(w)
+            w -= (basis[: j + 1] @ w) @ basis[: j + 1]
             beta = np.linalg.norm(w)
+            if beta < math.sqrt(0.5) * before:  # DGKS: the pass cancelled much of w
+                w -= (basis[: j + 1] @ w) @ basis[: j + 1]
+                beta = np.linalg.norm(w)
+                second += 1
             if not beta > math.sqrt(eps) * scale:
                 raise NumericsError(
                     f"Lanczos broke down after {matvecs} matvecs: "
@@ -308,7 +321,7 @@ def _thick_restart(n: int, k: int):
         first = keep
     vectors = np.concatenate((basis[:locked], s.T @ basis[locked:m]))
     order = np.argsort(values, kind="stable")[:k]
-    return values[order], vectors[order], restart
+    return values[order], vectors[order], restart, second
 
 
 def weyl_diagnostics(spectrum: Spectrum) -> dict:

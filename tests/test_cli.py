@@ -167,7 +167,7 @@ def test_solve_csv_and_manifest(tmp_path):
     assert manifest["timings_sec"]["total"] > 0.0
     assert manifest["eigensolve"] == {
         "cells": 64, "sectors": [32, 32], "solvers": ["lapack", "lapack"], "matvecs": 0,
-        "restarts": [[], []], "max_residual": None}
+        "restarts": [[], []], "reorthogonalized": [[], []], "max_residual": None}
     assert manifest["peak_rss_mb"] > 0.0
 
 
@@ -339,11 +339,13 @@ def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
     assert main(["solve", *grid, "--num-eigs", "10", "--out", str(out)]) == 0
     record = json.loads((tmp_path / "run.json").read_text())["eigensolve"]
     # the whole record: the spectrum's source, which a new key would change
-    assert set(record) == {"cells", "sectors", "solvers", "matvecs", "restarts", "max_residual"}
+    assert set(record) == {"cells", "sectors", "solvers", "matvecs", "restarts",
+                           "reorthogonalized", "max_residual"}
     assert record["cells"] == 2048 and record["solvers"] == ["lanczos", "lanczos"]
     # the even and odd sectors, each solved once and stepped on shared matvecs
     assert record["sectors"] == [1024, 1024]
     assert [len(solves) for solves in record["restarts"]] == [1, 1]
+    assert [len(solves) for solves in record["reorthogonalized"]] == [1, 1]
     assert record["matvecs"] > 10 and 0.0 <= record["max_residual"] <= 1e-13
     # 512 eigenvalues ask 296 of each sector, which LAPACK solves on its block
     assert main(["solve", *grid, "--num-eigs", "512"]) == 1
@@ -805,7 +807,8 @@ def test_sweep_h(tmp_path):
     assert manifest["config"]["parameter"] == "h" and manifest["config"]["steps"] == 4
     assert manifest["eigensolves"] == [
         {"cells": c, "sectors": [c // 2, c // 2], "solvers": ["lapack", "lapack"], "matvecs": 0,
-         "restarts": [[], []], "max_residual": None} for c in (16, 32, 64, 128)]
+         "restarts": [[], []], "reorthogonalized": [[], []], "max_residual": None}
+        for c in (16, 32, 64, 128)]
     assert manifest["peak_rss_mb"] > 0.0
 
 

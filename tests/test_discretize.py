@@ -378,10 +378,10 @@ def test_2d_table_of_a_tall_box_is_the_transpose_of_the_wide_one():
 def test_first_matvec_peak_is_the_refused_bytes(monkeypatch, radius):
     # the R = 4 to 32 balls at h = 1/8, circulants of 125^2 to 1024^2 slots:
     # traced from after the table and the input vector exist, the first
-    # matvec allocates what its refusal counts plus under 3 KiB of small
-    # objects.  Without the complex line that numpy's FFT copies a strided
-    # axis through, 16 B per slot of a side, it exceeded the count by 11.0
-    # and 19.3 KB at R = 16 and 32
+    # matvec (the symbol's build, then the product) allocates what its
+    # refusal counts plus under 2 KiB of small objects.  Without the complex
+    # line that numpy's FFT copies a strided axis through, 16 B per slot of
+    # a side, it would exceed the count by 2.5-3.3 KB
     form = offset_form(build_grid(ball((0.0, 0.0), radius), 0.125))
     v = np.ones(form.grid.count)
     refused = []
@@ -446,6 +446,29 @@ def test_matvec_matches_dense_product_on_random_grids(grid, seed):
     v = np.random.default_rng(seed).standard_normal(grid.count)
     want = assemble_form(form) @ v
     assert np.linalg.norm(form.matvec(v) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("domain, h", [
+    (interval(-1.0, 1.0), 2.0 / 2048.0),
+    (ball((0.0, 0.0), 4.0), 0.125),
+    (ball((0.0, 0.0), 6.0), 0.125),
+    (box((0.0, 0.0), (2.0, 5.0)), 1.0 / 16.0),
+    (box((0.0, 0.0), (5.0, 2.0)), 1.0 / 16.0),  # its table is the 2 x 5 one transposed
+    (box((0.0, 0.0), (1.9375, 1.9375)), 1.0 / 16.0),
+], ids=["interval", "ball-4", "ball-6", "box-2x5", "box-5x2", "square-odd"])
+def test_matvec_over_the_box_is_the_padded_circulant_product(domain, h):
+    # the product transforms the mask's bounding box alone; the same product
+    # on the whole zero-padded circulant gives the same bits
+    form = offset_form(build_grid(domain, h))
+    v = np.random.default_rng(3).standard_normal(form.grid.count)
+    axes = tuple(range(form.table.ndim))
+    shape = tuple(discretize_module._fft_length(2 * size - 1) for size in form.table.shape)
+    box_slots = tuple(map(slice, form.table.shape))
+    x = np.zeros(shape)
+    x[box_slots][form.grid.mask] = v
+    x = np.fft.rfftn(x, axes=axes) * form.symbol
+    want = np.fft.irfftn(x, s=shape, axes=axes)[box_slots][form.grid.mask]
+    assert np.array_equal(form.matvec(v), want)
 
 
 def _sign_pattern_bases(grid: Grid) -> list[np.ndarray]:

@@ -78,7 +78,8 @@ def test_mass_scale_and_residuals():
         assert r <= 1e-8 * (1.0 + abs(lam)) * m.mass_scale
     # the whole record: LAPACK in both sectors leaves no matvec and no residual
     assert s.source == {"cells": 64, "sectors": [32, 32], "solvers": ["lapack", "lapack"],
-                        "matvecs": 0, "restarts": [[], []], "max_residual": None}
+                        "matvecs": 0, "restarts": [[], []], "reorthogonalized": [[], []],
+                        "max_residual": None}
 
 
 def test_eigensolver_deterministic():
@@ -104,8 +105,8 @@ def _lapack_on_the_blocks(form, k):
 
 def _sector_lanczos(form, k):
     """Each sector's Lanczos solve for its first share of k, stepped together
-    as by eig_symmetric: per sector (values, Ritz vectors, restarts) in the
-    sectors' order, and the matvecs."""
+    as by eig_symmetric: per sector (values, Ritz vectors, restarts, steps
+    orthogonalized twice) in the sectors' order, and the matvecs."""
     sectors = form.sectors
     runs = {i: spectrum_module._thick_restart(sector.count, spectrum_module._first_share(
         k, sector.count, form.grid.count)) for i, sector in enumerate(sectors)}
@@ -129,14 +130,46 @@ def test_lanczos_matches_lapack_on_double_eigenvalues(ball_3080):
     assert s.source["max_residual"] <= 1e-12 * form.mass_scale
     # each sector was solved once, for its first share: the same solves again
     solved = _sector_lanczos(form, 30)[0]
-    assert [[restarts] for _, _, restarts in solved] == s.source["restarts"]
+    assert [[restarts] for _, _, restarts, _ in solved] == s.source["restarts"]
+    assert [[second] for _, _, _, second in solved] == s.source["reorthogonalized"]
     for i in doubles:
-        for sector, (values, _, _) in zip(form.sectors, solved):
+        for sector, (values, _, _, _) in zip(form.sectors, solved):
             copies = np.abs(values / form.mass_scale - ev[i]) <= 1e-13 * abs(ev[i])
             assert np.count_nonzero(copies) == (1 if sector.signs in [(1, -1), (-1, 1)] else 0)
     # the Ritz vectors behind max_residual are orthonormal in each sector
-    for _, vectors, _ in solved:
+    for _, vectors, _, _ in solved:
         assert np.allclose(vectors @ vectors.T, np.eye(len(vectors)), atol=1e-12)
+
+
+def test_lanczos_ritz_vectors_stay_orthonormal_at_a_large_k(ball_3080):
+    # 75 values in every sector, a basis of 151 vectors in each of the four
+    # sectors of about 770 cells: the second Gram-Schmidt pass runs only
+    # when the DGKS test asks for it, and the unit Ritz vectors stay
+    # orthonormal to rounding
+    form, _ = ball_3080
+    solved, _ = spectrum_module._lockstep(form, {
+        i: spectrum_module._thick_restart(sector.count, 75)
+        for i, sector in enumerate(form.sectors)})
+    for i, sector in enumerate(form.sectors):
+        values, vectors, _, _ = solved[i]
+        assert np.max(np.abs(vectors @ vectors.T - np.eye(75))) <= 1e-12
+        assert np.max(np.abs(values - np.linalg.eigvalsh(form.block(sector))[:75])) <= 1e-12
+
+
+def test_lanczos_second_pass_restores_orthogonality_after_cancellation():
+    # a product whose component along the start vector is about 1e6 times
+    # its new direction: one Gram-Schmidt pass leaves rounding of eps * 1e6
+    # along the basis, the DGKS test asks for the second pass, and the next
+    # Lanczos vector is orthogonal to the earlier ones to rounding
+    a = np.linspace(1.0, 2.0, 200)
+    run = spectrum_module._thick_restart(200, 2)
+    vectors = [next(run).copy()]
+    for _ in range(3):
+        vectors.append(run.send(a * vectors[-1]).copy())
+    vectors.append(run.send(a * vectors[-1] + 1e6 * vectors[0]).copy())
+    v = np.array(vectors)
+    assert np.max(np.abs(v[:-1] @ v[-1])) <= 1e-14
+    run.close()
 
 
 def test_lanczos_matches_lapack_on_an_interval():
@@ -154,11 +187,11 @@ def test_repeated_lanczos_solves_are_bit_identical(ball_3080):
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert a.source == b.source
     (solved_a, steps_a), (solved_b, steps_b) = (_sector_lanczos(form, 10) for _ in range(2))
-    for (vals_a, vecs_a, restarts_a), (vals_b, vecs_b, restarts_b) in zip(solved_a, solved_b):
+    for (vals_a, vecs_a, *counts_a), (vals_b, vecs_b, *counts_b) in zip(solved_a, solved_b):
         assert np.array_equal(vals_a, vals_b) and np.array_equal(vecs_a, vecs_b)
-        assert restarts_a == restarts_b
+        assert counts_a == counts_b
     assert steps_a == steps_b
-    assert [[restarts] for _, _, restarts in solved_a] == a.source["restarts"]
+    assert [[restarts] for _, _, restarts, _ in solved_a] == a.source["restarts"]
 
 
 def _largest_lanczos_k(cells, n):
@@ -415,7 +448,8 @@ def test_asymmetric_grid_takes_the_full_lapack_path():
     form = offset_form(grid)
     s = eig_symmetric(form, grid.count)
     assert s.source == {"cells": grid.count, "sectors": [grid.count], "solvers": ["lapack"],
-                        "matvecs": 0, "restarts": [[]], "max_residual": None}
+                        "matvecs": 0, "restarts": [[]], "reorthogonalized": [[]],
+                        "max_residual": None}
     assert np.array_equal(s.eigenvalues, np.linalg.eigvalsh(assemble_form(form)) / form.mass_scale)
 
 
