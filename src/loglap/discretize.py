@@ -29,11 +29,12 @@ points the farther apart the cells are.  Every slot of the table, in 1D and
 
 The table is the operator.  :func:`offset_form` builds it and nothing else;
 it is the size of the grid's mask.  ``QuadFormMatrix.matvec`` applies the
-matrix without forming it: the mask places v in a circulant twice its size
-per axis (rounded up to a fast FFT length) that embeds the table, and one
-FFT pair over the mask's box applies it (Chan & Jin, *An Introduction to
-Iterative Toeplitz Solvers*, SIAM 2007); :func:`rayleigh_quotient` is one
-such product.
+matrix without forming it, by one FFT pair over the mask's box on the
+table's circulant embedding, twice its size per axis (rounded up to a fast
+FFT length); the circulant's spectrum, ``symbol``, is transformed from the
+table axis by axis, and its column is never formed (Chan & Jin, *An
+Introduction to Iterative Toeplitz Solvers*, SIAM 2007).
+:func:`rayleigh_quotient` is one such product.
 The dense matrix is a view that the form never holds: :func:`assemble_form`
 returns it, gathered from the table in row blocks, the same way in every
 dimension; it needs the 8*n*n-byte matrix plus a small fixed block, and a
@@ -43,9 +44,10 @@ per form: A commutes with the reflection along each mirror axis of the grid
 (every grid :func:`build_grid` makes has all its axes), so it splits into
 one block per sign pattern of those axes, two of about n/2 cells in 1D and
 four of about n/4 in 2D (Fässler & Stiefel, 1992).  A :class:`Sector` is
-that basis, and both of its uses read it: ``block`` gathers a sector's block
-by the same row blocks without the n x n matrix, and ``sector_matvec``
-applies the blocks of several sectors to their own vectors by one FFT pair.
+that basis and its row of the reflections' character table, and both of its
+uses read them: ``block`` gathers a sector's block by the same row blocks
+without the n x n matrix, and ``sector_matvec`` applies the blocks of
+several sectors to their own vectors by one FFT pair.
 """
 
 from __future__ import annotations
@@ -165,12 +167,15 @@ class Sector:
     holds the cell numbers (in the grid's order) of r_T p for one cell p
     per orbit of the reflections, row t for the t-th subset T of the mirror
     axes in ``itertools.product((False, True), ...)`` order, T = {} first.
-    The sector's basis vectors are the orbits ``rows``, the vector at p
-    being sum_T (prod_{d in T} e_d) e_{r_T p} * scale_p / sqrt(2^|axes|),
-    with ``scale`` = 1/sqrt(|Stab p|) for the reflections that fix p.
+    ``characters`` is the sector's row of the reflections' character
+    table, prod_{d in T} e_d for row t of the orbits.  The sector's basis
+    vectors are the orbits ``rows``, the vector at p being
+    sum_T characters[T] e_{r_T p} * scale_p / sqrt(2^|axes|), with
+    ``scale`` = 1/sqrt(|Stab p|) for the reflections that fix p.
     """
 
     signs: tuple[int, ...]
+    characters: np.ndarray
     orbits: np.ndarray
     rows: np.ndarray
     scale: np.ndarray
@@ -220,22 +225,22 @@ class QuadFormMatrix:
         cells, lines = idx[first], lines[first]
         number = np.zeros(self.grid.mask.shape, dtype=np.intp)  # lattice index -> cell number
         number[self.grid.mask] = np.arange(len(idx))
-        orbits = []
-        for flips in itertools.product((False, True), repeat=len(axes)):
-            partner = cells.copy()
-            partner[:, axes] = np.where(flips, s[axes] - cells[:, axes], cells[:, axes])
-            orbits.append(number[tuple(partner.T)])
-        orbits = np.array(orbits)
+        subsets = list(itertools.product((False, True), repeat=len(axes)))
+        # row t: the numbers of the cells r_T p, read off the numbers flipped along T
+        flipped = [tuple(d for d, f in zip(axes, flips) if f) for flips in subsets]
+        orbits = np.array([np.flip(number, t)[tuple(cells.T)] for t in flipped])
         sectors = []
         for signs in itertools.product((1, -1), repeat=len(axes)):
+            characters = np.array([math.prod(np.where(flips, signs, 1)) for flips in subsets], float)
             keep = ~np.any((lines == 0) & (np.array(signs) < 0), axis=1)
             stabilizer = np.count_nonzero(lines[keep] == 0, axis=1)
-            sectors.append(Sector(signs, orbits, np.flatnonzero(keep), np.sqrt(0.5**stabilizer)))
+            sectors.append(Sector(signs, characters, orbits, np.flatnonzero(keep),
+                                  np.sqrt(0.5**stabilizer)))
         return sectors
 
     def block(self, sector: Sector) -> np.ndarray:
         """The matrix in a sector's basis, gathered from the table: entries
-        B[p, q] = sum_T (prod_{d in T} e_d) A[p, r_T q] / sqrt(|Stab p| |Stab q|)
+        B[p, q] = sum_T characters[T] A[p, r_T q] / sqrt(|Stab p| |Stab q|)
         (Cantoni & Butler, Linear Algebra Appl. 13, 1976, for one axis).
         Raises ``ValueError`` before the gather when the block plus LAPACK's
         copy of it would not fit in memory.
@@ -243,9 +248,7 @@ class QuadFormMatrix:
         m = sector.count
         _require_memory(16 * m * m, f"a dense {m} x {m} block plus LAPACK's copy")
         partners = list(self.grid.indices[sector.orbits[:, sector.rows]])
-        weights = [math.prod(np.where(flips, sector.signs, 1))
-                   for flips in itertools.product((False, True), repeat=len(sector.signs))]
-        return _gather(partners[0], self.table, partners, weights, sector.scale)
+        return _gather(partners[0], self.table, partners, sector.characters, sector.scale)
 
     def sector_matvec(self, vectors: dict) -> dict:
         """The products B u of the blocks of several sectors, by one matvec.
@@ -254,38 +257,44 @@ class QuadFormMatrix:
         that sector's basis.  The vectors are spread onto the cells and added
         up, A is applied once, and the product is read back in each sector's
         basis: A commutes with the reflections, so the sectors do not mix.
-        Spreading and reading back are Walsh-Hadamard butterflies over the
-        sign patterns on the orbit table, with no BLAS call.
+        Both are sums over the character table's rows, by ``einsum`` and not
+        BLAS, so the bits do not depend on the thread count.
         """
         sectors = self.sectors
         orbits = sectors[0].orbits
+        chi = np.array([sector.characters for sector in sectors])  # chi[e, t]
         # 1/sqrt(2^axes |Stab p|) per orbit p; the all-plus sector has every orbit
         scale = sectors[0].scale * len(orbits) ** -0.5
         u = np.zeros(orbits.shape)  # row e: sector e's coefficients on the orbits
         for i, v in vectors.items():
             u[i, sectors[i].rows] = v
-        x = _butterflies(u)  # row t: the values on the cells r_T p
+        x = np.einsum("et,eo->to", chi, u)  # row t: the values on the cells r_T p
         x *= scale
         y = self.matvec(np.bincount(orbits.ravel(), weights=x.ravel(), minlength=self.grid.count))
-        w = _butterflies(y[orbits])
+        w = np.einsum("et,to->eo", chi, y[orbits])
         w *= scale
         return {i: w[i, sectors[i].rows] for i in vectors}
 
     @functools.cached_property
     def symbol(self) -> np.ndarray:
         """The rfft half of the spectrum of :meth:`matvec`'s circulant, built
-        once.  Raises ``ValueError`` first when its build would not fit in
-        memory: the circulant's first column (real, full shape), a transform's
-        complex input and output (rfft halves) and the complex line that
-        numpy's FFT copies a strided axis through.  The count also bounds the
-        product's peak: this symbol (a real rfft half), two complex rfft
-        halves and the line; its other arrays are the size of the box."""
+        once from the table one axis at a time, in ``rfftn``'s order.  Along
+        an axis of length L the circulant's column holds slot min(j, L - j)
+        of the table at j, and zero past the table, so it is even and its
+        transform is 2 Re(sum_j t_j w^(jk)) - t_0 over the table's slots.
+        Raises ``ValueError`` first when the product would not fit in
+        memory: this symbol (a real rfft half), two complex rfft halves and
+        the complex line that numpy's FFT copies a strided axis through; the
+        build needs less, and the product's other arrays are the size of
+        the box."""
         shape = tuple(_fft_length(2 * size - 1) for size in self.table.shape)
-        full, half = math.prod(shape), math.prod(shape[:-1]) * (shape[-1] // 2 + 1)
-        _require_memory(8 * full + 32 * half + 16 * max(shape),
-                        f"the {' x '.join(map(str, shape))} circulant")
-        # the circulant's first column is even: its spectrum is real up to rounding
-        return np.fft.rfftn(_circulant(self.table, shape), axes=tuple(range(len(shape)))).real.copy()
+        half = math.prod(shape[:-1]) * (shape[-1] // 2 + 1)
+        _require_memory(40 * half + 16 * max(shape), f"the {' x '.join(map(str, shape))} circulant")
+        x = self.table
+        for d in reversed(range(x.ndim)):
+            f = np.fft.rfft if d == x.ndim - 1 else np.fft.fft
+            x = 2.0 * f(x, n=shape[d], axis=d).real - np.take(x, [0], axis=d)
+        return x
 
     def matvec(self, v) -> np.ndarray:
         """The product A v, by one FFT pair on the circulant embedding of the table.
@@ -577,20 +586,6 @@ def _gather(cells: np.ndarray, table: np.ndarray, partners: list, weights: list,
     return entries
 
 
-def _butterflies(a: np.ndarray) -> np.ndarray:
-    """Row t of the result is sum_e (prod_{d in T} e_d) a[e], for the rows of
-    ``a`` in sign-pattern order and T the t-th subset of the axes: the
-    Sylvester-Hadamard matrix of order len(a) = 2^axes, applied one axis at
-    a time."""
-    for d in range(len(a).bit_length() - 1):
-        pairs = a.reshape(2**d, 2, -1)  # rows with axis d's sign +1, then -1
-        a = np.empty_like(a)
-        out = a.reshape(pairs.shape)
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
-    return a
-
-
 def _fft_length(n: int) -> int:
     """The smallest 5-smooth integer >= n: an FFT size pocketfft handles fast."""
     m = n
@@ -602,21 +597,6 @@ def _fft_length(n: int) -> int:
         if r == 1:
             return m
         m += 1
-
-
-def _circulant(table: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """First column of a circulant of ``shape`` that embeds the table.
-
-    Slot j of an axis of length L holds offset min(j, L - j).  With
-    L >= 2m + 1 for the largest offset m on that axis, every lattice
-    difference lands on its own offset; slots past m hold zero.
-    """
-    padded = np.pad(table, [(0, 1)] * table.ndim)
-    folds = []
-    for size, length in zip(table.shape, shape):
-        j = np.arange(length)
-        folds.append(np.minimum(np.minimum(j, length - j), size))
-    return padded[np.ix_(*folds)]
 
 
 def rayleigh_quotient(matrix: QuadFormMatrix, coefficients) -> float:

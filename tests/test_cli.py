@@ -300,8 +300,9 @@ def test_solve_refuses_lanczos_bases_larger_than_memory(monkeypatch, tmp_path, c
 
 def test_bounds_refuses_a_circulant_larger_than_memory(monkeypatch, tmp_path, capsys):
     # the R = 6, h = 1/8 ball: its 96 x 96 lattice and 94 x 94 table fit in
-    # 512 KiB, but the first matvec's 192 x 192 circulant needs 1,039,872
-    # bytes for its symbol, its vector, the two FFT outputs and one FFT line
+    # 512 KiB, but the first matvec's 192 x 192 circulant needs
+    # 40 * 192 * 97 + 16 * 192 = 748,032 bytes for its symbol, two complex
+    # half spectra and one FFT line
     real_sysconf = os.sysconf
     fake = {"SC_PHYS_PAGES": 128, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or real_sysconf(name))

@@ -379,9 +379,11 @@ def test_first_matvec_peak_is_the_refused_bytes(monkeypatch, radius):
     # the R = 4 to 32 balls at h = 1/8, circulants of 125^2 to 1024^2 slots:
     # traced from after the table and the input vector exist, the first
     # matvec (the symbol's build, then the product) allocates what its
-    # refusal counts plus under 2 KiB of small objects.  Without the complex
-    # line that numpy's FFT copies a strided axis through, 16 B per slot of
-    # a side, it would exceed the count by 2.5-3.3 KB
+    # refusal counts, the product's arrays, within -0.5 to +14 KB (317 KB
+    # to 21.0 MB traced).  Without the complex line that numpy's FFT
+    # copies a strided axis through, 16 B per slot of a side, the count
+    # would fall short; a count of arrays no longer allocated, such as the
+    # circulant's column, would exceed the peak by megabytes
     form = offset_form(build_grid(ball((0.0, 0.0), radius), 0.125))
     v = np.ones(form.grid.count)
     refused = []
@@ -395,6 +397,7 @@ def test_first_matvec_peak_is_the_refused_bytes(monkeypatch, radius):
         tracemalloc.stop()
     assert len(refused) == 1
     assert peak <= refused[0] + 8 * 2**10
+    assert refused[0] <= peak + 16 * 2**10
 
 
 @pytest.mark.parametrize(
@@ -469,6 +472,28 @@ def test_matvec_over_the_box_is_the_padded_circulant_product(domain, h):
     x = np.fft.rfftn(x, axes=axes) * form.symbol
     want = np.fft.irfftn(x, s=shape, axes=axes)[box_slots][form.grid.mask]
     assert np.array_equal(form.matvec(v), want)
+
+
+@pytest.mark.parametrize("domain, h", [
+    (interval(-1.0, 1.0), 2.0 / 2048.0),
+    (ball((0.0, 0.0), 4.0), 0.125),
+    (ball((0.0, 0.0), 6.0), 0.125),
+    (box((0.0, 0.0), (2.0, 5.0)), 1.0 / 16.0),
+    (box((0.0, 0.0), (5.0, 2.0)), 1.0 / 16.0),
+    (box((0.0, 0.0), (1.9375, 1.9375)), 1.0 / 16.0),
+], ids=["interval", "ball-4", "ball-6", "box-2x5", "box-5x2", "square-odd"])
+def test_symbol_is_the_spectrum_of_the_circulant_column(domain, h):
+    # the symbol, transformed from the table axis by axis, against rfftn of
+    # the explicit circulant column: slot j of an axis of length L holds
+    # offset min(j, L - j) of the table, and zero past it
+    form = offset_form(build_grid(domain, h))
+    shape = tuple(discretize_module._fft_length(2 * size - 1) for size in form.table.shape)
+    folds = [np.minimum(np.minimum(np.arange(length), length - np.arange(length)), size)
+             for size, length in zip(form.table.shape, shape)]
+    column = np.pad(form.table, [(0, 1)] * form.table.ndim)[np.ix_(*folds)]
+    want = np.fft.rfftn(column).real
+    assert form.symbol.shape == want.shape
+    assert np.max(np.abs(form.symbol - want)) <= 4e-15 * np.max(np.abs(want))
 
 
 def _sign_pattern_bases(grid: Grid) -> list[np.ndarray]:
