@@ -265,10 +265,11 @@ def _cmd_bounds(args) -> int:
         # Rayleigh quotient of the ramp test function on a grid: a computable
         # upper bound for the true smallest eigenvalue, for comparison with
         # the closed-form reports above.
+        spec = TestFunctionSpec(sigma=args.sigma)  # refused before the grid is built
         h = _resolve_h(args, domain)
         grid = build_grid(domain, h)
         matrix = offset_form(grid)
-        coeffs = domain.test_function(TestFunctionSpec(sigma=args.sigma), grid.centers)
+        coeffs = domain.test_function(spec, grid.centers)
         payload["rayleigh"] = {
             "sigma": args.sigma,
             "h": grid.h,
@@ -289,6 +290,8 @@ def _cmd_solve(args) -> int:
     t0 = time.perf_counter()
     grid = build_grid(domain, h)
     t1 = time.perf_counter()
+    if args.num_eigs > grid.count:  # refused before the table and a dumped matrix
+        raise ValueError(f"--num-eigs {args.num_eigs} exceeds the grid's {grid.count} cells")
     # --dump-matrix gathers before the solve: a matrix too large for memory
     # is refused before any output.
     form = offset_form(grid)

@@ -43,11 +43,11 @@ asks for it.  The eigensolver reads ``QuadFormMatrix.sectors``, built once
 per form: A commutes with the reflection along each mirror axis of the grid
 (every grid :func:`build_grid` makes has all its axes), so it splits into
 one block per sign pattern of those axes, two of about n/2 cells in 1D and
-four of about n/4 in 2D (Fässler & Stiefel, 1992).  A :class:`Sector` is
-that basis and its row of the reflections' character table, and both of its
-uses read them: ``block`` gathers a sector's block by the same row blocks
-without the n x n matrix, and ``sector_matvec`` applies the blocks of
-several sectors to their own vectors by one FFT pair.
+four of about n/4 in 2D (Fässler & Stiefel, 1992).  :class:`Sectors` is one
+table for all of them, the reflections' orbits and character table, and
+both of its uses read it: ``block`` gathers a sector's block by the same
+row blocks without the n x n matrix, and ``sector_matvec`` applies the
+blocks of several sectors to their own vectors by one FFT pair.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .specfun import CATALAN, EULER_GAMMA, TI2_HALF, cosint
 
 __all__ = [
     "Grid",
-    "Sector",
+    "Sectors",
     "QuadFormMatrix",
     "build_grid",
     "offset_form",
@@ -160,29 +160,35 @@ class Grid:
 
 
 @dataclass(frozen=True, eq=False)
-class Sector:
-    """One sign pattern e of a grid's mirror axes (:attr:`QuadFormMatrix.sectors`).
+class Sectors:
+    """The sign-pattern sectors of a grid's mirror axes (:attr:`QuadFormMatrix.sectors`).
 
-    ``orbits`` is the grid's orbit table, one for all its sectors: column o
-    holds the cell numbers (in the grid's order) of r_T p for one cell p
-    per orbit of the reflections, row t for the t-th subset T of the mirror
-    axes in ``itertools.product((False, True), ...)`` order, T = {} first.
-    ``characters`` is the sector's row of the reflections' character
-    table, prod_{d in T} e_d for row t of the orbits.  The sector's basis
-    vectors are the orbits ``rows``, the vector at p being
-    sum_T characters[T] e_{r_T p} * scale_p / sqrt(2^|axes|), with
-    ``scale`` = 1/sqrt(|Stab p|) for the reflections that fix p.
+    The reflections r_T along the subsets T of the mirror axes, row t for
+    the t-th subset in ``itertools.product((False, True), ...)`` order
+    (T = {} first), commute with A.  ``orbits[t, o]`` is the cell number (in
+    the grid's order) of r_T p for the cell p of orbit o with 2*p_d <= s_d
+    on each mirror axis d (s = mask.shape - 1).  Sector e is the sign
+    pattern e, -1 on the axes of the e-th subset, in the order of
+    ``itertools.product((1, -1), ...)``; ``characters[e, t]`` =
+    prod_{d in T} e_d is the reflections' character table (a Hadamard
+    matrix).  ``scale[o]`` = 1/sqrt(|Stab p|) for the reflections that fix
+    p.  Sector e keeps the orbits ``rows[e]`` on whose stabilizer its
+    characters are all +1, and a pattern can keep none; its basis vector at
+    p is sum_T characters[e, T] e_{r_T p} * scale_p / sqrt(2^|axes|).  The
+    basis vectors of all sectors together are an orthonormal basis of the
+    grid's cells (Fässler & Stiefel, 1992).  With no mirror axis the one
+    sector is every cell.
     """
 
-    signs: tuple[int, ...]
-    characters: np.ndarray
     orbits: np.ndarray
-    rows: np.ndarray
+    characters: np.ndarray
     scale: np.ndarray
+    rows: tuple[np.ndarray, ...]
 
     @property
-    def count(self) -> int:
-        return int(self.rows.shape[0])
+    def counts(self) -> list[int]:
+        """The size of each sector, in the order of the table's rows."""
+        return [int(rows.size) for rows in self.rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,50 +211,40 @@ class QuadFormMatrix:
         return self.grid.h ** self.grid.dim
 
     @functools.cached_property
-    def sectors(self) -> list[Sector]:
-        """The sign-pattern sectors of the grid's mirror axes, the largest first.
+    def sectors(self) -> Sectors:
+        """The :class:`Sectors` of the grid's mirror axes, built once per form;
+        every fact past the orbits is read off them."""
+        mask = self.grid.mask
+        axes = self.grid.mirror_axes
+        number = np.zeros(mask.shape, dtype=np.intp)  # lattice index -> cell number
+        number[mask] = np.arange(self.grid.count)
+        # one cell p per orbit, 2*p_d <= s_d on each mirror axis d: the mask's leading corner
+        first = tuple(slice((size + 1) // 2 if d in axes else size)
+                      for d, size in enumerate(mask.shape))
+        subsets = np.array(list(itertools.product((0, 1), repeat=len(axes))), dtype=int)
+        flipped = [tuple(d for d, f in zip(axes, t) if f) for t in subsets]
+        # row t: the numbers of the cells r_T p, read off the numbers flipped along T.
+        # The table must be C-ordered: sector_matvec's einsum sums in memory order.
+        orbits = np.array([np.flip(number, t)[first][mask[first]] for t in flipped])
+        characters = np.where((subsets @ subsets.T) % 2, -1.0, 1.0)
+        fixed = orbits == orbits[0]  # fixed[t, o]: r_T fixes orbit o's cell
+        return Sectors(orbits, characters, np.sqrt(1.0 / fixed.sum(axis=0)),
+                       tuple(np.flatnonzero(~fixed[row < 0].any(axis=0)) for row in characters))
 
-        The reflections r_T along subsets T of the mirror axes commute with A.
-        The sector of a sign pattern e (+1 or -1 per mirror axis, in the order
-        of ``itertools.product((1, -1), ...)``) has one cell p per orbit,
-        2*p_d <= s_d on each mirror axis d (s = mask.shape - 1), less those
-        on the mirror line of an axis with sign -1; a pattern can have none.
-        The basis vectors of all sectors together are an orthonormal basis of
-        the grid's cells (Fässler & Stiefel, 1992).  With no mirror axis the
-        one sector is every cell.  Built once per form.
-        """
-        idx = self.grid.indices
-        axes = list(self.grid.mirror_axes)
-        s = np.array(self.grid.mask.shape) - 1
-        lines = 2 * idx[:, axes] - s[axes]  # 0 on an axis's mirror line
-        first = np.all(lines <= 0, axis=1)  # one cell per orbit
-        cells, lines = idx[first], lines[first]
-        number = np.zeros(self.grid.mask.shape, dtype=np.intp)  # lattice index -> cell number
-        number[self.grid.mask] = np.arange(len(idx))
-        subsets = list(itertools.product((False, True), repeat=len(axes)))
-        # row t: the numbers of the cells r_T p, read off the numbers flipped along T
-        flipped = [tuple(d for d, f in zip(axes, flips) if f) for flips in subsets]
-        orbits = np.array([np.flip(number, t)[tuple(cells.T)] for t in flipped])
-        sectors = []
-        for signs in itertools.product((1, -1), repeat=len(axes)):
-            characters = np.array([math.prod(np.where(flips, signs, 1)) for flips in subsets], float)
-            keep = ~np.any((lines == 0) & (np.array(signs) < 0), axis=1)
-            stabilizer = np.count_nonzero(lines[keep] == 0, axis=1)
-            sectors.append(Sector(signs, characters, orbits, np.flatnonzero(keep),
-                                  np.sqrt(0.5**stabilizer)))
-        return sectors
-
-    def block(self, sector: Sector) -> np.ndarray:
-        """The matrix in a sector's basis, gathered from the table: entries
+    def block(self, place: int) -> np.ndarray:
+        """The matrix in the basis of the sector at ``place`` in :attr:`sectors`,
+        gathered from the table: entries
         B[p, q] = sum_T characters[T] A[p, r_T q] / sqrt(|Stab p| |Stab q|)
         (Cantoni & Butler, Linear Algebra Appl. 13, 1976, for one axis).
         Raises ``ValueError`` before the gather when the block plus LAPACK's
         copy of it would not fit in memory.
         """
-        m = sector.count
+        sectors = self.sectors
+        rows = sectors.rows[place]
+        m = rows.size
         _require_memory(16 * m * m, f"a dense {m} x {m} block plus LAPACK's copy")
-        partners = list(self.grid.indices[sector.orbits[:, sector.rows]])
-        return _gather(partners[0], self.table, partners, sector.characters, sector.scale)
+        partners = list(self.grid.indices[sectors.orbits[:, rows]])
+        return _gather(self.table, partners, sectors.characters[place], sectors.scale[rows])
 
     def sector_matvec(self, vectors: dict) -> dict:
         """The products B u of the blocks of several sectors, by one matvec.
@@ -261,19 +257,17 @@ class QuadFormMatrix:
         BLAS, so the bits do not depend on the thread count.
         """
         sectors = self.sectors
-        orbits = sectors[0].orbits
-        chi = np.array([sector.characters for sector in sectors])  # chi[e, t]
-        # 1/sqrt(2^axes |Stab p|) per orbit p; the all-plus sector has every orbit
-        scale = sectors[0].scale * len(orbits) ** -0.5
+        orbits = sectors.orbits
+        scale = sectors.scale * len(orbits) ** -0.5  # 1/sqrt(2^axes |Stab p|) per orbit p
         u = np.zeros(orbits.shape)  # row e: sector e's coefficients on the orbits
         for i, v in vectors.items():
-            u[i, sectors[i].rows] = v
-        x = np.einsum("et,eo->to", chi, u)  # row t: the values on the cells r_T p
+            u[i, sectors.rows[i]] = v
+        x = np.einsum("et,eo->to", sectors.characters, u)  # row t: the values on the cells r_T p
         x *= scale
         y = self.matvec(np.bincount(orbits.ravel(), weights=x.ravel(), minlength=self.grid.count))
-        w = np.einsum("et,to->eo", chi, y[orbits])
+        w = np.einsum("et,to->eo", sectors.characters, y[orbits])
         w *= scale
-        return {i: w[i, sectors[i].rows] for i in vectors}
+        return {i: w[i, sectors.rows[i]] for i in vectors}
 
     @functools.cached_property
     def symbol(self) -> np.ndarray:
@@ -540,21 +534,20 @@ def assemble_form(form: QuadFormMatrix) -> np.ndarray:
     idx = form.grid.indices
     n = len(idx)
     _require_memory(8 * n * n, f"a dense {n} x {n} matrix")
-    return _gather(idx, form.table, [idx], [1], np.ones(n))
+    return _gather(form.table, [idx], [1], np.ones(n))
 
 
-def _gather(cells: np.ndarray, table: np.ndarray, partners: list, weights: list,
-            scale: np.ndarray) -> np.ndarray:
+def _gather(table: np.ndarray, partners: list, weights, scale: np.ndarray) -> np.ndarray:
     """Fill a dense block from the offset table in row blocks: entry (i, j) is
     scale_i * scale_j * sum_t weights[t] * table[|p_i - partners[t]_j|] for
-    the lattice coordinates p of the ``cells`` (count x dim) and each
-    ``partners[t]`` of that shape; the first is ``cells`` with weight 1.
+    the lattice coordinates (count x dim) of the cells p = ``partners[0]``,
+    whose weight is 1, and each ``partners[t]`` of that shape.
     Symmetric positions read the same slots, so the result equals its
     transpose bit for bit.  Peak memory is the result plus three blocks;
     callers refuse a result too large for memory first.
     """
-    size = cells.shape[0]
-    cols = cells.T  # (dim, size) lattice coordinates
+    size = partners[0].shape[0]
+    cols = partners[0].T  # (dim, size) lattice coordinates
     strides = [math.prod(table.shape[d + 1 :]) for d in range(table.ndim)]  # C order
     entries = np.empty((size, size))
     block = max(1, min(size, _FILL_BLOCK_ENTRIES // max(size, 1)))

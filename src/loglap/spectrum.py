@@ -112,22 +112,22 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     n = form.grid.count
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    sectors = form.sectors
-    asked = [min(_first_share(k, sector.count, n), sector.count) for sector in sectors]
-    pairs = [(np.empty(0), None) for _ in sectors]  # ascending values; Ritz vectors or None
-    restarts = [[] for _ in sectors]
-    reorthogonalized = [[] for _ in sectors]
+    counts = form.sectors.counts
+    asked = [min(_first_share(k, count, n), count) for count in counts]
+    pairs = [(np.empty(0), None) for _ in counts]  # ascending values; Ritz vectors or None
+    restarts = [[] for _ in counts]
+    reorthogonalized = [[] for _ in counts]
     matvecs = 0
     grow = [i for i, want in enumerate(asked) if want]
     while grow:
-        lanczos = [i for i in grow if _uses_lanczos(sectors[i].count, asked[i])]
-        _require_memory(sum(8 * (_basis_size(asked[i]) + 1) * sectors[i].count for i in lanczos),
+        lanczos = [i for i in grow if _uses_lanczos(counts[i], asked[i])]
+        _require_memory(sum(8 * (_basis_size(asked[i]) + 1) * counts[i] for i in lanczos),
                         f"a round of {len(lanczos)} Lanczos bases")
         for i in grow:
             if i not in lanczos:
-                pairs[i] = _lapack(form.block(sectors[i])), None
+                pairs[i] = _lapack(form.block(i)), None
         solved, steps = _lockstep(form, {
-            i: _thick_restart(sectors[i].count, asked[i]) for i in lanczos})
+            i: _thick_restart(counts[i], asked[i]) for i in lanczos})
         matvecs += steps
         for i, (values, vectors, restart, second) in solved.items():
             pairs[i] = values, vectors
@@ -136,9 +136,9 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
         merged = np.concatenate([values for values, _ in pairs])
         kth = np.sort(merged)[k - 1] if merged.size >= k else math.inf
         grow = [i for i, (values, _) in enumerate(pairs)
-                if values.size < sectors[i].count and values[-1] < kth]
+                if values.size < counts[i] and values[-1] < kth]
         for i in grow:
-            asked[i] = min(2 * asked[i], sectors[i].count)
+            asked[i] = min(2 * asked[i], counts[i])
     chosen = np.argsort(merged, kind="stable")[:k]
     owner = np.repeat(np.arange(len(pairs)), [values.size for values, _ in pairs])
     taken = np.bincount(owner[chosen], minlength=len(pairs))
@@ -146,7 +146,7 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
         i: _residual(values[:j], vectors[:j])
         for i, ((values, vectors), j) in enumerate(zip(pairs, taken))
         if j and vectors is not None})
-    source = {"cells": n, "sectors": [sector.count for sector in sectors],
+    source = {"cells": n, "sectors": counts,
               "solvers": ["lapack" if vectors is None else "lanczos" for _, vectors in pairs],
               "matvecs": matvecs + steps, "restarts": restarts,
               "reorthogonalized": reorthogonalized,

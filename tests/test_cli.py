@@ -407,6 +407,21 @@ def test_solve_checks_delta_before_the_eigensolve(monkeypatch, tmp_path):
         assert list(tmp_path.iterdir()) == [], flags
 
 
+def test_solve_refuses_more_eigenvalues_than_cells_before_the_table(monkeypatch, tmp_path,
+                                                                   capsys):
+    # --num-eigs above the cell count is refused right after the grid is
+    # built: no offset table, no dumped matrix and no output file
+    def no_form(*args, **kwargs):
+        raise AssertionError("the offset table was built for a request that cannot be served")
+
+    monkeypatch.setattr("loglap.cli.offset_form", no_form)
+    assert main(["solve", "--domain", "ball", "--radius", "6", "--h", "0.125",
+                 "--num-eigs", "8000", "--out", str(tmp_path / "run.csv"),
+                 "--dump-matrix", str(tmp_path / "matrix.csv")]) == 1
+    assert "--num-eigs 8000 exceeds the grid's 7020 cells" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lanczos_solve_is_independent_of_blas_threads(tmp_path):
     # the same Lanczos solve under 1 and 2 OpenBLAS threads writes the same
     # bytes, on two sectors in 1D and on four in 2D
@@ -443,7 +458,7 @@ def test_lanczos_solve_with_empty_sectors_matches_lapack_on_the_blocks(tmp_path)
     assert record["solvers"] == ["lanczos", "lanczos", "lapack", "lapack"]
     assert record["restarts"][2:] == [[], []]
     form = offset_form(build_grid(box((0.0, 0.0), (0.0625, 128.0)), 0.0625))
-    blocks = [form.block(sector) for sector in form.sectors]
+    blocks = [form.block(i) for i in range(len(form.sectors.counts))]
     lapack = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[:10]
     lapack /= form.mass_scale
     lam = column(*read_csv(out), "lambda")
@@ -685,6 +700,20 @@ def test_bounds_refuses_grid_flags_without_sigma(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "without --sigma nothing reads them" in captured.err
+
+
+@pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+def test_bounds_refuses_a_bad_sigma_before_building_the_grid(monkeypatch, capsys, sigma):
+    # --sigma is checked before the grid and its offset table are built
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built before the refusal")
+
+    monkeypatch.setattr("loglap.cli.build_grid", no_grid)
+    assert main(["bounds", "--domain", "ball", "--radius", "4", "--h", "0.125",
+                 f"--sigma={sigma}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma must be positive and finite" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

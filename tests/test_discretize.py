@@ -529,7 +529,7 @@ def _assert_blocks_are_the_matrix_in_the_sign_pattern_bases(grid: Grid) -> None:
     a = assemble_form(form)
     bases = _sign_pattern_bases(grid)
     assert sum(basis.shape[1] for basis in bases) == grid.count
-    blocks = [form.block(sector) for sector in form.sectors]
+    blocks = [form.block(i) for i in range(len(form.sectors.counts))]
     assert len(blocks) == len(bases) == 2 ** len(grid.mirror_axes)
     for block, basis in zip(blocks, bases):
         assert np.array_equal(block, block.T)
@@ -569,13 +569,41 @@ def _padded(grid: Grid, axis: int, before: int, after: int) -> Grid:
     return Grid(domain=grid.domain, h=grid.h, corner=corner, mask=np.pad(grid.mask, widths))
 
 
+def test_sectors_are_one_table_read_off_the_orbits():
+    hadamard = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+    # the 3,080-cell ball has no cell on a mirror line: four equal sectors
+    table = offset_form(build_grid(ball((0.0, 0.0), 4.0), 0.125)).sectors
+    assert np.array_equal(table.characters, hadamard)
+    assert table.counts == [770] * 4
+    assert np.array_equal(table.scale, np.ones(770))
+    assert table.orbits.flags.c_contiguous  # sector_matvec's einsum sums in memory order
+    # the 2,048-cell interval: the Hadamard matrix's 2 x 2 corner
+    table = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048.0)).sectors
+    assert np.array_equal(table.characters, hadamard[:2, :2])
+    assert table.counts == [1024, 1024]
+    # the 31 x 31 square: 16 orbits on each mirror line, one at the centre
+    grid = build_grid(box((0.0, 0.0), (1.9375, 1.9375)), 1.0 / 16.0)
+    table = offset_form(grid).sectors
+    assert table.counts == [256, 240, 240, 225]
+    on = 2 * grid.indices[table.orbits[0]] == 30  # on[o, d]: orbit o on axis d's line
+    assert np.array_equal(table.scale, 0.5 ** (0.5 * on.sum(axis=1)))
+    for rows, signs in zip(table.rows, itertools.product((1, -1), repeat=2)):
+        assert np.array_equal(rows, np.flatnonzero(~np.any(on & (np.array(signs) < 0), axis=1)))
+    # without a mirror axis the one sector is every cell
+    lopsided = _without_cells(build_grid(ball((0.0, 0.0), 1.0), 0.25), 1)
+    table = offset_form(lopsided).sectors
+    assert np.array_equal(table.orbits, np.arange(lopsided.count)[None])
+    assert np.array_equal(table.characters, [[1.0]])
+    assert table.counts == [lopsided.count]
+
+
 def test_grid_without_a_mirror_axis_is_one_block():
     # the 8 x 8 lattice of this ball has no cell on a mirror line, so
     # dropping one cell breaks both mirrors
     lopsided = _without_cells(build_grid(ball((0.0, 0.0), 1.0), 0.25), 1)
     assert lopsided.mirror_axes == ()
     form = offset_form(lopsided)
-    (block,) = [form.block(sector) for sector in form.sectors]
+    (block,) = [form.block(i) for i in range(len(form.sectors.counts))]
     assert np.array_equal(block, assemble_form(form))
 
 

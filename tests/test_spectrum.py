@@ -99,7 +99,7 @@ def ball_3080():
 
 def _lapack_on_the_blocks(form, k):
     """The k smallest eigenvalues of the form's A / massScale, by LAPACK on its blocks."""
-    blocks = [form.block(sector) for sector in form.sectors]
+    blocks = [form.block(i) for i in range(len(form.sectors.counts))]
     return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[:k] / form.mass_scale
 
 
@@ -107,17 +107,17 @@ def _sector_lanczos(form, k):
     """Each sector's Lanczos solve for its first share of k, stepped together
     as by eig_symmetric: per sector (values, Ritz vectors, restarts, steps
     orthogonalized twice) in the sectors' order, and the matvecs."""
-    sectors = form.sectors
-    runs = {i: spectrum_module._thick_restart(sector.count, spectrum_module._first_share(
-        k, sector.count, form.grid.count)) for i, sector in enumerate(sectors)}
+    counts = form.sectors.counts
+    runs = {i: spectrum_module._thick_restart(count, spectrum_module._first_share(
+        k, count, form.grid.count)) for i, count in enumerate(counts)}
     solved, matvecs = spectrum_module._lockstep(form, runs)
-    return [solved[i] for i in range(len(sectors))], matvecs
+    return [solved[i] for i in range(len(counts))], matvecs
 
 
 def test_lanczos_matches_lapack_on_double_eigenvalues(ball_3080):
     # the ball's symmetry makes seven of these eigenvalues double: the
-    # diagonal reflection swaps the (+,-) and (-,+) sectors, and each double
-    # comes back as one copy from each
+    # diagonal reflection swaps the (+,-) and (-,+) sectors (places 1 and 2),
+    # and each double comes back as one copy from each
     form, lapack = ball_3080
     s = eig_symmetric(form, 30)
     assert s.source["solvers"] == ["lanczos"] * 4
@@ -133,9 +133,9 @@ def test_lanczos_matches_lapack_on_double_eigenvalues(ball_3080):
     assert [[restarts] for _, _, restarts, _ in solved] == s.source["restarts"]
     assert [[second] for _, _, _, second in solved] == s.source["reorthogonalized"]
     for i in doubles:
-        for sector, (values, _, _, _) in zip(form.sectors, solved):
+        for place, (values, _, _, _) in enumerate(solved):
             copies = np.abs(values / form.mass_scale - ev[i]) <= 1e-13 * abs(ev[i])
-            assert np.count_nonzero(copies) == (1 if sector.signs in [(1, -1), (-1, 1)] else 0)
+            assert np.count_nonzero(copies) == (1 if place in (1, 2) else 0)
     # the Ritz vectors behind max_residual are orthonormal in each sector
     for _, vectors, _, _ in solved:
         assert np.allclose(vectors @ vectors.T, np.eye(len(vectors)), atol=1e-12)
@@ -148,12 +148,12 @@ def test_lanczos_ritz_vectors_stay_orthonormal_at_a_large_k(ball_3080):
     # orthonormal to rounding
     form, _ = ball_3080
     solved, _ = spectrum_module._lockstep(form, {
-        i: spectrum_module._thick_restart(sector.count, 75)
-        for i, sector in enumerate(form.sectors)})
-    for i, sector in enumerate(form.sectors):
+        i: spectrum_module._thick_restart(count, 75)
+        for i, count in enumerate(form.sectors.counts)})
+    for i in range(len(form.sectors.counts)):
         values, vectors, _, _ = solved[i]
         assert np.max(np.abs(vectors @ vectors.T - np.eye(75))) <= 1e-12
-        assert np.max(np.abs(values - np.linalg.eigvalsh(form.block(sector))[:75])) <= 1e-12
+        assert np.max(np.abs(values - np.linalg.eigvalsh(form.block(i))[:75])) <= 1e-12
 
 
 def test_lanczos_second_pass_restores_orthogonality_after_cancellation():
@@ -323,7 +323,7 @@ def test_sector_solver_choice_at_the_limits(name):
     # c >= _LANCZOS_CELLS_PER_VALUE * j, on either side of both limits
     make, k, sectors, solvers = _SECTOR_CHOICES[name]
     form = offset_form(make())
-    assert [sector.count for sector in form.sectors] == sectors
+    assert form.sectors.counts == sectors
     if k in ("last", "first"):
         k = _largest_lanczos_k(sectors[0], form.grid.count) + (k == "first")
     s = eig_symmetric(form, k)
@@ -438,8 +438,8 @@ def test_split_keeps_the_k_smallest_of_both_blocks(name):
     full = np.linalg.eigvalsh(assemble_form(form))[:40] / form.mass_scale
     s = eig_symmetric(form, 40)
     assert np.max(np.abs(s.eigenvalues - full) / np.abs(full)) <= 1e-12
-    for sector in form.sectors:
-        assert np.linalg.eigvalsh(form.block(sector))[0] / form.mass_scale <= s.eigenvalues[-1]
+    for i in range(len(form.sectors.counts)):
+        assert np.linalg.eigvalsh(form.block(i))[0] / form.mass_scale <= s.eigenvalues[-1]
 
 
 def test_asymmetric_grid_takes_the_full_lapack_path():
@@ -482,7 +482,8 @@ def test_lapack_solve_is_the_sorted_block_spectra_bit_for_bit(monkeypatch, domai
     gathered = []
     block = QuadFormMatrix.block
     monkeypatch.setattr(QuadFormMatrix, "block",
-                        lambda self, sector: gathered.append(sector.count) or block(self, sector))
+                        lambda self, place: gathered.append(self.sectors.counts[place])
+                        or block(self, place))
     form = offset_form(build_grid(domain, h))
     s = eig_symmetric(form, k)
     assert s.source["solvers"] == ["lapack"] * len(s.source["sectors"])
