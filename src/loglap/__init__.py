@@ -1,7 +1,7 @@
 """Galerkin spectra and closed-form eigenvalue bounds for the logarithmic Laplacian.
 
 The package splits into small layers: mathematical constants and the
-cosine integral (`specfun`), dimension constants (`constants`), the two
+numerical error (`specfun`), dimension constants (`constants`), the two
 scalar root equations (`roots`), domain geometry with the collar ramp test
 function (`geometry`), piecewise-constant Galerkin assembly (`discretize`),
 eigensolves and spectral diagnostics (`spectrum`), the closed-form bound
@@ -32,7 +32,7 @@ from .discretize import (
 )
 from .geometry import Domain, TestFunctionSpec, ball, box, interval
 from .roots import RootResult, solve_log_ratio, solve_r_ln_r
-from .specfun import NumericsError, cosint
+from .specfun import NumericsError
 from .spectrum import (
     Spectrum,
     eig_symmetric,
@@ -59,7 +59,6 @@ __all__ = [
     "ball",
     "box",
     "build_grid",
-    "cosint",
     "counting_envelope",
     "dimension_constants",
     "eig_symmetric",

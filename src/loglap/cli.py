@@ -48,6 +48,7 @@ from .bounds import (
 )
 from .constants import dimension_constants
 from .discretize import (
+    MAX_CELL_SIDE,
     assemble_form,
     build_grid,
     offset_form,
@@ -144,6 +145,8 @@ def _domain_from_args(args) -> Domain:
     if getattr(args, shape) is None:
         raise ValueError(f"--domain {args.domain} needs --{shape}")
     if args.domain == "interval":
+        if not args.length > 0.0:
+            raise ValueError(f"--length must be positive, got {args.length!r}")
         half = args.length / 2.0
         return interval(-half, half)
     if args.domain == "ball":
@@ -546,10 +549,14 @@ def _sweep_values(args) -> np.ndarray:
         if values.size == 0 or values[0] < 1 or values[-1] > 2**53:
             raise ValueError("k sweep needs integer indices from 1 to 2^53, where floats are exact")
         return values.astype(int)
-    if args.steps == 1:
-        return np.array([args.start])
-    # descending ranges are fine (h sweeps usually run coarse to fine)
-    return np.geomspace(args.start, args.stop, args.steps)
+    # descending ranges are fine (h sweeps usually run coarse to fine);
+    # geomspace returns the endpoints exactly
+    values = np.array([args.start]) if args.steps == 1 else np.geomspace(
+        args.start, args.stop, args.steps)
+    largest = float(values.max())
+    if args.parameter == "h" and largest > MAX_CELL_SIDE:  # refused before the first grid
+        raise ValueError(f"cell side must lie in (0, {MAX_CELL_SIDE}], got {largest!r}")
+    return values
 
 
 def _sweep_radius(args, values: np.ndarray) -> tuple[list[str], list[list]]:
@@ -738,6 +745,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _expand_config(argv)
         args = _build_parser().parse_args(argv)
+        # refused before any work; the envelope CSV and manifest go beside --out
+        outputs = {"--out": args.out, "--dump-matrix": getattr(args, "dump_matrix", None)}
+        for flag, path in outputs.items():
+            if path and not Path(path).parent.is_dir():
+                raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
     except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
         return int(exc.code or 0)
     except (OSError, ValueError) as exc:

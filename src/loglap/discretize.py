@@ -71,7 +71,7 @@ import numpy.fft
 
 from .constants import DimensionConstants, dimension_constants
 from .geometry import Domain
-from .specfun import CATALAN, EULER_GAMMA, TI2_HALF, cosint
+from .specfun import CATALAN, EULER_GAMMA, TI2_HALF
 
 __all__ = [
     "Grid",
@@ -610,18 +610,15 @@ def rayleigh_quotient(matrix: QuadFormMatrix, coefficients) -> float:
 def plane_wave_symbol_1d(t: float) -> float:
     """Closed-form energy density of a 1D plane wave with frequency t > 0.
 
-    Splitting at range 1 gives the oscillatory near integral via the
-    cosine integral and the far tail exactly; together with the zero-order
-    shift the expression collapses to 2 ln t, which is the operator's
+    Splitting the kernel's range at 1 gives the oscillatory near integral,
+    2 c_1 (gamma + ln t - Ci t), and the far tail, 2 c_1 Ci t; their sum
+    cancels the cosine integral, leaving 2 c_1 (gamma + ln t) + rho_1.  With
+    c_1 = 1 and rho_1 = -2 gamma this is 2 ln t exactly, the operator's
     Fourier symbol.  Evaluating it this way (instead of returning 2 ln t)
-    is the point: it cross-checks the kernel normalization end to end.
+    is the point: it cross-checks the kernel constant and the zero-order
+    shift end to end.
     """
     if not (t > 0.0) or not math.isfinite(t):
         raise ValueError(f"frequency must be positive and finite, got {t!r}")
     c = dimension_constants(1)
-    ci = cosint(t)
-    return (
-        c.kernel_constant * 2.0 * (EULER_GAMMA + math.log(t) - ci)
-        + 2.0 * ci
-        + c.zero_order_shift
-    )
+    return c.kernel_constant * 2.0 * (EULER_GAMMA + math.log(t)) + c.zero_order_shift

@@ -2,9 +2,8 @@
 
 Everything here takes a different route than the package.  digamma comes
 from the recurrence and the Bernoulli tail and ln Gamma from libm, where
-``loglap.constants`` takes the finite sums at N/2 and ``math.gamma``.  The
-cosine integral comes from panel quadrature / its large-argument series,
-eigenvalues from a characteristic-polynomial solve, and the kernel pair
+``loglap.constants`` takes the finite sums at N/2 and ``math.gamma``.
+Eigenvalues come from a characteristic-polynomial solve, the kernel pair
 integrals from 1D quadrature of reduced (correlation) forms, in mpmath where
 double precision would cancel, and the foliation constant from the level
 sets of the signed distance, where ``loglap.geometry`` has a closed form.
@@ -16,8 +15,6 @@ import math
 import mpmath
 import numpy as np
 from scipy.integrate import quad
-
-EULER_GAMMA = 0.57721566490153286061
 
 # B_2 .. B_14, used by the digamma tail below.
 _BERNOULLI = [
@@ -53,39 +50,6 @@ def digamma_ref(x):
 def ln_gamma_ref(x):
     # libm, not scipy -- a genuinely separate implementation.
     return math.lgamma(x)
-
-
-def cosint_ref(t):
-    """Ci(t) for t > 0: panel Gauss below 30, asymptotic sin/cos series above."""
-    if t <= 0.0:
-        raise ValueError("reference cosine integral wants t > 0")
-    if t <= 30.0:
-        # Ci(t) = gamma + ln t + int_0^t (cos u - 1)/u du, entire integrand.
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        panels = max(1, int(math.ceil(t)))
-        edges = np.linspace(0.0, t, panels + 1)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            u = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            g = np.where(u == 0.0, 0.0, (np.cos(u) - 1.0) / np.where(u == 0.0, 1.0, u))
-            total += 0.5 * (b - a) * float(weights @ g)
-        return EULER_GAMMA + math.log(t) + total
-    # Ci(t) = f(t) sin t - g(t) cos t with the divergent-series f, g summed
-    # to their smallest term (plenty below 1e-13 once t > 30).
-    f = g = 0.0
-    term_f = 1.0 / t
-    term_g = 1.0 / (t * t)
-    k = 0
-    while True:
-        f += term_f if k % 2 == 0 else -term_f
-        g += term_g if k % 2 == 0 else -term_g
-        next_f = term_f * (2 * k + 1) * (2 * k + 2) / (t * t)
-        if next_f >= term_f or next_f < 1e-18:
-            break
-        term_f = next_f
-        term_g = term_g * (2 * k + 2) * (2 * k + 3) / (t * t)
-        k += 1
-    return f * math.sin(t) - g * math.cos(t)
 
 
 def eigvals_charpoly(matrix):

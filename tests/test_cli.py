@@ -197,7 +197,7 @@ def test_solve_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_solve_usage_errors(tmp_path):
+def test_solve_usage_errors(tmp_path, capsys):
     base = ["solve", "--domain", "interval", "--length", "2"]
     assert main(base + ["--cells", "8", "--num-eigs", "20"]) == 1   # k > cells
     assert main(base + ["--num-eigs", "4"]) == 1                    # no --h/--cells
@@ -205,6 +205,41 @@ def test_solve_usage_errors(tmp_path):
                         "--num-eigs", "4"]) == 1                    # both given
     assert main(base + ["--cells", "8"]) == 1                       # --num-eigs required
     assert main(["solve", "--cells", "8", "--num-eigs", "2"]) == 1  # no domain
+    capsys.readouterr()
+    square = ["solve", "--domain", "box", "--cells", "4", "--num-eigs", "2", "--side"]
+    for argv, message in (
+        (square + ["1,x"], "--side expects comma-separated numbers, got '1,x'"),
+        (square + ["1,0"], "--side lengths must be positive, got '1,0'"),
+        (square + ["1,2,3"], "boxes are two-dimensional: --side A or --side A,B"),
+        (base + ["--cells", "0", "--num-eigs", "2"], "--cells must be >= 1, got 0"),
+        (base + ["--cells", "8", "--num-eigs", "0"], "--num-eigs must be >= 1"),
+        (["solve", "--domain", "interval", "--length", "-2", "--cells", "8", "--num-eigs", "2"],
+         "--length must be positive, got -2.0"),
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"loglap: error: {message}\n", argv
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--domain", "ball", "--radius", "6", "--h", "0.125", "--num-eigs", "300",
+      "--out", "{missing}/run.csv"], "--out"),
+    (["solve", "--domain", "ball", "--radius", "6", "--h", "0.125", "--num-eigs", "300",
+      "--out", "{tmp}/run.csv", "--dump-matrix", "{missing}/matrix.csv"], "--dump-matrix"),
+    (["bounds", "--domain", "ball", "--radius", "6", "--h", "0.125", "--sigma", "1",
+      "--out", "{missing}/bounds.json"], "--out"),
+], ids=["solve-out", "solve-dump-matrix", "bounds-sigma-out"])
+def test_output_in_a_missing_directory_is_refused_before_any_work(argv, flag, monkeypatch,
+                                                                   tmp_path, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built before the refusal")
+
+    monkeypatch.setattr("loglap.cli.build_grid", no_grid)
+    missing = tmp_path / "missing"
+    assert main([a.format(tmp=tmp_path, missing=missing) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"loglap: error: {flag} {missing}/")
+    assert err.endswith(f": directory {missing} does not exist\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_refuses_matrix_larger_than_memory(tmp_path, capsys):
@@ -743,6 +778,23 @@ def test_verify_constants_suite(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
+@pytest.mark.parametrize("wrong", [
+    lambda c: dataclasses.replace(c, kernel_constant=2.0),
+    lambda c: dataclasses.replace(c, zero_order_shift=c.zero_order_shift + 1e-6),
+    lambda c: dataclasses.replace(c, kernel_constant=1.0 + 1e-7),
+], ids=["c1-doubled", "rho1-shifted", "c1-nudged"])
+def test_symbol_suite_fails_on_wrong_one_dimensional_constants(wrong, monkeypatch, capsys):
+    # the closed-form symbol reads c_1 and rho_1 from dimension_constants(1):
+    # a wrong kernel constant or zero-order shift fails the suite
+    def wrong_in_one_dimension(n):
+        c = dimension_constants(n)
+        return wrong(c) if n == 1 else c
+
+    monkeypatch.setattr("loglap.discretize.dimension_constants", wrong_in_one_dimension)
+    assert main(["verify", "--suite", "symbol"]) == 2
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
 def test_verify_all(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert main(["verify", "--suite", "all", "--out", str(out)]) == 0
@@ -853,6 +905,22 @@ def test_sweep_range_errors(tmp_path):
                  "--start", "5", "--stop", "40"]) == 1   # --steps required
 
 
+def test_h_sweep_refuses_a_cell_side_above_a_half_before_the_first_grid(monkeypatch, capsys):
+    # the range's largest cell side is refused before the 31,016-cell grid at
+    # h = 0.04 is built and solved
+    built = []
+
+    def counting_build_grid(*args, **kwargs):
+        built.append(args)
+        return build_grid(*args, **kwargs)
+
+    monkeypatch.setattr("loglap.cli.build_grid", counting_build_grid)
+    assert main(["sweep", "--parameter", "h", "--domain", "ball", "--radius", "4",
+                 "--start", "0.04", "--stop", "0.6", "--steps", "2"]) == 1
+    assert capsys.readouterr().err == "loglap: error: cell side must lie in (0, 0.5], got 0.6\n"
+    assert built == []
+
+
 @pytest.mark.parametrize("dim", ["1", "3", "10"])
 def test_radius_sweep_asks_for_c0_outside_two_dimensions(dim, capsys):
     # the 2D ball is the one default; no other dimension builds a ball
@@ -898,13 +966,23 @@ def test_config_file_and_override(tmp_path):
     manifest = json.loads((tmp_path / "b.json").read_text())
     assert manifest["config"]["cells"] == 32
 
+    # the --config=FILE form reads the same file
+    out3 = tmp_path / "c.csv"
+    assert main(["solve", f"--config={cfg}", "--out", str(out3)]) == 0
+    manifest = json.loads((tmp_path / "c.json").read_text())
+    assert manifest["config"]["cells"] == 64
 
-def test_config_file_errors(tmp_path):
+
+def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this line has no equals sign\n")
     assert main(["solve", "--config", str(bad), "--num-eigs", "2"]) == 1
     assert main(["solve", "--config", str(tmp_path / "missing.cfg"),
                  "--num-eigs", "2"]) == 1
+    capsys.readouterr()
+    bad.write_text(" = 3\n")
+    assert main(["solve", "--config", str(bad), "--num-eigs", "2"]) == 1
+    assert capsys.readouterr().err == f"loglap: error: {bad}:1: empty key\n"
 
 
 # ---------------------------------------------------------------------------
