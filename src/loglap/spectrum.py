@@ -11,8 +11,18 @@ of it.  A large sector asked for few runs thick-restart Lanczos (Wu &
 Simon, SIAM J. Matrix Anal. Appl. 22, 2000) on the form's FFT matvec, with
 no dense matrix; all such sectors are stepped together, so one product per
 step serves them all.  Any other sector gets all its values from LAPACK's
-dense solver on its block.  The sectors' eigenvalues are then merged.  The
-solve's record, the spectrum's ``source``, has the same keys for every
+dense solver on its block.  The sectors' eigenvalues are then merged.
+
+The accuracy contract: each eigenvalue from a Lanczos sector lies within
+_LANCZOS_TOL = 5e-14 times the spectral radius of A / massScale of one of
+its eigenvalues, so within 1e-12 up to a radius of 20; LAPACK's are
+accurate to rounding.  Lanczos refines only the pairs the answer keeps.  One
+ledger holds every sector's current estimates, whose k-th smallest bounds
+lambda_k from above, and a sector stops refining a pair once its residual
+bound places it above that (:func:`_thick_restart`).  The solve refuses,
+with ``NumericsError``, an answer that would need such a pair.
+
+The solve's record, the spectrum's ``source``, has the same keys for every
 solve: the cells, the sectors' sizes and solvers, the matvecs (the Ritz
 residuals' included), per sector and Lanczos solve the restarts and the
 steps orthogonalized twice, and the largest residual ||A v - lambda M v||
@@ -51,15 +61,20 @@ __all__ = [
 #                  585    96.3                19.6         52.2   57.6  70.4  84.4 115.0
 #                  770   158.0                22.5         80.0   90.4 117.7 137.7 173.1
 #                1,755    1483                47.8        344.5  477.2 587.3 879.1  1037
-# The machine is shared: one entry varied up to 2x across the six runs.
+# The machine is shared: one entry varied up to 2x across the six runs.  The
+# table predates the tolerance and the certificate of :func:`_thick_restart`,
+# which cut Lanczos's matvecs by 7-31% on the grids measured.
 # Below 512 cells Lanczos wins 1.4-2.7x for two values and at most 1.2x for
 # c/j >= 20.  The crossover c/j is 12-14 at 512-770 cells and below 12 from
 # 1,024 on, so c/j >= 16 loses to LAPACK on no sector of 512 cells or more.
 _LANCZOS_MIN_SECTOR = 512
 _LANCZOS_CELLS_PER_VALUE = 16
-# Sector solves of 2,048-50,920 cells converge in 3-76 restarts (the R=16,
-# h=1/8 ball at k = 10 takes 9-11, the 1 x 2,048 box 69-76).
+# Sector solves on grids of 2,048-50,920 cells at k = 10-400 end in 2-52
+# restarts (the R=16, h=1/8 ball at k = 10 takes 4-6, the 1 x 2,048 box 49-52).
 _LANCZOS_MAX_RESTARTS = 1000
+# Lanczos's convergence test, |beta s_m,i| <= _LANCZOS_TOL * max |theta|;
+# :func:`_thick_restart` derives it from the solve's 1e-12 contract.
+_LANCZOS_TOL = 5e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +108,20 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     exceed memory.  It solves each LAPACK sector whole on its
     block, gathered and freed before the next is gathered, and steps the
     Lanczos sectors' :func:`_thick_restart` together (:func:`_lockstep`).
-    It then merges: the k smallest are a prefix of each sector's ascending
-    values, so a sector with cells left whose largest value lies below the
-    merged k-th one may hold more of them, and asks for twice as many in
-    the next round.  A LAPACK sector has all its values and never grows.
+    Every sector posts its estimates on one :class:`_Ledger` of k: a LAPACK
+    sector its eigenvalues, a Lanczos sector its Ritz values at each
+    restart.  The ledger's k-th smallest value K is at least lambda_k, and a
+    Lanczos sector stops once each pair it was asked for has converged to
+    the contract or is certified above K by its residual bound; a certified
+    pair's value comes back marked open.  The solve then merges: the k
+    smallest are a prefix of each sector's ascending values, so a sector
+    with cells left, no open value, and a largest value below the merged
+    k-th one may hold more of them, and asks for twice as many in the next
+    round.  A LAPACK sector has all its values and never grows; a sector
+    with an open value holds no more below K.  Provided Lanczos misses no
+    eigenvalue below those it finds, which every Lanczos solve here assumes,
+    certificate or not, no open value is among the k smallest; if one is,
+    the certificate failed, and the solve raises ``NumericsError``.
 
     ``source`` records the ``cells``, the sectors' sizes as ``sectors``, per
     sector the solver that ran last as ``solvers`` (``"lanczos"`` or
@@ -107,16 +132,19 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     the Lanczos sectors' unit Ritz vectors among the k as ``max_residual``
     (None when no Lanczos sector holds one).  Raises ``ValueError`` before
     allocating a block plus LAPACK's copy, or a round's bases, larger than
-    memory, and ``NumericsError`` when a solver fails.
+    memory, and ``NumericsError`` when a solver fails or the merge would
+    take an open value.
     """
     n = form.grid.count
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     counts = form.sectors.counts
     asked = [min(_first_share(k, count, n), count) for count in counts]
-    pairs = [(np.empty(0), None) for _ in counts]  # ascending values; Ritz vectors or None
+    # ascending values; Ritz vectors or None; whether each value converged
+    pairs = [(np.empty(0), None, np.empty(0, dtype=bool)) for _ in counts]
     restarts = [[] for _ in counts]
     reorthogonalized = [[] for _ in counts]
+    ledger = _Ledger(k)
     matvecs = 0
     grow = [i for i, want in enumerate(asked) if want]
     while grow:
@@ -125,29 +153,36 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
                         f"a round of {len(lanczos)} Lanczos bases")
         for i in grow:
             if i not in lanczos:
-                pairs[i] = _lapack(form.block(i)), None
+                values = _lapack(form.block(i))
+                ledger.post(i, values)
+                pairs[i] = values, None, np.ones(values.size, dtype=bool)
         solved, steps = _lockstep(form, {
-            i: _thick_restart(counts[i], asked[i]) for i in lanczos})
+            i: _thick_restart(counts[i], asked[i], ledger, i) for i in lanczos})
         matvecs += steps
-        for i, (values, vectors, restart, second) in solved.items():
-            pairs[i] = values, vectors
+        for i, (values, vectors, converged, restart, second) in solved.items():
+            pairs[i] = values, vectors, converged
             restarts[i].append(restart)
             reorthogonalized[i].append(second)
-        merged = np.concatenate([values for values, _ in pairs])
+        merged = np.concatenate([values for values, _, _ in pairs])
         kth = np.sort(merged)[k - 1] if merged.size >= k else math.inf
-        grow = [i for i, (values, _) in enumerate(pairs)
-                if values.size < counts[i] and values[-1] < kth]
+        grow = [i for i, (values, _, converged) in enumerate(pairs)
+                if values.size < counts[i] and converged.all() and values[-1] < kth]
         for i in grow:
             asked[i] = min(2 * asked[i], counts[i])
     chosen = np.argsort(merged, kind="stable")[:k]
-    owner = np.repeat(np.arange(len(pairs)), [values.size for values, _ in pairs])
+    open_chosen = np.count_nonzero(~np.concatenate([converged for *_, converged in pairs])[chosen])
+    if open_chosen:
+        raise NumericsError(
+            f"{open_chosen} of the {k} smallest values are Lanczos pairs certified "
+            f"above the k-th eigenvalue: the certificate failed")
+    owner = np.repeat(np.arange(len(pairs)), [values.size for values, _, _ in pairs])
     taken = np.bincount(owner[chosen], minlength=len(pairs))
     residuals, steps = _lockstep(form, {
         i: _residual(values[:j], vectors[:j])
-        for i, ((values, vectors), j) in enumerate(zip(pairs, taken))
+        for i, ((values, vectors, _), j) in enumerate(zip(pairs, taken))
         if j and vectors is not None})
     source = {"cells": n, "sectors": counts,
-              "solvers": ["lapack" if vectors is None else "lanczos" for _, vectors in pairs],
+              "solvers": ["lapack" if vectors is None else "lanczos" for _, vectors, _ in pairs],
               "matvecs": matvecs + steps, "restarts": restarts,
               "reorthogonalized": reorthogonalized,
               "max_residual": max(residuals.values(), default=None)}
@@ -209,6 +244,30 @@ def _lockstep(form: QuadFormMatrix, runs: dict) -> tuple[dict, int]:
     return done, matvecs
 
 
+class _Ledger:
+    """The latest eigenvalue estimates of every sector of one solve for the
+    k smallest, by place: LAPACK's eigenvalues of its block, or a Lanczos
+    sector's Ritz values at its last restart.
+
+    A sector's i-th smallest Ritz value is at least its block's i-th
+    eigenvalue (Cauchy interlacing), so for every x the estimates at most x
+    are no more than the eigenvalues at most x.  The k-th smallest estimate,
+    of all the sectors or of any subset of them, is therefore at least
+    lambda_k, the k-th smallest eigenvalue of the whole.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.values = {}
+
+    def post(self, place: int, values: np.ndarray) -> float:
+        """Record a sector's estimates; return the bound K, the k-th smallest
+        estimate posted so far (inf while fewer than k are posted)."""
+        self.values[place] = values
+        posted = np.concatenate(list(self.values.values()))
+        return float(np.sort(posted)[self.k - 1]) if posted.size >= self.k else math.inf
+
+
 def _uses_lanczos(cells: int, k: int) -> bool:
     """Whether a sector of ``cells`` cells asked for k values runs Lanczos:
     cells >= _LANCZOS_MIN_SECTOR and cells >= _LANCZOS_CELLS_PER_VALUE * k.
@@ -235,9 +294,9 @@ def _basis_size(k: int) -> int:
     return max(2 * k + 1, 20)
 
 
-def _thick_restart(n: int, k: int):
+def _thick_restart(n: int, k: int, ledger: _Ledger | None = None, place: int = 0):
     """Generator for :func:`_lockstep`: the k smallest eigenpairs of a
-    symmetric n x n operator by thick-restart Lanczos, for n above twice
+    symmetric n x n operator B by thick-restart Lanczos, for n above twice
     :func:`_basis_size`.
 
     It yields each vector whose product it needs and is sent the product.
@@ -250,14 +309,43 @@ def _thick_restart(n: int, k: int):
     vectors before it, and a second pass only when the first leaves ||w||
     below 1/sqrt(2) of its norm before that pass (the DGKS test: Daniel,
     Gragg, Kaufman & Stewart, Math. Comp. 30, 1976).  Each restart keeps
-    k + (m - k)//2 Ritz vectors.  A wanted Ritz pair converges when its
-    residual estimate |beta * s_m| is at most eps/2 * max(eps^(2/3),
-    |theta|), ARPACK's test at tol = 0; it is then locked: it stays in the
-    basis, and its coupling, which is below that bound, is dropped from the
-    projected matrix.  Without locking the estimates of converged pairs
-    hover at that bound, rounding's floor, and the solve stalls.  Returns
-    the ascending values, the unit Ritz vectors as rows, the restart count
-    and the number of steps that took the second pass.  Raises
+    k + (m - k)//2 Ritz vectors.
+
+    The contract.  A Ritz pair (theta, u) has the residual ||B u - theta u||
+    = |beta * s_m|, and an eigenvalue of B lies within that of theta
+    (Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998).  A wanted pair
+    converges when |beta * s_m| <= _LANCZOS_TOL * max |theta|, the maximum
+    over all the basis's Ritz values.  That maximum is at most ||B||, so the
+    test is scale-free and puts each value within _LANCZOS_TOL * ||B|| of an
+    eigenvalue of B; a floor such as max(1, |theta|) would not be
+    scale-free, since theta is in units of h^N.  The tolerance comes from
+    the 1e-12 to which the solve's values of A / massScale = B / h^N are
+    held: their error is at most _LANCZOS_TOL times the spectral radius of
+    A / h^N, and 5e-14 keeps it within 1e-12 up to a radius of 20 (the
+    R = 4, h = 1/8 ball's is 8.2, the 2,048-cell interval's 16.8).  The test
+    sits 450 times above rounding's floor, eps/2 relative, so whether a
+    pair passes it does not depend on the last bits of the product.
+    Tolerances of 1e-14, 2e-14, 5e-14 and 1e-13 took the same matvecs on
+    five of six grids tried; the R = 4, h = 1/8 ball at k = 30 took 121,
+    121, 115 and 115.  A converged pair is locked: it stays in the basis,
+    and its coupling, below the test's bound, is dropped from the projected
+    matrix.
+
+    The certificate.  With a ``ledger`` (:class:`_Ledger`), the solve posts
+    all m of its Ritz values under ``place`` at each restart and reads back
+    the ledger's bound K >= lambda_k, where k is the whole solve's count.  A
+    wanted pair with theta - |beta * s_m| > K is certified: the eigenvalue
+    within the residual of theta lies above K, so it is not among the k
+    smallest, and neither are the sector's eigenvalues above it, provided
+    Lanczos has missed none below it, as every Lanczos solve here assumes
+    (the start vector has a component along every eigenvector).  The solve
+    ends when every wanted pair has converged or is certified.  A certified
+    pair is never locked, and its value comes back marked open.  Without a
+    ledger every wanted pair must converge.
+
+    Returns the wanted values ascending, the unit Ritz vectors as rows,
+    whether each pair converged (False: certified and open), the restart
+    count and the number of steps that took the second pass.  Raises
     ``NumericsError`` after ``_LANCZOS_MAX_RESTARTS`` restarts, or when the
     basis breaks down (the new direction has no component outside the
     basis).
@@ -277,16 +365,16 @@ def _thick_restart(n: int, k: int):
         for j in range(first, m):
             w = yield basis[j]
             matvecs += 1
-            scale = np.linalg.norm(w)
+            scale = math.sqrt(w @ w)
             t[j, j] = basis[j] @ w
             lo = 0 if j == first else j - 1  # the arrowhead row, or the tridiagonal one
             w -= t[j, j] * basis[j] + t[j, lo:j] @ basis[lo:j]
-            before = np.linalg.norm(w)
+            before = math.sqrt(w @ w)
             w -= (basis[: j + 1] @ w) @ basis[: j + 1]
-            beta = np.linalg.norm(w)
+            beta = math.sqrt(w @ w)
             if beta < math.sqrt(0.5) * before:  # DGKS: the pass cancelled much of w
                 w -= (basis[: j + 1] @ w) @ basis[: j + 1]
-                beta = np.linalg.norm(w)
+                beta = math.sqrt(w @ w)
                 second += 1
             if not beta > math.sqrt(eps) * scale:
                 raise NumericsError(
@@ -297,16 +385,18 @@ def _thick_restart(n: int, k: int):
             basis[j + 1] = w / beta
         theta, s = np.linalg.eigh(t[locked:, locked:])
         coupling = beta * s[-1]
-        converged = np.abs(coupling) <= 0.5 * eps * np.maximum(eps ** (2 / 3), np.abs(theta))
         values = np.concatenate((np.diag(t)[:locked], theta))
+        converged = np.abs(coupling) <= _LANCZOS_TOL * np.max(np.abs(values))
+        bound = math.inf if ledger is None else ledger.post(place, values)
+        settled = converged | (theta - np.abs(coupling) > bound)
         wanted = np.argsort(values, kind="stable")[:k]
         wanted = wanted[wanted >= locked] - locked  # the active pairs among the k smallest
-        if converged[wanted].all():
+        if settled[wanted].all():
             break
         if restart == _LANCZOS_MAX_RESTARTS:
             raise NumericsError(
                 f"Lanczos did not converge in {restart} restarts ({matvecs} matvecs); "
-                f"{np.count_nonzero(~converged[wanted])} of {k} eigenpairs open")
+                f"{np.count_nonzero(~settled[wanted])} of {k} eigenpairs open")
         lock = np.zeros(theta.size, dtype=bool)
         lock[wanted] = converged[wanted]
         # the newly locked pairs first, then the smallest others, up to ``keep`` rows
@@ -320,8 +410,9 @@ def _thick_restart(n: int, k: int):
         locked += np.count_nonzero(lock)
         first = keep
     vectors = np.concatenate((basis[:locked], s.T @ basis[locked:m]))
+    converged = np.concatenate((np.ones(locked, dtype=bool), converged))
     order = np.argsort(values, kind="stable")[:k]
-    return values[order], vectors[order], restart, second
+    return values[order], vectors[order], converged[order], restart, second
 
 
 def weyl_diagnostics(spectrum: Spectrum) -> dict:

@@ -395,12 +395,22 @@ def test_few_eigenvalues_need_no_dense_matrix(monkeypatch, tmp_path):
 
 
 def test_lanczos_failure_exits_2(monkeypatch, capsys):
-    # with no restart allowed, the first 20-vector Lanczos bases do not
-    # reach the convergence test (that solve's two sectors take 3 and 4)
+    # with no restart allowed, the first 20-vector Lanczos basis of the even
+    # sector does not reach the convergence test (it takes one restart; the
+    # odd sector's pairs are certified above lambda_1 at the first check)
     monkeypatch.setattr("loglap.spectrum._LANCZOS_MAX_RESTARTS", 0)
     assert main(["solve", "--domain", "interval", "--length", "2", "--cells", "2048",
                  "--num-eigs", "1"]) == 2
     assert "loglap: numerical failure: Lanczos did not converge" in capsys.readouterr().err
+
+
+def test_failed_lanczos_certificate_exits_2(monkeypatch, capsys):
+    # a ledger bound of -inf certifies every open pair at the first restart:
+    # the merge then needs values that did not converge
+    monkeypatch.setattr("loglap.spectrum._Ledger.post", lambda self, place, values: -math.inf)
+    assert main(["solve", "--domain", "interval", "--length", "2", "--cells", "2048",
+                 "--num-eigs", "10"]) == 2
+    assert "certified above the k-th eigenvalue" in capsys.readouterr().err
 
 
 def test_solve_fewer_than_three_eigenvalues(tmp_path):

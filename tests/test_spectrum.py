@@ -103,13 +103,17 @@ def _lapack_on_the_blocks(form, k):
     return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))[:k] / form.mass_scale
 
 
-def _sector_lanczos(form, k):
+def _sector_lanczos(form, k, ledger=None):
     """Each sector's Lanczos solve for its first share of k, stepped together
-    as by eig_symmetric: per sector (values, Ritz vectors, restarts, steps
-    orthogonalized twice) in the sectors' order, and the matvecs."""
+    on one ledger of k as by eig_symmetric (``ledger=False``: none, so every
+    wanted pair converges): per sector (values, Ritz vectors, converged,
+    restarts, steps orthogonalized twice) in the sectors' order, and the
+    matvecs."""
     counts = form.sectors.counts
+    if ledger is None:
+        ledger = spectrum_module._Ledger(k)
     runs = {i: spectrum_module._thick_restart(count, spectrum_module._first_share(
-        k, count, form.grid.count)) for i, count in enumerate(counts)}
+        k, count, form.grid.count), ledger or None, i) for i, count in enumerate(counts)}
     solved, matvecs = spectrum_module._lockstep(form, runs)
     return [solved[i] for i in range(len(counts))], matvecs
 
@@ -130,14 +134,14 @@ def test_lanczos_matches_lapack_on_double_eigenvalues(ball_3080):
     assert s.source["max_residual"] <= 1e-12 * form.mass_scale
     # each sector was solved once, for its first share: the same solves again
     solved = _sector_lanczos(form, 30)[0]
-    assert [[restarts] for _, _, restarts, _ in solved] == s.source["restarts"]
-    assert [[second] for _, _, _, second in solved] == s.source["reorthogonalized"]
+    assert [[restarts] for *_, restarts, _ in solved] == s.source["restarts"]
+    assert [[second] for *_, second in solved] == s.source["reorthogonalized"]
     for i in doubles:
-        for place, (values, _, _, _) in enumerate(solved):
-            copies = np.abs(values / form.mass_scale - ev[i]) <= 1e-13 * abs(ev[i])
+        for place, (values, _, converged, _, _) in enumerate(solved):
+            copies = np.abs(values[converged] / form.mass_scale - ev[i]) <= 1e-13 * abs(ev[i])
             assert np.count_nonzero(copies) == (1 if place in (1, 2) else 0)
     # the Ritz vectors behind max_residual are orthonormal in each sector
-    for _, vectors, _, _ in solved:
+    for _, vectors, *_ in solved:
         assert np.allclose(vectors @ vectors.T, np.eye(len(vectors)), atol=1e-12)
 
 
@@ -151,7 +155,8 @@ def test_lanczos_ritz_vectors_stay_orthonormal_at_a_large_k(ball_3080):
         i: spectrum_module._thick_restart(count, 75)
         for i, count in enumerate(form.sectors.counts)})
     for i in range(len(form.sectors.counts)):
-        values, vectors, _, _ = solved[i]
+        values, vectors, converged, _, _ = solved[i]
+        assert converged.all()  # without a ledger every pair converges
         assert np.max(np.abs(vectors @ vectors.T - np.eye(75))) <= 1e-12
         assert np.max(np.abs(values - np.linalg.eigvalsh(form.block(i))[:75])) <= 1e-12
 
@@ -187,11 +192,94 @@ def test_repeated_lanczos_solves_are_bit_identical(ball_3080):
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert a.source == b.source
     (solved_a, steps_a), (solved_b, steps_b) = (_sector_lanczos(form, 10) for _ in range(2))
-    for (vals_a, vecs_a, *counts_a), (vals_b, vecs_b, *counts_b) in zip(solved_a, solved_b):
+    for (vals_a, vecs_a, conv_a, *counts_a), (vals_b, vecs_b, conv_b, *counts_b) in zip(
+            solved_a, solved_b):
         assert np.array_equal(vals_a, vals_b) and np.array_equal(vecs_a, vecs_b)
-        assert counts_a == counts_b
+        assert np.array_equal(conv_a, conv_b) and counts_a == counts_b
     assert steps_a == steps_b
-    assert [[restarts] for _, _, restarts, _ in solved_a] == a.source["restarts"]
+    assert [[restarts] for *_, restarts, _ in solved_a] == a.source["restarts"]
+
+
+@pytest.mark.parametrize("domain, h, k", [
+    (interval(-1.0, 1.0), 2.0 / 4096.0, 60),
+    (ball((0.0, 0.0), 4.0), 0.125, 10),
+], ids=["interval-4096-k60", "ball-3080-k10"])
+def test_lanczos_work_does_not_move_with_the_last_bit(domain, h, k):
+    # the table scaled by factors within 3 * 2^-52 of 1 changes the products'
+    # last bits; the convergence test sits far above rounding, so every
+    # scaling takes the same matvecs (217 and 55 on two cores; a test at
+    # rounding's floor took the interval 274 or 255)
+    form = offset_form(build_grid(domain, h))
+    counts = {eig_symmetric(QuadFormMatrix(grid=form.grid, table=form.table * scale), k)
+              .source["matvecs"] for scale in (1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-52,
+                                               1.0 + 3 * 2.0**-52, 1.0 - 3 * 2.0**-52)}
+    assert len(counts) == 1
+
+
+class _RecordingLedger(spectrum_module._Ledger):
+    """A ledger that keeps every sector's posted values, restart by restart."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.history = {}
+
+    def post(self, place, values):
+        self.history.setdefault(place, []).append(values.copy())
+        return super().post(place, values)
+
+
+def test_ledger_bound_is_never_below_lambda_k(ball_3080):
+    # the k-th smallest of one set of values per sector, for any subset of
+    # the sectors, each set the Ritz values a sector posted at some restart
+    # or its block's exact eigenvalues, is at least the whole's lambda_k
+    form, _ = ball_3080
+    k = 10
+    ledger = _RecordingLedger(k)
+    solved, _ = _sector_lanczos(form, k, ledger)
+    exact = [np.linalg.eigvalsh(form.block(i)) for i in range(len(solved))]
+    lambda_k = np.sort(np.concatenate(exact))[k - 1]
+    choices = [[None, exact[i], *ledger.history[i]] for i in range(len(solved))]
+    bounds = []
+    for pick in itertools.product(*choices):
+        posted = [values for values in pick if values is not None]
+        if sum(values.size for values in posted) >= k:
+            bounds.append(np.sort(np.concatenate(posted))[k - 1])
+    assert len(bounds) > 500
+    # to rounding, which here is about eps times the spectral radius
+    radius = max(np.max(np.abs(values)) for values in exact)
+    assert min(bounds) >= lambda_k - 1e-14 * radius
+    # the solve used the bound: some wanted pairs were certified, not
+    # converged, and each lies above lambda_k
+    open_values = np.concatenate([values[~converged] for values, _, converged, _, _ in solved])
+    assert open_values.size > 0 and open_values.min() > lambda_k
+
+
+def test_certified_stop_takes_fewer_matvecs(ball_3080):
+    # ball2d-lowk's solve: 4 values asked of each of the four sectors, 10 kept
+    form, _ = ball_3080
+    certified, with_ledger = _sector_lanczos(form, 10)
+    everything, without = _sector_lanczos(form, 10, ledger=False)
+    assert with_ledger < without
+    assert all(converged.all() for _, _, converged, _, _ in everything)
+    # the converged values agree, and the 10 smallest of them are the answer
+    kept = np.sort(np.concatenate([values[converged] for values, _, converged, _, _ in certified]))
+    assert np.max(np.abs(kept[:10] - np.sort(np.concatenate(
+        [values for values, *_ in everything]))[:10])) <= 1e-12 * form.mass_scale
+
+
+def test_a_ledger_bound_below_lambda_k_raises_numerics_error(monkeypatch, ball_3080):
+    # a bound at lambda_1 certifies every pair that has not converged at the
+    # first restart; the sectors stop there, and the merge needs open pairs.
+    # (A bound that certifies a needed pair but leaves its sector running,
+    # say between lambda_8 and lambda_9 = lambda_10 here, is harmless: the
+    # pair is refined on and has converged by the end.)
+    form, _ = ball_3080
+    wrong = min(np.linalg.eigvalsh(form.block(i))[0] for i in range(len(form.sectors.counts)))
+    post = spectrum_module._Ledger.post
+    monkeypatch.setattr(spectrum_module._Ledger, "post",
+                        lambda self, place, values: min(post(self, place, values), wrong))
+    with pytest.raises(NumericsError, match="certified above the k-th eigenvalue"):
+        eig_symmetric(form, 10)
 
 
 def _largest_lanczos_k(cells, n):
