@@ -368,23 +368,18 @@ def _suite_constants(seed: int) -> Iterator[dict]:
 def _suite_roots(seed: int) -> Iterator[dict]:
     # 1000 targets spread log-style in the offset from the left endpoint -1/e,
     # reaching up to 1e6: dense near the degenerate endpoint, sparse far out.
-    offsets = np.geomspace(1e-9, 1e6 + 1.0 / math.e, 1000)
-    worst_res, env_ok = 0.0, True
-    for c in (-1.0 / math.e) + offsets:
-        res = solve_r_ln_r(float(c))
-        worst_res = max(worst_res, abs(res.residual))
-        if not (res.envelope_low - 1e-12 <= res.root <= res.envelope_high + 1e-12):
-            env_ok = False
+    res = solve_r_ln_r((-1.0 / math.e) + np.geomspace(1e-9, 1e6 + 1.0 / math.e, 1000))
+    worst_res = float(np.max(np.abs(res.residual)))
+    env_ok = bool(np.all((res.envelope_low - 1e-12 <= res.root)
+                         & (res.root <= res.envelope_high + 1e-12)))
     yield _check("roots.r_ln_r_residual", worst_res <= 1e-9,
                  f"max |r ln r - c| = {worst_res:.3e} over 1000 targets")
     yield _check("roots.r_ln_r_envelopes", env_ok,
                  "closed-form bracket holds for every solved target")
-    worst_rel, band_ok = 0.0, True
-    for t in np.geomspace(8.8301, 1e6, 1000):
-        res = solve_log_ratio(float(t))
-        worst_rel = max(worst_rel, abs(res.residual) / t)
-        if not (res.envelope_low - 1e-12 <= res.root < res.envelope_high):
-            band_ok = False
+    res = solve_log_ratio(np.geomspace(8.8301, 1e6, 1000))
+    worst_rel = float(np.max(np.abs(res.residual) / res.target))
+    band_ok = bool(np.all((res.envelope_low - 1e-12 <= res.root)
+                          & (res.root < res.envelope_high)))
     yield _check("roots.log_ratio_residual", worst_rel <= 1e-9,
                  f"max relative residual = {worst_rel:.3e} over 1000 targets")
     yield _check("roots.log_ratio_band", band_ok,

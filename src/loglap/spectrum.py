@@ -50,25 +50,36 @@ __all__ = [
 
 # The solver rule per sector (:func:`_uses_lanczos`).  Milliseconds per
 # solve with every sector forced onto one solver, for sectors of c cells
-# asked for j values each; two cores, OpenBLAS, the least of six runs of best
-# of five in one process, a fresh form each time (Lanczos pays the symbol):
-#                      LAPACK  Lanczos at j = 2, and at c/j = 32    24    20    16    12
-#   interval  c =  256     7.5                 5.4          9.2   10.4  10.8  12.0  14.3
-#                  512    33.1                 6.3         17.8   21.0  23.1  25.4  32.4
-#                1,024   153.5                10.3         43.1   54.6  69.0  87.3 119.9
-#                2,048    1059                17.2        182.8  290.4 397.7 410.0 574.5
-#   ball h=1/8 c = 424    46.3                17.3         41.1   39.7  44.5  52.9  62.3
-#                  585    96.3                19.6         52.2   57.6  70.4  84.4 115.0
-#                  770   158.0                22.5         80.0   90.4 117.7 137.7 173.1
-#                1,755    1483                47.8        344.5  477.2 587.3 879.1  1037
-# The machine is shared: one entry varied up to 2x across the six runs.  The
-# table predates the tolerance and the certificate of :func:`_thick_restart`,
-# which cut Lanczos's matvecs by 7-31% on the grids measured.
-# Below 512 cells Lanczos wins 1.4-2.7x for two values and at most 1.2x for
-# c/j >= 20.  The crossover c/j is 12-14 at 512-770 cells and below 12 from
-# 1,024 on, so c/j >= 16 loses to LAPACK on no sector of 512 cells or more.
-_LANCZOS_MIN_SECTOR = 512
-_LANCZOS_CELLS_PER_VALUE = 16
+# asked for j values each: j = 2, or the largest j with c/j at least the
+# column's ratio, at the largest k whose first share is j.  Two cores,
+# OpenBLAS with two threads, the least of three runs of best of five in one
+# process, a fresh form each time (Lanczos pays the symbol):
+#                      LAPACK  Lanczos at j = 2, and at c/j >= 32    24    20    16    12    10
+#   interval  c =  128     2.3                 2.8         4.2   4.5   5.0   6.0   6.7   7.3
+#                  256     8.6                 3.6         8.2   8.8  10.1  12.1  14.0  16.5
+#                  512    35.3                 4.5        16.9  20.6  24.6  29.3  36.5  44.2
+#                1,024   172.3                 6.6        49.9  60.4  74.3  91.6 119.6 159.8
+#                2,048    1162                11.8       182.9 240.4 334.5 382.1 487.9 660.2
+#   ball h=1/8 c = 183     9.6                 7.1         9.9  11.7  15.3  25.7  20.5  21.4
+#                  294    24.2                 8.3        18.3  23.1  26.1  29.8  56.6  40.4
+#                  424    49.7                 9.5        31.0  36.4  42.8  48.7  58.2  64.6
+#                  585    97.8                12.2        49.9  92.6  68.7  75.4  98.7 125.1
+#                  770   176.2                15.3        74.8  93.9 110.7 142.3 173.3 202.4
+#                1,755    1543                29.2       325.8 442.2 565.9 745.1 934.2  1081
+# The 294-cell c/j >= 12 and 585-cell c/j >= 24 entries include a second
+# round: the merge asked a sector again.  The crossover c/j falls as the
+# sector grows, from about 24 at 256 cells to about 12 at 512-770 and below
+# 10 from 1,024 on, so no one ratio of this rule's form follows it.  From
+# 256 cells on, two values are 2.4-98x faster by Lanczos; at 183 cells 1.35x,
+# but there LAPACK wins from c/j = 20 on.  c/j >= 12 keeps every entry of
+# 424-1,024 cells within 1.2x of the faster solver.  Left beyond 1.2x: at
+# 256 cells c/j 16 and 12 run Lanczos 1.4x and 1.6x slower, at 294 cells
+# c/j 16 and 12 1.2x and 2.3x slower, c/j 10 leaves 1.4x (1,755) and 1.8x
+# (2,048) to LAPACK, and two values at 183 cells 1.35x.  With c/j >= 16
+# (the ratio before this table) c/j 12 would also leave 1.4-2.4x to LAPACK
+# from 1,024 cells on.
+_LANCZOS_MIN_SECTOR = 256
+_LANCZOS_CELLS_PER_VALUE = 12
 # Sector solves on grids of 2,048-50,920 cells at k = 10-400 end in 2-52
 # restarts (the R=16, h=1/8 ball at k = 10 takes 4-6, the 1 x 2,048 box 49-52).
 _LANCZOS_MAX_RESTARTS = 1000
@@ -272,10 +283,12 @@ def _uses_lanczos(cells: int, k: int) -> bool:
     """Whether a sector of ``cells`` cells asked for k values runs Lanczos:
     cells >= _LANCZOS_MIN_SECTOR and cells >= _LANCZOS_CELLS_PER_VALUE * k.
 
-    With _LANCZOS_MIN_SECTOR > 40 and _LANCZOS_CELLS_PER_VALUE >= 5 every
-    such sector has more than twice :func:`_basis_size` cells: in a smaller
-    one the basis fills much of the sector, and its Krylov space can become
-    invariant (Lanczos breaks down).
+    Every such sector has more than twice :func:`_basis_size` cells: for
+    k <= 9 the basis is 20 vectors and cells >= 256 > 40; for k >= 10 it is
+    2k + 1 vectors and cells >= 12 k > 4k + 2.  (Any floor above 40 with a
+    ratio of at least 5 keeps this.)  In a smaller sector the basis fills
+    much of it, and its Krylov space can become invariant (Lanczos breaks
+    down).
     """
     return cells >= max(_LANCZOS_MIN_SECTOR, _LANCZOS_CELLS_PER_VALUE * k)
 

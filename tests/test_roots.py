@@ -1,9 +1,11 @@
 """Root solvers for the two increasing scalar maps, with envelope checks."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from loglap.roots import LOG_RATIO_THRESHOLD, RootResult, solve_log_ratio, solve_r_ln_r
@@ -133,3 +135,64 @@ def test_log_ratio_monotone_in_target():
         if t2 - t1 < 1e-6:
             continue
         assert solve_log_ratio(float(t1)).root < solve_log_ratio(float(t2)).root
+
+
+def test_log_ratio_near_the_largest_float():
+    # t ln t = 1.406e308 is finite, but the midpoint of the bracket is not
+    # when taken as 0.5 (lo + hi)
+    t = 2e305
+    res = solve_log_ratio(t)
+    assert math.isfinite(res.root) and math.isfinite(res.residual)
+    assert abs(res.residual) <= 1e-9 * t
+    assert res.envelope_low <= res.root < res.envelope_high
+    # from about 2.5e305 on, t ln t itself overflows: no finite bracket
+    with pytest.raises(ValueError, match=r"t ln t overflows.*1e\+306"):
+        solve_log_ratio(1e306)
+    with pytest.raises(ValueError, match=r"t ln t overflows.*1e\+306"):
+        solve_log_ratio(np.array([10.0, 1e306]))
+
+
+# Points where the solvers change branch or precision: the left end -1/e of
+# the first map, its envelopes' switches at 0 and e, the end of the verify
+# suite's sweep, the least target of the second map, and a huge target.
+_SPECIAL_TARGETS = (-1.0 / E, 0.0, E, 1e6, LOG_RATIO_THRESHOLD, 1e300)
+
+_near_special = st.one_of(
+    st.sampled_from(_SPECIAL_TARGETS),
+    st.sampled_from(_SPECIAL_TARGETS).flatmap(
+        lambda p: st.floats(p - 1e-3 * max(1.0, abs(p)), p + 1e-3 * max(1.0, abs(p)))),
+    st.floats(-1.0 / E, 1e300),
+)
+_FIELDS = ("target", "root", "residual", "envelope_low", "envelope_high")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_near_special, max_size=12))
+def test_array_solve_equals_each_target_solved_alone(targets):
+    for solve, admissible in ((solve_r_ln_r, lambda c: c >= -1.0 / E),
+                              (solve_log_ratio, lambda t: t > LOG_RATIO_THRESHOLD)):
+        kept = [x for x in targets if admissible(x)]
+        res = solve(np.array(kept, dtype=float))
+        alone = [solve(x) for x in kept]
+        for name in _FIELDS:
+            got = getattr(res, name)
+            assert got.shape == (len(kept),)
+            want = np.array([getattr(one, name) for one in alone], dtype=float)
+            assert got.tobytes() == want.tobytes(), name
+            assert all(type(getattr(one, name)) is float for one in alone)
+        assert type(res.iterations) is int
+        assert res.iterations == sum(one.iterations for one in alone)
+        json.dumps(0 + res.iterations)
+
+
+def test_array_solve_names_the_refused_target():
+    with pytest.raises(ValueError, match="finite, got nan"):
+        solve_r_ln_r(np.array([0.0, math.nan, 1.0]))
+    with pytest.raises(ValueError, match=r"-1/e .*got -0\.5"):
+        solve_r_ln_r(np.array([1.0, 2.0, -0.5]))
+    with pytest.raises(ValueError, match="finite, got inf"):
+        solve_log_ratio(np.array([10.0, math.inf]))
+    with pytest.raises(ValueError, match=r"exceed e\^e/\(e-1\).*got 8\.5"):
+        solve_log_ratio(np.array([10.0, 100.0, 8.5]))
+    with pytest.raises(ValueError, match="1-D"):
+        solve_log_ratio(np.full((2, 2), 10.0))

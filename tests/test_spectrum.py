@@ -390,14 +390,17 @@ _SECTOR_CHOICES = {
                           [1024, 1023], ["lanczos", "lanczos"]),
     "interval-1024-k10": (lambda: build_grid(interval(-1.0, 1.0), 2.0 / 1024.0), 10,
                           [512, 512], ["lanczos", "lanczos"]),
-    "interval-1023-k10": (lambda: build_grid(interval(-1.0, 1.0), 2.0 / 1023.0), 10,
-                          [512, 511], ["lanczos", "lapack"]),
+    "interval-512-k10": (lambda: build_grid(interval(-1.0, 1.0), 2.0 / 512.0), 10,
+                         [256, 256], ["lanczos", "lanczos"]),
+    "interval-511-k10": (lambda: build_grid(interval(-1.0, 1.0), 2.0 / 511.0), 10,
+                         [256, 255], ["lanczos", "lapack"]),
     "interval-2048-last": (lambda: build_grid(interval(-1.0, 1.0), 2.0 / 2048.0), "last",
                            [1024, 1024], ["lanczos", "lanczos"]),
     "interval-2048-first": (lambda: build_grid(interval(-1.0, 1.0), 2.0 / 2048.0), "first",
                             [1024, 1024], ["lapack", "lapack"]),
     "box-32x64-k10": (lambda: _box(32, 64), 10, [512] * 4, ["lanczos"] * 4),
-    "box-31x64-k10": (lambda: _box(31, 64), 10, [512, 512, 480, 480],
+    "box-32x32-k10": (lambda: _box(32, 32), 10, [256] * 4, ["lanczos"] * 4),
+    "box-31x32-k10": (lambda: _box(31, 32), 10, [256, 256, 240, 240],
                       ["lanczos", "lanczos", "lapack", "lapack"]),
     "box-32x64-last": (lambda: _box(32, 64), "last", [512] * 4, ["lanczos"] * 4),
     "box-32x64-first": (lambda: _box(32, 64), "first", [512] * 4, ["lapack"] * 4),
@@ -407,7 +410,7 @@ _SECTOR_CHOICES = {
 @pytest.mark.parametrize("name", _SECTOR_CHOICES)
 def test_sector_solver_choice_at_the_limits(name):
     # each sector picks its solver from its cells c and the values j asked
-    # of it: Lanczos when c >= _LANCZOS_MIN_SECTOR (512) and
+    # of it: Lanczos when c >= _LANCZOS_MIN_SECTOR (256) and
     # c >= _LANCZOS_CELLS_PER_VALUE * j, on either side of both limits
     make, k, sectors, solvers = _SECTOR_CHOICES[name]
     form = offset_form(make())
