@@ -75,9 +75,8 @@ __all__ = [
 # 424-1,024 cells within 1.2x of the faster solver.  Left beyond 1.2x: at
 # 256 cells c/j 16 and 12 run Lanczos 1.4x and 1.6x slower, at 294 cells
 # c/j 16 and 12 1.2x and 2.3x slower, c/j 10 leaves 1.4x (1,755) and 1.8x
-# (2,048) to LAPACK, and two values at 183 cells 1.35x.  With c/j >= 16
-# (the ratio before this table) c/j 12 would also leave 1.4-2.4x to LAPACK
-# from 1,024 cells on.
+# (2,048) to LAPACK, and two values at 183 cells 1.35x.  A ratio of 16
+# would also leave c/j 12 to LAPACK from 1,024 cells on, 1.4-2.4x slower.
 _LANCZOS_MIN_SECTOR = 256
 _LANCZOS_CELLS_PER_VALUE = 12
 # Sector solves on grids of 2,048-50,920 cells at k = 10-400 end in 2-52
