@@ -77,6 +77,9 @@ __all__ = [
 # c/j 16 and 12 1.2x and 2.3x slower, c/j 10 leaves 1.4x (1,755) and 1.8x
 # (2,048) to LAPACK, and two values at 183 cells 1.35x.  A ratio of 16
 # would also leave c/j 12 to LAPACK from 1,024 cells on, 1.4-2.4x slower.
+# A floor of 295 would send the 256-294-cell entries back to LAPACK, but
+# `perfbench/run.py --workload verify-all` reads wall_s 57.9 ms with it
+# against 54.2 ms at 256 (medians of 10 alternating pairs, two cores).
 _LANCZOS_MIN_SECTOR = 256
 _LANCZOS_CELLS_PER_VALUE = 12
 # Sector solves on grids of 2,048-50,920 cells at k = 10-400 end in 2-52

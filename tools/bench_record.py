@@ -1,11 +1,11 @@
 """Write a ``BENCH_<label>.json`` performance record for one checkout.
 
-    python3 tools/bench_record.py --checkout DIR --label LABEL [--seconds 25]
+    python3 tools/bench_record.py --checkout DIR --label LABEL
 
 The record holds, for the checkout at DIR (default: this repository):
 
 * ``harness``: the unchanged benchmark harness of that checkout,
-  ``perfbench/run.py --workload all --seed 0 --seconds S --trace 0``: the
+  ``perfbench/run.py --workload all --seed 0 --seconds 25 --trace 0``: the
   environment line and the last line it prints (``correct``, ``attempted``,
   ``failed``, ``metrics``), with ``os.getloadavg()`` before and after;
 * ``solves``: for each command of ``SOLVES``, the manifest (``timings_sec``,
@@ -30,6 +30,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SEED = 0
+SECONDS = 25.0
 BEST_OF = 3
 SOLVES = {
     "ball-7020-k300": ["solve", "--domain", "ball", "--radius", "6", "--h", "0.125",
@@ -54,11 +55,11 @@ def _git(checkout: Path, *args: str) -> str | None:
         return None
 
 
-def harness(checkout: Path, seconds: float) -> dict:
+def harness(checkout: Path) -> dict:
     """The environment and last line of the checkout's ``perfbench/run.py``."""
     before = os.getloadavg()
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", "all",
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
     after = os.getloadavg()
     env = next(line for line in out if line.startswith("environment: "))
@@ -89,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=Path, default=REPO)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     record = {
@@ -97,8 +97,8 @@ def main(argv: list[str] | None = None) -> int:
         "commit": _git(checkout, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(_git(checkout, "status", "--porcelain", "--", "src")),
         "seed": SEED,
-        "seconds": args.seconds,
-        "harness": harness(checkout, args.seconds),
+        "seconds": SECONDS,
+        "harness": harness(checkout),
         "solves": {name: solve(checkout, cmd) for name, cmd in SOLVES.items()},
     }
     path = REPO / f"BENCH_{args.label}.json"
