@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -56,7 +57,7 @@ from .discretize import (
     rayleigh_quotient,
 )
 from .geometry import Domain, TestFunctionSpec, ball, box, interval
-from .roots import RootResult, solve_log_ratio, solve_r_ln_r
+from .roots import solve_log_ratio, solve_r_ln_r
 from .specfun import EULER_GAMMA, NumericsError
 from .spectrum import (
     _check_envelope_args,
@@ -85,15 +86,25 @@ def _open_out(out: str | None):
     return open(out, "w", newline="\n") if out else contextlib.nullcontext(sys.stdout)
 
 
+@functools.lru_cache(maxsize=8)
+def _row_format(kinds: tuple) -> str:
+    """One %-format for a CSV line of values of these types, each rendered as
+    :func:`_fmt` renders it: text as is, integers in decimal and every other
+    number by ``%.17g``."""
+    return ",".join("%s" if issubclass(kind, str) else "%d" if issubclass(kind, (int, np.integer))
+                    else "%.17g" for kind in kinds) + "\n"
+
+
 def _emit_csv(out: str | None, header: list[str], rows: Iterable) -> None:
-    """Write the schema line, the header and one line per row, a line at a time."""
+    """Write the schema line, the header and one line per row, a line at a time,
+    each by one %-format built from its values' types."""
     with _open_out(out) as fh:
         fh.write(f"{SCHEMA_LINE}\n{','.join(header)}\n")
-        if isinstance(rows, np.ndarray):  # the dumped matrix: one format string per row
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        if isinstance(rows, np.ndarray):  # the dumped matrix: one format for every row
+            line = _row_format((float,) * rows.shape[1])
             fh.writelines(line % tuple(row.tolist()) for row in rows)
         else:
-            fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+            fh.writelines(_row_format(tuple(map(type, row))) % tuple(row) for row in rows)
 
 
 def _emit_json(out: str | None, payload: dict) -> None:
@@ -221,18 +232,17 @@ def _cmd_constants(args) -> int:
 
 def _cmd_roots(args) -> int:
     try:
-        targets = [float(part) for part in args.target.split(",")]
+        targets = np.array([float(part) for part in args.target.split(",")])
     except ValueError:
         raise ValueError(f"--target expects comma-separated numbers, got {args.target!r}")
-    solver = solve_r_ln_r if args.map == "rlnr" else solve_log_ratio
-    rows = []
-    for t in targets:
-        res = solver(t)
-        rows.append(dataclasses.astuple(res))
-        print(f"map={args.map} target={_fmt(t)}  root={_fmt(res.root)}  "
-              f"residual={res.residual:.3e}  bracket=[{_fmt(res.envelope_low)}, "
-              f"{_fmt(res.envelope_high)}]")
-    _emit_csv(args.out, [field.name for field in dataclasses.fields(RootResult)], rows)
+    res = (solve_r_ln_r if args.map == "rlnr" else solve_log_ratio)(targets)
+    rows = list(zip(res.target, res.root, res.residual, res.envelope_low, res.envelope_high,
+                    res.steps))
+    for t, root, residual, low, high, _ in rows:
+        print(f"map={args.map} target={_fmt(t)}  root={_fmt(root)}  "
+              f"residual={residual:.3e}  bracket=[{_fmt(low)}, {_fmt(high)}]")
+    _emit_csv(args.out, ["target", "root", "residual", "envelope_low", "envelope_high",
+                         "iterations"], rows)
     return 0
 
 

@@ -36,14 +36,15 @@ table axis by axis, and its column is never formed (Chan & Jin, *An
 Introduction to Iterative Toeplitz Solvers*, SIAM 2007).
 :func:`rayleigh_quotient` is one such product.
 The dense matrix is a view that the form never holds: :func:`assemble_form`
-returns it, gathered from the table in row blocks, the same way in every
-dimension; it needs the 8*n*n-byte matrix plus a small fixed block, and a
-matrix larger than memory is refused first.  Only ``solve --dump-matrix``
-asks for it.  The eigensolver reads ``QuadFormMatrix.sectors``, built once
-per form: A commutes with the reflection along each mirror axis of the grid
-(every grid :func:`build_grid` makes has all its axes), so it splits into
-one block per sign pattern of those axes, two of about n/2 cells in 1D and
-four of about n/4 in 2D (Fässler & Stiefel, 1992).  :class:`Sectors` is one
+returns it, gathered in row blocks from the table reflected to all signs
+of the offset, the same way in every dimension; it needs the 8*n*n-byte
+matrix plus that table and two small fixed blocks, and a matrix larger than
+memory is refused first.  Only ``solve --dump-matrix`` asks for it.  The
+eigensolver reads ``QuadFormMatrix.sectors``, built once per form: A
+commutes with the reflection along each mirror axis of the grid (every grid
+:func:`build_grid` makes has all its axes), so it splits into one block per
+sign pattern of those axes, two of about n/2 cells in 1D and four of about
+n/4 in 2D (Fässler & Stiefel, 1992).  :class:`Sectors` is one
 table for all of them, the reflections' orbits and character table, and
 both of its uses read it: ``block`` gathers a sector's block by the same
 row blocks without the n x n matrix, and ``sector_matvec`` applies the
@@ -95,7 +96,7 @@ _SEPARATED_GAUSS_N = 10
 # cell (3.69 MB traced).  With all pairs in one call it peaked at 276.
 _GAUSS_BLOCK_PAIRS = 2**13
 
-# Matrix entries gathered per row block; the gather's three block buffers
+# Matrix entries gathered per row block; the gather's two block buffers
 # are this size.  From 2^13 to 2^17 the fill times of the 2,048-cell
 # interval's blocks and the 7,020-cell ball's matrix agree within the run
 # to run spread, and peak RSS grows with the size.
@@ -236,13 +237,13 @@ class QuadFormMatrix:
         gathered from the table: entries
         B[p, q] = sum_T characters[T] A[p, r_T q] / sqrt(|Stab p| |Stab q|)
         (Cantoni & Butler, Linear Algebra Appl. 13, 1976, for one axis).
-        Raises ``ValueError`` before the gather when the block plus LAPACK's
-        copy of it would not fit in memory.
+        Raises ``ValueError`` before the gather when the block, LAPACK's
+        copy of it and the reflected table would not fit in memory.
         """
         sectors = self.sectors
         rows = sectors.rows[place]
         m = rows.size
-        _require_memory(16 * m * m, f"a dense {m} x {m} block plus LAPACK's copy")
+        _require_gather_memory(self.table, m, 2, f"a dense {m} x {m} block plus LAPACK's copy")
         partners = list(self.grid.indices[sectors.orbits[:, rows]])
         return _gather(self.table, partners, sectors.characters[place], sectors.scale[rows])
 
@@ -533,46 +534,79 @@ def assemble_form(form: QuadFormMatrix) -> np.ndarray:
     """
     idx = form.grid.indices
     n = len(idx)
-    _require_memory(8 * n * n, f"a dense {n} x {n} matrix")
+    _require_gather_memory(form.table, n, 1, f"a dense {n} x {n} matrix")
     return _gather(form.table, [idx], [1], np.ones(n))
 
 
+def _require_gather_memory(table: np.ndarray, size: int, copies: int, what: str) -> None:
+    """Refuse, by :func:`_require_memory`, a :func:`_gather` of a ``size`` x
+    ``size`` result when ``copies`` of it and the reflected table do not fit."""
+    reflected = math.prod(2 * s - 1 for s in table.shape)
+    _require_memory(8 * (copies * size * size + reflected), f"{what} and the reflected offset table")
+
+
 def _gather(table: np.ndarray, partners: list, weights, scale: np.ndarray) -> np.ndarray:
-    """Fill a dense block from the offset table in row blocks: entry (i, j) is
+    """Fill a dense block from the offset table: entry (i, j) is
     scale_i * scale_j * sum_t weights[t] * table[|p_i - partners[t]_j|] for
     the lattice coordinates (count x dim) of the cells p = ``partners[0]``,
     whose weight is 1, and each ``partners[t]`` of that shape.
-    Symmetric positions read the same slots, so the result equals its
-    transpose bit for bit.  Peak memory is the result plus three blocks;
-    callers refuse a result too large for memory first.
+
+    The entries are read from the reflected table R, R[S - 1 + o] =
+    table[|o|] per axis (S the table's shape), at R's flat slot
+    base(p_i) + off_t(q_j): one integer add and one ``take`` per partner
+    and row block.  Where both step by 1, as on every interval, a partner's
+    term R[x + i -+ j] is a window view of R (which is centrally symmetric),
+    and a sector block T +- H is one add of two views (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976).  The terms are summed in the order of
+    ``partners``, and symmetric positions read the same slots, so the
+    result equals its transpose bit for bit.  Peak memory is the result, R
+    and two blocks; callers refuse a result too large for memory first
+    (:func:`_require_gather_memory`).
     """
     size = partners[0].shape[0]
-    cols = partners[0].T  # (dim, size) lattice coordinates
-    strides = [math.prod(table.shape[d + 1 :]) for d in range(table.ndim)]  # C order
+    reflected = table[np.ix_(*(abs(np.arange(1 - s, s)) for s in table.shape))]
+    strides = np.array([math.prod(reflected.shape[d + 1 :]) for d in range(table.ndim)])
+    center = reflected.size // 2  # R's slot of offset 0, its middle
+    reflected = reflected.ravel()
+    base = center + partners[0] @ strides
+    offsets = [-(partner @ strides) for partner in partners]
+    views = [None] * len(partners)  # each partner's term as a view of R's windows, if it is one
+    if size and (np.diff(base) == 1).all():
+        windows = np.lib.stride_tricks.sliding_window_view(reflected, size)
+        for t, off in enumerate(offsets):
+            first = int(base[0] + off[0])
+            step = np.diff(off)
+            if (step == 1).all():  # R[first + i + j]
+                views[t] = windows[first : first + size]
+            elif (step == -1).all():  # R[first + i - j] = R[2 center - first - i + j]
+                top = 2 * center - first
+                views[t] = windows[top - size + 1 : top + 1][::-1]
     entries = np.empty((size, size))
     block = max(1, min(size, _FILL_BLOCK_ENTRIES // max(size, 1)))
     # Buffers reused by every block: fresh temporaries per block can make the
     # allocator return pages to the system and fault them in again each time.
-    slot = np.empty((block, size), dtype=np.intp)  # flat table index per entry
-    part = np.empty_like(slot)
-    term = np.empty((block if len(partners) > 1 else 0, size))
+    taken = [view is None for view in views]
+    slot = np.empty((block if any(taken) else 0, size), dtype=np.intp)  # R's slot per entry
+    term = np.empty((block if any(taken[1:]) else 0, size))
     for s in range(0, size, block):
         k = min(block, size - s)
         rows = entries[s : s + k]
-        for t, (partner, weight) in enumerate(zip(partners, weights)):
-            for d, stride in enumerate(strides):
-                offset = slot[:k] if d == 0 else part[:k]
-                np.subtract(cols[d, s : s + k, None], partner[:, d], out=offset)
-                np.abs(offset, out=offset)
-                if stride != 1:
-                    offset *= stride
-                if d:
-                    slot[:k] += offset
-            # every offset lies inside the table, so "clip" never clips; it
-            # also spares the buffered copy that the default "raise" makes
-            np.take(table, slot[:k], out=term[:k] if t else rows, mode="clip")
+        for t, (off, view, weight) in enumerate(zip(offsets, views, weights)):
+            if view is None:
+                part = term[:k] if t else rows
+                np.add(base[s : s + k, None], off, out=slot[:k])
+                # every slot lies inside R, so "clip" never clips; it also
+                # spares the buffered copy that the default "raise" makes
+                np.take(reflected, slot[:k], out=part, mode="clip")
+            else:
+                part = view[s : s + k]
             if t:
-                (np.add if weight > 0 else np.subtract)(rows, term[:k], out=rows)
+                (np.add if weight > 0 else np.subtract)(total, part, out=rows)
+                total = rows
+            else:
+                total = part
+        if total is not rows:
+            rows[...] = total
     lined = np.flatnonzero(scale != 1.0)  # cells that a reflection fixes
     entries[lined] *= scale[lined, None]
     entries[:, lined] *= scale[lined]

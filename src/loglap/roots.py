@@ -49,10 +49,10 @@ class RootResult:
     """Roots of one of the two maps, with residuals and envelopes.
 
     ``residual`` is map(root) - target.  ``envelope_low``/``envelope_high``
-    bracket the root by the closed-form bounds valid at this target.  For a
-    single target these fields are floats, for an array of targets arrays
-    of its shape.  ``iterations`` is an int: the steps summed over the
-    targets.
+    bracket the root by the closed-form bounds valid at this target, and
+    ``steps`` counts the solver's steps for it.  For a single target these
+    fields are floats and an int, for an array of targets arrays of its
+    shape.  ``iterations`` is an int: the steps summed over the targets.
     """
 
     target: float | np.ndarray
@@ -60,7 +60,11 @@ class RootResult:
     residual: float | np.ndarray
     envelope_low: float | np.ndarray
     envelope_high: float | np.ndarray
-    iterations: int
+    steps: int | np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        return int(np.sum(self.steps))
 
 
 def _targets(x) -> tuple[np.ndarray, bool]:
@@ -78,10 +82,9 @@ def _refuse(targets: np.ndarray, bad: np.ndarray, message: str) -> None:
 
 
 def _result(single: bool, target, root, residual, low, high, its) -> RootResult:
-    fields = (target, root, residual, low, high)
     if single:
-        fields = tuple(float(a[0]) for a in fields)
-    return RootResult(*fields, iterations=int(its.sum()))
+        return RootResult(*(float(a[0]) for a in (target, root, residual, low, high)), int(its[0]))
+    return RootResult(target, root, residual, low, high, its)
 
 
 def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -97,10 +100,14 @@ def _solve_bracketed(f, df, lo: np.ndarray, hi: np.ndarray,
 
     Each bracket shrinks on every step (bisection fallback), so a target
     stops once its [lo, hi] is a couple of ulps wide; Newton steps merely
-    accelerate the shrinking.  A stopped target leaves the loop, so it takes
-    the steps it would take alone.  The root is the endpoint with the
-    smaller |f|, so the reported residual is as close to the float64 floor
-    as the map allows.
+    accelerate the shrinking.  Newton meets the root of a convex or concave
+    map from one side, so the bracket's other end never moves: where its
+    step rounds to nothing, the next point is the neighbouring float towards
+    that end, which closes the bracket from both sides instead of bisecting
+    it down to two ulps.  A stopped target leaves the loop, so it takes the
+    steps it would take alone.  The root is the endpoint with the smaller
+    |f|, so the reported residual is as close to the float64 floor as the
+    map allows.
     """
     root = np.empty_like(lo)
     its = np.zeros(lo.shape, dtype=np.int64)
@@ -136,6 +143,7 @@ def _solve_bracketed(f, df, lo: np.ndarray, hi: np.ndarray,
         d = df(r, t)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cand = r - fr / d
+        cand = np.where(cand == r, np.nextafter(r, np.copysign(math.inf, -fr)), cand)
         r = np.where((d > 0.0) & (lo < cand) & (cand < hi), cand, _midpoint(lo, hi))
     else:
         raise NumericsError(f"root solve of target {t[0]} did not converge within "

@@ -52,34 +52,39 @@ __all__ = [
 # solve with every sector forced onto one solver, for sectors of c cells
 # asked for j values each: j = 2, or the largest j with c/j at least the
 # column's ratio, at the largest k whose first share is j.  Two cores,
-# OpenBLAS with two threads, the least of three runs of best of five in one
-# process, a fresh form each time (Lanczos pays the symbol):
+# OpenBLAS with two threads, the least of two runs (LAPACK: three) of best
+# of five in one process, a fresh form each time (Lanczos pays the symbol;
+# LAPACK pays the gather of each block from the reflected offset table):
 #                      LAPACK  Lanczos at j = 2, and at c/j >= 32    24    20    16    12    10
-#   interval  c =  128     2.3                 2.8         4.2   4.5   5.0   6.0   6.7   7.3
-#                  256     8.6                 3.6         8.2   8.8  10.1  12.1  14.0  16.5
-#                  512    35.3                 4.5        16.9  20.6  24.6  29.3  36.5  44.2
-#                1,024   172.3                 6.6        49.9  60.4  74.3  91.6 119.6 159.8
-#                2,048    1162                11.8       182.9 240.4 334.5 382.1 487.9 660.2
-#   ball h=1/8 c = 183     9.6                 7.1         9.9  11.7  15.3  25.7  20.5  21.4
-#                  294    24.2                 8.3        18.3  23.1  26.1  29.8  56.6  40.4
-#                  424    49.7                 9.5        31.0  36.4  42.8  48.7  58.2  64.6
-#                  585    97.8                12.2        49.9  92.6  68.7  75.4  98.7 125.1
-#                  770   176.2                15.3        74.8  93.9 110.7 142.3 173.3 202.4
-#                1,755    1543                29.2       325.8 442.2 565.9 745.1 934.2  1081
-# The 294-cell c/j >= 12 and 585-cell c/j >= 24 entries include a second
-# round: the merge asked a sector again.  The crossover c/j falls as the
-# sector grows, from about 24 at 256 cells to about 12 at 512-770 and below
-# 10 from 1,024 on, so no one ratio of this rule's form follows it.  From
-# 256 cells on, two values are 2.4-98x faster by Lanczos; at 183 cells 1.35x,
-# but there LAPACK wins from c/j = 20 on.  c/j >= 12 keeps every entry of
-# 424-1,024 cells within 1.2x of the faster solver.  Left beyond 1.2x: at
-# 256 cells c/j 16 and 12 run Lanczos 1.4x and 1.6x slower, at 294 cells
-# c/j 16 and 12 1.2x and 2.3x slower, c/j 10 leaves 1.4x (1,755) and 1.8x
-# (2,048) to LAPACK, and two values at 183 cells 1.35x.  A ratio of 16
-# would also leave c/j 12 to LAPACK from 1,024 cells on, 1.4-2.4x slower.
-# A floor of 295 would send the 256-294-cell entries back to LAPACK, but
-# `perfbench/run.py --workload verify-all` reads wall_s 57.9 ms with it
-# against 54.2 ms at 256 (medians of 10 alternating pairs, two cores).
+#   interval  c =  128     1.8                 2.6         4.4   5.8   4.6   5.8   6.4   7.0
+#                  256     7.8                 3.5         9.0   9.8  10.5  11.8  14.0  16.6
+#                  512    34.2                 4.0        16.9  20.7  23.6  28.8  33.6  41.5
+#                1,024   161.3                 6.0        47.1  58.3  68.9  84.8 112.0 145.2
+#                2,048    1085                11.9       172.7 230.7 308.1 358.0 476.0 615.4
+#   ball h=1/8 c = 183     8.0                 6.2         9.7  11.4  15.0  26.3  19.7  20.5
+#                  294    20.4                 8.0        18.3  23.7  26.2  29.0  57.1  39.5
+#                  424    41.8                10.9        32.6  36.9  44.1  48.8  59.5  63.7
+#                  585    80.8                11.9        49.2  92.8  68.7  73.8  92.9 117.0
+#                  770   145.5                15.0        72.0  90.4 108.2 132.3 173.6 205.2
+#                1,755    1405                28.2       325.5 429.5 546.8 722.6 882.1  1081
+# The 183-cell c/j >= 16, 294-cell c/j >= 12 and 585-cell c/j >= 24
+# entries include a second round: the merge asked a sector again.  The
+# crossover c/j falls as the sector grows, from above 32 at 256 cells to
+# about 20 at 424, 12-16 at 585-770 and below 10 from 1,024 on, so no one
+# ratio of this rule's form follows it.  From 256 cells on, two values are
+# 2.2-91x faster by Lanczos; at 183 cells 1.3x, but there LAPACK wins from
+# c/j = 32 on.  c/j >= 12 keeps every entry of 512-1,024 cells within 1.2x
+# of the faster solver.  Left beyond 1.2x (11 of 77): at 256 cells c/j
+# 24-12 run Lanczos 1.25-1.8x slower, at 294 cells c/j 20-12 1.3-2.8x, at
+# 424 cells c/j 12 1.4x, c/j 10 leaves 1.3x (1,755) and 1.8x (2,048) to
+# LAPACK, and two values at 183 cells 1.3x.  Before the gather read a
+# reflected table, the LAPACK column read 2.3-1,543 ms on these rows, and
+# the 256-cell c/j 24 and 20, 294-cell c/j 20 and 424-cell c/j 12 entries
+# were inside the band.  Of this rule's form, a floor of 295 leaves the
+# fewest (six), but sends two values at 256 and 294 cells to LAPACK, 2.2x
+# and 2.5x slower, and `perfbench/run.py --workload verify-all` read wall_s
+# 57.9 ms with it against 54.2 ms at 256 (medians of 10 alternating pairs,
+# two cores); a ratio of 10 leaves 15.  So the rule stays.
 _LANCZOS_MIN_SECTOR = 256
 _LANCZOS_CELLS_PER_VALUE = 12
 # Sector solves on grids of 2,048-50,920 cells at k = 10-400 end in 2-52

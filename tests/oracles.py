@@ -307,3 +307,29 @@ FROZEN_PAIR_2D = {
     (0, 3): 0.00721276306879608,
 }
 FROZEN_PAIR_2D_H = 0.25
+
+
+# ---------------------------------------------------------------------------
+# dense blocks of the form, straight from the offset table
+# ---------------------------------------------------------------------------
+
+
+def gathered_block(table, partners, weights, scale):
+    """Entry (i, j) = scale_i scale_j sum_t weights[t] table[|p_i - q^t_j|]
+    for the cells p = partners[0] and q^t = partners[t] ((count, dim)
+    lattice coordinates), read by fancy indexing at the absolute offsets and
+    summed term by term in the order of ``partners``, then scaled on the
+    rows and columns of the cells whose scale is not 1, in that order."""
+    p = np.asarray(partners[0])
+    total = None
+    for q, weight in zip(partners, weights):
+        q = np.asarray(q)
+        term = table[tuple(np.abs(p[:, None, d] - q[None, :, d]) for d in range(p.shape[1]))]
+        if total is None:
+            total = term
+        else:
+            total = total + term if weight > 0 else total - term
+    lined = np.flatnonzero(np.asarray(scale) != 1.0)
+    total[lined] *= scale[lined, None]
+    total[:, lined] *= scale[lined]
+    return total

@@ -28,10 +28,11 @@ import pytest
 
 import loglap
 from loglap.bounds import lower_bound_sum
-from loglap.cli import main
+from loglap.cli import _emit_csv, _fmt, main
 from loglap.constants import DimensionConstants, dimension_constants
 from loglap.discretize import assemble_form, build_grid, offset_form
 from loglap.geometry import ball, box, interval
+from loglap.roots import solve_log_ratio, solve_r_ln_r
 from loglap.specfun import EULER_GAMMA
 
 
@@ -90,6 +91,16 @@ def test_constants_errors():
     assert main(["constants"]) == 1                   # usage error
 
 
+def test_csv_line_format_renders_every_value_as_fmt(capsys):
+    # one %-format per line, built from the values' types, writes the bytes
+    # that _fmt writes value by value
+    values = [0, -7, np.int64(12), True, 0.0, -0.0, math.inf, -math.inf, math.nan,
+              5e-324, -5e-324, 1e308, np.float64(0.1), 1.0 / 3.0, "name"]
+    _emit_csv(None, ["v"] * len(values), [values, tuple(values[::-1])])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == [",".join(_fmt(v) for v in row) for row in (values, values[::-1])]
+
+
 # ---------------------------------------------------------------------------
 # roots
 
@@ -125,6 +136,25 @@ def test_roots_csv_logratio(tmp_path, capsys):
     hi = column(header, rows, "envelope_high")
     assert np.all(lo <= roots) and np.all(roots < hi)
     assert "map=logratio" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("solve, name, targets", [
+    (solve_r_ln_r, "rlnr", [-0.1, 0.5, 1e6]),
+    (solve_log_ratio, "logratio", [8.84, 100.0, 2e305]),
+], ids=["rlnr", "logratio"])
+def test_roots_solves_its_targets_at_once_as_each_alone(tmp_path, capsys, solve, name, targets):
+    # one array call writes the stdout and CSV bytes of one solve per target
+    out = tmp_path / "roots.csv"
+    assert main(["roots", "--map", name, "--target=" + ",".join(map(repr, targets)),
+                 "--out", str(out)]) == 0
+    alone = [solve(t) for t in targets]
+    assert capsys.readouterr().out == "".join(
+        f"map={name} target={_fmt(t)}  root={_fmt(r.root)}  residual={r.residual:.3e}  "
+        f"bracket=[{_fmt(r.envelope_low)}, {_fmt(r.envelope_high)}]\n"
+        for t, r in zip(targets, alone))
+    header = "#schema=1\ntarget,root,residual,envelope_low,envelope_high,iterations\n"
+    assert out.read_text() == header + "".join(
+        ",".join(_fmt(v) for v in dataclasses.astuple(r)) + "\n" for r in alone)
 
 
 def test_roots_errors():

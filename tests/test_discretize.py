@@ -597,6 +597,47 @@ def test_sectors_are_one_table_read_off_the_orbits():
     assert table.counts == [lopsided.count]
 
 
+def _reference_blocks(form):
+    """Every sector block of a form, by the plain oracle from its table."""
+    sectors = form.sectors
+    return [oracles.gathered_block(form.table, list(form.grid.indices[sectors.orbits[:, rows]]),
+                                   sectors.characters[e], sectors.scale[rows])
+            for e, rows in enumerate(sectors.rows)]
+
+
+_LOPSIDED = _without_cells(build_grid(ball((0.0, 0.0), 1.0), 0.25), 1)
+
+
+@pytest.mark.parametrize("grid", [
+    *(build_grid(interval(-1.0, 1.0), 2.0 / n) for n in (2048, 2047, 5, 4)),
+    # cells on the mirror lines scale by 1/sqrt(2), the center cell by 1/2
+    build_grid(box((0.0, 0.0), (1.9375, 1.9375)), 1.0 / 16.0),
+    build_grid(ball((0.0, 0.0), 4.0), 0.125),
+    _LOPSIDED,
+], ids=["interval-2048", "interval-2047", "interval-5", "interval-4", "square-31x31",
+        "ball-3080", "no-mirror-axis"])
+def test_blocks_are_the_plain_sums_of_table_slots_bit_for_bit(grid):
+    # the reflected-table gather (window views on intervals, one offset add
+    # per entry elsewhere) reads the same slots and sums them in the same
+    # order as table[|p - q|] term by term, so every block is bit-identical
+    form = offset_form(grid)
+    blocks = [form.block(e) for e in range(len(form.sectors.counts))]
+    for block, want in zip(blocks, _reference_blocks(form), strict=True):
+        assert np.array_equal(block, want)
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid(interval(-1.0, 1.0), 2.0 / 2047.0),
+    build_grid(box((0.0, 0.0), (1.9375, 1.9375)), 1.0 / 16.0),
+    build_grid(ball((0.0, 0.0), 4.0), 0.125),
+    _LOPSIDED,
+], ids=["interval-2047", "square-31x31", "ball-3080", "no-mirror-axis"])
+def test_assembled_matrix_is_the_plain_sum_of_table_slots_bit_for_bit(grid):
+    form = offset_form(grid)
+    want = oracles.gathered_block(form.table, [grid.indices], [1.0], np.ones(grid.count))
+    assert np.array_equal(assemble_form(form), want)
+
+
 def test_grid_without_a_mirror_axis_is_one_block():
     # the 8 x 8 lattice of this ball has no cell on a mirror line, so
     # dropping one cell breaks both mirrors

@@ -76,6 +76,19 @@ def test_r_ln_r_against_brentq():
         assert res.root == pytest.approx(ref, rel=1e-9)
 
 
+def test_r_ln_r_closes_the_bracket_from_both_sides():
+    # Newton meets the root of the convex r ln r from above, so the bracket's
+    # lower end moved only by bisection down to two ulps: -0.1 took 52 steps
+    # and -0.25 33.  Where the Newton step rounds to nothing the next point
+    # is the float below, and every target here takes at most 8.  The slope
+    # ln r + 1 is below 1 on these roots, so a residual within two of the
+    # root's ulps is a root within about one ulp
+    targets = np.linspace(-0.3, -0.01, 291)
+    res = solve_r_ln_r(targets)
+    assert res.steps.max() <= 8
+    assert np.all(np.abs(res.residual) <= 2.0 * np.spacing(res.root))
+
+
 def test_r_ln_r_monotone_in_target():
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -182,6 +195,8 @@ def test_array_solve_equals_each_target_solved_alone(targets):
             assert all(type(getattr(one, name)) is float for one in alone)
         assert type(res.iterations) is int
         assert res.iterations == sum(one.iterations for one in alone)
+        assert res.steps.tolist() == [one.steps for one in alone]
+        assert all(type(one.steps) is int and one.steps == one.iterations for one in alone)
         json.dumps(0 + res.iterations)
 
 

@@ -583,6 +583,25 @@ def test_lapack_solve_is_the_sorted_block_spectra_bit_for_bit(monkeypatch, domai
     assert np.array_equal(s.eigenvalues, _lapack_on_the_blocks(form, k))
 
 
+@pytest.mark.parametrize("grid", [
+    build_grid(interval(-1.0, 1.0), 2.0 / 1024.0),
+    build_grid(ball((0.0, 0.0), 4.0), 0.125),
+    build_grid(box((0.0, 0.0), (1.9375, 1.9375)), 1.0 / 16.0),
+], ids=["interval-1024", "ball-3080", "square-31x31"])
+def test_lambda_1_is_simple_and_in_the_fully_symmetric_sector(grid):
+    # every off-diagonal slot of the offset table is negative, so A is an
+    # irreducible Z-matrix; by Perron-Frobenius (on c I - A) lambda_1 is
+    # simple with a positive eigenvector, which every reflection fixes, so
+    # it is the smallest eigenvalue of the first sector's block, and every
+    # other block's smallest eigenvalue lies strictly above it
+    form = offset_form(grid)
+    assert np.all(form.table.ravel()[1:] < 0.0)
+    smallest = [np.linalg.eigvalsh(form.block(e))[0] / form.mass_scale
+                for e in range(len(form.sectors.counts))]
+    assert abs(eig_symmetric(form, 1).eigenvalues[0] - smallest[0]) <= 1e-12
+    assert min(smallest[1:]) > smallest[0]
+
+
 def test_lapack_solve_holds_one_block_at_a_time():
     # the 2,048-cell interval at k = 512: two blocks of 1,024 x 1,024, 8 MiB
     # each; each sector's block is gathered, solved and freed before the
