@@ -554,10 +554,10 @@ def _gather(table: np.ndarray, partners: list, weights, scale: np.ndarray) -> np
     The entries are read from the reflected table R, R[S - 1 + o] =
     table[|o|] per axis (S the table's shape), at R's flat slot
     base(p_i) + off_t(q_j): one integer add and one ``take`` per partner
-    and row block.  Where both step by 1, as on every interval, a partner's
-    term R[x + i -+ j] is a window view of R (which is centrally symmetric),
-    and a sector block T +- H is one add of two views (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976).  The terms are summed in the order of
+    and row block.  Where base and a partner's off_t both step by 1, as on
+    every interval, its term R[x + i -+ j] is a window view of R (which is
+    centrally symmetric), and a sector block T +- H is one add of two views
+    (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  The terms are summed in the order of
     ``partners``, and symmetric positions read the same slots, so the
     result equals its transpose bit for bit.  Peak memory is the result, R
     and two blocks; callers refuse a result too large for memory first

@@ -77,10 +77,10 @@ def test_r_ln_r_against_brentq():
 
 
 def test_r_ln_r_closes_the_bracket_from_both_sides():
-    # Newton meets the root of the convex r ln r from above, so the bracket's
-    # lower end moved only by bisection down to two ulps: -0.1 took 52 steps
-    # and -0.25 33.  Where the Newton step rounds to nothing the next point
-    # is the float below, and every target here takes at most 8.  The slope
+    # Newton meets the root of the convex r ln r from above and never moves
+    # the bracket's lower end; the step to the next float below, where a
+    # Newton step rounds to nothing, closes it, so every target here takes
+    # at most 8 steps, where bisecting to two ulps takes up to 53.  The slope
     # ln r + 1 is below 1 on these roots, so a residual within two of the
     # root's ulps is a root within about one ulp
     targets = np.linspace(-0.3, -0.01, 291)
