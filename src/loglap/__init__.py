@@ -1,11 +1,12 @@
 """Galerkin spectra and closed-form eigenvalue bounds for the logarithmic Laplacian.
 
-The package splits into small layers: mathematical constants and the
-numerical error (`specfun`), dimension constants (`constants`), the two
-scalar root equations (`roots`), domain geometry with the collar ramp test
-function (`geometry`), piecewise-constant Galerkin assembly (`discretize`),
-eigensolves and spectral diagnostics (`spectrum`), the closed-form bound
-formulas (`bounds`), and a CLI harness (`cli`).
+The package splits into small layers: mathematical and dimension constants
+with the numerical error (`constants`), the two scalar root equations, each
+solved for a 1-D array of targets (`roots`), domain geometry with the collar
+ramp test function on an (n, N) array of points (`geometry`),
+piecewise-constant Galerkin assembly (`discretize`), eigensolves and
+spectral diagnostics (`spectrum`), the closed-form bound formulas
+(`bounds`), and a CLI harness (`cli`).
 """
 
 from .bounds import (
@@ -20,7 +21,7 @@ from .bounds import (
     upper_bound_smallest_small,
     upper_bound_sum,
 )
-from .constants import DimensionConstants, dimension_constants
+from .constants import DimensionConstants, NumericsError, dimension_constants
 from .discretize import (
     Grid,
     QuadFormMatrix,
@@ -32,7 +33,6 @@ from .discretize import (
 )
 from .geometry import Domain, TestFunctionSpec, ball, box, interval
 from .roots import RootResult, solve_log_ratio, solve_r_ln_r
-from .specfun import NumericsError
 from .spectrum import (
     Spectrum,
     eig_symmetric,

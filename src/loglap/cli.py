@@ -47,7 +47,7 @@ from .bounds import (
     upper_bound_smallest_small,
     upper_bound_sum,
 )
-from .constants import dimension_constants
+from .constants import EULER_GAMMA, NumericsError, dimension_constants
 from .discretize import (
     MAX_CELL_SIDE,
     assemble_form,
@@ -58,7 +58,6 @@ from .discretize import (
 )
 from .geometry import Domain, TestFunctionSpec, ball, box, interval
 from .roots import solve_log_ratio, solve_r_ln_r
-from .specfun import EULER_GAMMA, NumericsError
 from .spectrum import (
     _check_envelope_args,
     eig_symmetric,

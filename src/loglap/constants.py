@@ -11,6 +11,11 @@ coefficients that drive the volume-based eigenvalue bounds.
 Only Gamma and digamma at N/2 enter, so both are closed forms: Gamma from
 ``math.gamma``, and digamma from its finite sums at integers and half
 integers (Abramowitz & Stegun 6.3.2-6.3.4).
+
+The module also holds the three literals (Euler-Mascheroni, Catalan,
+Ti2(1/2)) that enter these closed forms and those of ``discretize``, and
+``NumericsError``, what a numerical routine raises when it misses its
+accuracy or iteration contract.
 """
 
 from __future__ import annotations
@@ -18,9 +23,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import EULER_GAMMA
+__all__ = ["DimensionConstants", "NumericsError", "dimension_constants"]
 
-__all__ = ["DimensionConstants", "dimension_constants"]
+# Euler-Mascheroni constant, 20 significant digits.  Kept as a literal so it
+# is never recomputed at runtime.
+EULER_GAMMA = 0.57721566490153286061
+
+# Catalan's constant, 20 significant digits.  Shows up in the closed form of
+# the square-cell self-interaction integral (see discretize).
+CATALAN = 0.91596559417721901505
+
+# Inverse tangent integral Ti2(1/2) = integral_0^(1/2) atan(t)/t dt, 20
+# significant digits.  Enters the closed forms of the touching square-cell
+# pair integrals (see discretize).
+TI2_HALF = 0.48722235829452235711
+
+
+class NumericsError(RuntimeError):
+    """A numerical routine failed to meet its accuracy/iteration contract."""
 
 
 @dataclass(frozen=True)

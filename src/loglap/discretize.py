@@ -70,9 +70,8 @@ import numpy as np
 # from numpy.polynomial, whose import costs about 0.8 MB and 4 ms per process.
 import numpy.fft
 
-from .constants import DimensionConstants, dimension_constants
+from .constants import CATALAN, EULER_GAMMA, TI2_HALF, DimensionConstants, dimension_constants
 from .geometry import Domain
-from .specfun import CATALAN, EULER_GAMMA, TI2_HALF
 
 __all__ = [
     "Grid",

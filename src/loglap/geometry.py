@@ -1,4 +1,4 @@
-"""Domains (intervals, boxes, balls in 1D/2D) and their boundary-layer geometry.
+"""Domains (1D intervals, 2D boxes and balls) and their boundary-layer geometry.
 
 The spectral bounds need a small amount of exact geometry: signed distance
 to the boundary, the foliation regularity constant c0 (the boundary measure
@@ -6,8 +6,9 @@ over the inradius, doubled below inradius 2), and the clamp ramp test
 function of a boundary collar.  All of it is closed form for the three
 supported shapes.
 
-Sign convention: ``signed_distance`` is positive inside the domain,
-negative outside, zero on the boundary, and 1-Lipschitz.
+Point queries take an (n, N) array of n points in dimension N and return
+one value per point.  Sign convention: ``signed_distance`` is positive
+inside the domain, negative outside, zero on the boundary, and 1-Lipschitz.
 """
 
 from __future__ import annotations
@@ -33,19 +34,22 @@ class TestFunctionSpec:
 
 @dataclass(frozen=True)
 class Domain:
-    """An interval, an axis-aligned box, or a ball, in dimension 1 or 2.
+    """An interval (dimension 1), or an axis-aligned box or a ball (dimension 2).
 
     Use the module-level constructors :func:`interval`, :func:`box`,
     :func:`ball` rather than instantiating directly.
     """
 
     kind: Literal["interval", "box", "ball"]
-    dim: int
     lo: tuple[float, ...]  # bounding-box corner (min per axis)
     hi: tuple[float, ...]  # bounding-box corner (max per axis)
     radius: float = 0.0  # balls only
 
     # -- basic measures ------------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        return len(self.lo)
 
     @property
     def center(self) -> np.ndarray:
@@ -57,7 +61,7 @@ class Domain:
 
     @property
     def volume(self) -> float:
-        if self.kind == "ball" and self.dim == 2:
+        if self.kind == "ball":
             return math.pi * self.radius**2
         return float(np.prod(self.sides))
 
@@ -89,27 +93,20 @@ class Domain:
 
     # -- point queries ---------------------------------------------------
 
-    def _points(self, x) -> tuple[np.ndarray, tuple]:
+    def signed_distance(self, x: np.ndarray) -> np.ndarray:
+        """Signed distance to the boundary of each row of an (n, N) point
+        array: positive inside, 1-Lipschitz."""
         pts = np.asarray(x, dtype=float)
-        if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., np.newaxis]
-        if pts.shape[-1] != self.dim:
-            raise ValueError(f"points must have final axis {self.dim}, got shape {pts.shape}")
-        return pts.reshape(-1, self.dim), pts.shape[:-1]
-
-    def signed_distance(self, x):
-        """Signed distance to the boundary: positive inside, 1-Lipschitz."""
-        pts, shape = self._points(x)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points must be an (n, {self.dim}) array, got shape {pts.shape}")
         if self.kind == "ball":
-            rho = self.radius - np.linalg.norm(pts - self.center, axis=1)
-        else:
-            margin_lo = pts - np.asarray(self.lo)
-            margin_hi = np.asarray(self.hi) - pts
-            inside = np.minimum(margin_lo, margin_hi).min(axis=1)
-            excess = np.maximum(-np.minimum(margin_lo, margin_hi), 0.0)
-            outside = np.linalg.norm(excess, axis=1)
-            rho = np.where(outside > 0.0, -outside, inside)
-        return rho.reshape(shape) if shape else float(rho[0])
+            return self.radius - np.linalg.norm(pts - self.center, axis=1)
+        margin_lo = pts - np.asarray(self.lo)
+        margin_hi = np.asarray(self.hi) - pts
+        inside = np.minimum(margin_lo, margin_hi).min(axis=1)
+        excess = np.maximum(-np.minimum(margin_lo, margin_hi), 0.0)
+        outside = np.linalg.norm(excess, axis=1)
+        return np.where(outside > 0.0, -outside, inside)
 
     # -- foliation regularity constant ------------------------------------
 
@@ -148,8 +145,9 @@ class Domain:
 
     # -- ramp test function -----------------------------------------------
 
-    def test_function(self, spec: TestFunctionSpec, x):
-        """Evaluate the collar ramp w(x) = clip(signed_distance(x)/sigma, 0, 1).
+    def test_function(self, spec: TestFunctionSpec, x: np.ndarray) -> np.ndarray:
+        """Evaluate the collar ramp w(x) = clip(signed_distance(x)/sigma, 0, 1)
+        at each row of an (n, N) point array.
 
         Vanishes outside the domain, equals 1 at depth >= sigma, and is
         (1/sigma)-Lipschitz.
@@ -168,7 +166,7 @@ def interval(a: float, b: float) -> Domain:
     _check_finite("interval", a, b)
     if not b > a:
         raise ValueError(f"interval needs b > a, got ({a!r}, {b!r})")
-    return Domain(kind="interval", dim=1, lo=(float(a),), hi=(float(b),))
+    return Domain(kind="interval", lo=(float(a),), hi=(float(b),))
 
 
 def box(corner: tuple[float, float], sides: tuple[float, float]) -> Domain:
@@ -180,22 +178,16 @@ def box(corner: tuple[float, float], sides: tuple[float, float]) -> Domain:
     _check_finite("box", *c, *s)
     if min(s) <= 0.0:
         raise ValueError(f"box sides must be positive, got {s!r}")
-    return Domain(kind="box", dim=2, lo=c, hi=(c[0] + s[0], c[1] + s[1]))
+    return Domain(kind="box", lo=c, hi=(c[0] + s[0], c[1] + s[1]))
 
 
-def ball(center, radius: float) -> Domain:
-    """Open ball; dimension 1 or 2 read off from the center point."""
-    ctr = np.atleast_1d(np.asarray(center, dtype=float))
-    if ctr.ndim != 1 or ctr.size not in (1, 2):
-        raise ValueError("ball center must be a point in dimension 1 or 2")
+def ball(center: tuple[float, float], radius: float) -> Domain:
+    """Open disc of the given 2D center and radius (a 1D ball is an interval)."""
+    ctr = np.asarray(center, dtype=float)
+    if ctr.shape != (2,):
+        raise ValueError(f"ball center must be a 2D point, got {center!r}")
     _check_finite("ball", *ctr.tolist(), radius)
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius!r}")
     r = float(radius)
-    return Domain(
-        kind="ball",
-        dim=ctr.size,
-        lo=tuple((ctr - r).tolist()),
-        hi=tuple((ctr + r).tolist()),
-        radius=r,
-    )
+    return Domain(kind="ball", lo=tuple((ctr - r).tolist()), hi=tuple((ctr + r).tolist()), radius=r)

@@ -6,10 +6,11 @@ The two maps are
     g(r)  = r ln r                   on [1/e, oo),  target c >= -1/e
     gt(r) = r / (ln r - ln ln r)     on (e, oo),    target t > e^e/(e-1)
 
-Each solver takes one target or a 1-D array of them.  Every target is
-solved by bisection seeded with its envelope bracket and polished by
-safeguarded Newton steps; an array runs one loop over all its targets, in
-which each target takes exactly the steps it would take alone.  The
+Each solver takes a 1-D array of targets (a number is solved as a
+one-element array) and returns 1-D arrays.  Every target is solved by
+bisection seeded with its envelope bracket and polished by safeguarded
+Newton steps; an array runs one loop over all its targets, in which each
+target takes exactly the steps it would take alone.  The
 envelopes stored on the result are the tightest combination that is
 actually valid for the given target:
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import NumericsError
+from .constants import NumericsError
 
 __all__ = [
     "RootResult",
@@ -50,41 +51,35 @@ class RootResult:
 
     ``residual`` is map(root) - target.  ``envelope_low``/``envelope_high``
     bracket the root by the closed-form bounds valid at this target, and
-    ``steps`` counts the solver's steps for it.  For a single target these
-    fields are floats and an int, for an array of targets arrays of its
-    shape.  ``iterations`` is an int: the steps summed over the targets.
+    ``steps`` counts the solver's steps for it.  Every field is a 1-D array
+    with one entry per target; ``iterations`` is an int: the steps summed
+    over the targets.
     """
 
-    target: float | np.ndarray
-    root: float | np.ndarray
-    residual: float | np.ndarray
-    envelope_low: float | np.ndarray
-    envelope_high: float | np.ndarray
-    steps: int | np.ndarray
+    target: np.ndarray
+    root: np.ndarray
+    residual: np.ndarray
+    envelope_low: np.ndarray
+    envelope_high: np.ndarray
+    steps: np.ndarray
 
     @property
     def iterations(self) -> int:
         return int(np.sum(self.steps))
 
 
-def _targets(x) -> tuple[np.ndarray, bool]:
-    """The targets as a new 1-D float array, and whether ``x`` is one number."""
+def _targets(x) -> np.ndarray:
+    """The targets as a new 1-D float array; a number becomes one element."""
     targets = np.array(x, dtype=float)
     if targets.ndim > 1:
         raise ValueError(f"targets must be a number or a 1-D array, got shape {targets.shape}")
-    return targets.reshape(-1), targets.ndim == 0
+    return targets.reshape(-1)
 
 
 def _refuse(targets: np.ndarray, bad: np.ndarray, message: str) -> None:
     """Raise ``ValueError(message)`` naming the first target where ``bad`` holds."""
     if bad.any():
         raise ValueError(f"{message}, got {float(targets[np.argmax(bad)])!r}")
-
-
-def _result(single: bool, target, root, residual, low, high, its) -> RootResult:
-    if single:
-        return RootResult(*(float(a[0]) for a in (target, root, residual, low, high)), int(its[0]))
-    return RootResult(target, root, residual, low, high, its)
 
 
 def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -160,8 +155,8 @@ def _r_ln_r_slope(r: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def solve_r_ln_r(c) -> RootResult:
-    """Solve r ln r = c on [1/e, oo) for one target or a 1-D array; requires c >= -1/e."""
-    c, single = _targets(c)
+    """Solve r ln r = c on [1/e, oo) for a 1-D array of targets; requires c >= -1/e."""
+    c = _targets(c)
     _refuse(c, ~np.isfinite(c), "target must be finite")
     c_min = -1.0 / _E
     _refuse(c, c < c_min - 1e-15, f"target must be >= -1/e = {c_min:.17g}")
@@ -175,7 +170,7 @@ def solve_r_ln_r(c) -> RootResult:
     lo = np.maximum(1.0 / _E, np.nextafter(env_low[inner], 0.0))
     hi = np.nextafter(env_high[inner], math.inf)
     root[inner], its[inner] = _solve_bracketed(_r_ln_r, _r_ln_r_slope, lo, hi, c[inner])
-    return _result(single, c, root, _r_ln_r(root, c), env_low, env_high, its)
+    return RootResult(c, root, _r_ln_r(root, c), env_low, env_high, its)
 
 
 def _r_ln_r_envelopes(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,10 +196,10 @@ def _log_ratio_gap_slope(r: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def solve_log_ratio(t) -> RootResult:
-    """Solve r / (ln r - ln ln r) = t on (e, oo) for one target or a 1-D
-    array; requires e^e/(e-1) < t and a finite bracket t ln t (t below
-    about 2.5e305)."""
-    t, single = _targets(t)
+    """Solve r / (ln r - ln ln r) = t on (e, oo) for a 1-D array of targets;
+    requires e^e/(e-1) < t and a finite bracket t ln t (t below about
+    2.5e305)."""
+    t = _targets(t)
     _refuse(t, ~np.isfinite(t), "target must be finite")
     _refuse(t, t <= LOG_RATIO_THRESHOLD,
             f"target must exceed e^e/(e-1) = {LOG_RATIO_THRESHOLD:.17g}")
@@ -218,4 +213,4 @@ def solve_log_ratio(t) -> RootResult:
     root, its = _solve_bracketed(_log_ratio_gap, _log_ratio_gap_slope, lo, hi, t)
     lr = np.log(root)
     residual = root / (lr - np.log(lr)) - t
-    return _result(single, t, root, residual, env_low, env_high, its)
+    return RootResult(t, root, residual, env_low, env_high, its)

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import NumericsError
 from .discretize import QuadFormMatrix, _require_memory
-from .specfun import NumericsError
 
 __all__ = [
     "Spectrum",
@@ -314,7 +314,7 @@ def _basis_size(k: int) -> int:
     return max(2 * k + 1, 20)
 
 
-def _thick_restart(n: int, k: int, ledger: _Ledger | None = None, place: int = 0):
+def _thick_restart(n: int, k: int, ledger: _Ledger, place: int):
     """Generator for :func:`_lockstep`: the k smallest eigenpairs of a
     symmetric n x n operator B by thick-restart Lanczos, for n above twice
     :func:`_basis_size`.
@@ -351,17 +351,19 @@ def _thick_restart(n: int, k: int, ledger: _Ledger | None = None, place: int = 0
     and its coupling, below the test's bound, is dropped from the projected
     matrix.
 
-    The certificate.  With a ``ledger`` (:class:`_Ledger`), the solve posts
-    all m of its Ritz values under ``place`` at each restart and reads back
-    the ledger's bound K >= lambda_k, where k is the whole solve's count.  A
+    The certificate.  At each restart the solve posts all m of its Ritz
+    values under ``place`` on the ``ledger`` (:class:`_Ledger`) and reads
+    back its bound K >= lambda_k, where k is the whole solve's count.  A
     wanted pair with theta - |beta * s_m| > K is certified: the eigenvalue
     within the residual of theta lies above K, so it is not among the k
     smallest, and neither are the sector's eigenvalues above it, provided
     Lanczos has missed none below it, as every Lanczos solve here assumes
     (the start vector has a component along every eigenvector).  The solve
     ends when every wanted pair has converged or is certified.  A certified
-    pair is never locked, and its value comes back marked open.  Without a
-    ledger every wanted pair must converge.
+    pair is never locked, and its value comes back marked open.  On a fresh
+    ``_Ledger(k)`` that only this solve posts to, K is the k-th smallest of
+    its own m > k values, so no wanted theta exceeds it, and every wanted
+    pair must converge.
 
     Returns the wanted values ascending, the unit Ritz vectors as rows,
     whether each pair converged (False: certified and open), the restart
@@ -407,7 +409,7 @@ def _thick_restart(n: int, k: int, ledger: _Ledger | None = None, place: int = 0
         coupling = beta * s[-1]
         values = np.concatenate((np.diag(t)[:locked], theta))
         converged = np.abs(coupling) <= _LANCZOS_TOL * np.max(np.abs(values))
-        bound = math.inf if ledger is None else ledger.post(place, values)
+        bound = ledger.post(place, values)
         settled = converged | (theta - np.abs(coupling) > bound)
         wanted = np.argsort(values, kind="stable")[:k]
         wanted = wanted[wanted >= locked] - locked  # the active pairs among the k smallest

@@ -28,7 +28,7 @@ from loglap.bounds import (
     upper_bound_smallest_large,
 )
 from loglap.cli import main
-from loglap.constants import dimension_constants
+from loglap.constants import EULER_GAMMA, dimension_constants
 from loglap.discretize import (
     assemble_form,
     build_grid,
@@ -38,7 +38,6 @@ from loglap.discretize import (
 )
 from loglap.geometry import TestFunctionSpec, ball, box, interval
 from loglap.roots import solve_log_ratio, solve_r_ln_r
-from loglap.specfun import EULER_GAMMA
 from loglap.spectrum import eig_symmetric, spectrum_from_values, weyl_diagnostics
 
 
@@ -60,27 +59,19 @@ def test_criterion_01_constants_identities():
 
 
 def test_criterion_02_root_envelopes():
-    worst_c = 0.0
-    env_ok = True
-    for c in (-1.0 / math.e) + np.geomspace(1e-9, 1e6 + 1.0 / math.e, 1000):
-        c = float(c)
-        res = solve_r_ln_r(c)
-        worst_c = max(worst_c, abs(res.residual))
-        if res.root > 1.0 + c + 1e-9:
-            env_ok = False
-        if c >= math.e and res.root < c / math.log(c) - 1e-9:
-            env_ok = False
-        if not (res.envelope_low - 1e-12 <= res.root <= res.envelope_high + 1e-12):
-            env_ok = False
-    worst_t = 0.0
-    band_ok = True
-    for t in np.geomspace(8.8301, 1e6, 1000):
-        t = float(t)
-        res = solve_log_ratio(t)
-        worst_t = max(worst_t, abs(res.residual))
-        low = t * (math.log(t) - math.log(math.log(t)))
-        if not (low - 1e-9 <= res.root < t * math.log(t)):
-            band_ok = False
+    c = (-1.0 / math.e) + np.geomspace(1e-9, 1e6 + 1.0 / math.e, 1000)
+    res = solve_r_ln_r(c)
+    worst_c = float(np.max(np.abs(res.residual)))
+    large = c >= math.e
+    env_ok = bool(np.all(res.root <= 1.0 + c + 1e-9)
+                  and np.all(res.root[large] >= c[large] / np.log(c[large]) - 1e-9)
+                  and np.all((res.envelope_low - 1e-12 <= res.root)
+                             & (res.root <= res.envelope_high + 1e-12)))
+    t = np.geomspace(8.8301, 1e6, 1000)
+    res = solve_log_ratio(t)
+    worst_t = float(np.max(np.abs(res.residual)))
+    low = t * (np.log(t) - np.log(np.log(t)))
+    band_ok = bool(np.all((low - 1e-9 <= res.root) & (res.root < t * np.log(t))))
     ok = worst_c <= 1e-9 and worst_t <= 1e-9 and env_ok and band_ok
     assert verdict(2, ok, f"max |r ln r - c| = {worst_c:.2e}, "
                           f"max |ratio - t| = {worst_t:.2e}, envelopes "
@@ -192,8 +183,7 @@ def test_criterion_08_upper_bound_chain():
         domain = ball((0.0, 0.0), radius)
         grid = build_grid(domain, radius / 40.0)
         matrix = offset_form(grid)
-        coeffs = np.array([domain.test_function(spec, tuple(x))
-                           for x in grid.centers])
+        coeffs = domain.test_function(spec, grid.centers)
         quotient = rayleigh_quotient(matrix, coeffs)
         stated = upper_bound_smallest_large(c2, radius, c0).values["upper_bound"]
         proof = upper_bound_smallest_large(

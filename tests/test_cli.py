@@ -29,11 +29,10 @@ import pytest
 import loglap
 from loglap.bounds import lower_bound_sum
 from loglap.cli import _emit_csv, _fmt, main
-from loglap.constants import DimensionConstants, dimension_constants
+from loglap.constants import EULER_GAMMA, DimensionConstants, dimension_constants
 from loglap.discretize import assemble_form, build_grid, offset_form
 from loglap.geometry import ball, box, interval
 from loglap.roots import solve_log_ratio, solve_r_ln_r
-from loglap.specfun import EULER_GAMMA
 
 
 def read_csv(path):
@@ -147,14 +146,14 @@ def test_roots_solves_its_targets_at_once_as_each_alone(tmp_path, capsys, solve,
     out = tmp_path / "roots.csv"
     assert main(["roots", "--map", name, "--target=" + ",".join(map(repr, targets)),
                  "--out", str(out)]) == 0
-    alone = [solve(t) for t in targets]
+    alone = [[field[0] for field in dataclasses.astuple(solve([t]))] for t in targets]
     assert capsys.readouterr().out == "".join(
-        f"map={name} target={_fmt(t)}  root={_fmt(r.root)}  residual={r.residual:.3e}  "
-        f"bracket=[{_fmt(r.envelope_low)}, {_fmt(r.envelope_high)}]\n"
-        for t, r in zip(targets, alone))
+        f"map={name} target={_fmt(t)}  root={_fmt(root)}  residual={residual:.3e}  "
+        f"bracket=[{_fmt(low)}, {_fmt(high)}]\n"
+        for t, root, residual, low, high, _ in alone)
     header = "#schema=1\ntarget,root,residual,envelope_low,envelope_high,iterations\n"
     assert out.read_text() == header + "".join(
-        ",".join(_fmt(v) for v in dataclasses.astuple(r)) + "\n" for r in alone)
+        ",".join(_fmt(v) for v in row) + "\n" for row in alone)
 
 
 def test_roots_errors():

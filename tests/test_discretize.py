@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loglap.constants import dimension_constants
+from loglap.constants import EULER_GAMMA, dimension_constants
 from loglap.discretize import (
     Grid,
     _gauss_legendre,
@@ -21,7 +21,6 @@ from loglap.discretize import (
     rayleigh_quotient,
 )
 from loglap.geometry import TestFunctionSpec, ball, box, interval
-from loglap.specfun import EULER_GAMMA
 import loglap.discretize as discretize_module
 import oracles
 
@@ -81,9 +80,8 @@ def test_grid_snapping():
         (ball((0.0, 0.0), 64.0), 0.125),
         (box((0.0, 0.0), (128.0, 128.0)), 0.125),
         (interval(0.0, 2.0**17), 0.125),
-        (ball((0.3,), 2.0**16), 0.125),
     ],
-    ids=["ball", "box", "interval", "ball-1d"],
+    ids=["ball", "box", "interval"],
 )
 def test_grid_build_peaks_at_the_lattice_refusal_and_returns_its_mask(domain, h):
     # each bounding-box lattice has 2^20 cells; the refusal of a lattice too

@@ -13,16 +13,14 @@ from oracles import foliation_c0, inner_sheet, outer_sheet
 
 def test_signed_distance_examples():
     b2 = ball((0.0, 0.0), 2.0)
-    assert b2.signed_distance((1.5, 0.0)) == pytest.approx(0.5, abs=1e-14)
-    assert b2.signed_distance((3.0, 0.0)) == pytest.approx(-1.0, abs=1e-14)
+    assert b2.signed_distance(np.array([[1.5, 0.0], [3.0, 0.0]])) == pytest.approx(
+        [0.5, -1.0], abs=1e-14)
     iv = interval(-1.0, 1.0)
-    assert iv.signed_distance(0.0) == pytest.approx(1.0, abs=1e-14)
-    assert iv.signed_distance(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert iv.signed_distance(2.5) == pytest.approx(-1.5, abs=1e-14)
+    assert iv.signed_distance(np.array([[0.0], [1.0], [2.5]])) == pytest.approx(
+        [1.0, 0.0, -1.5], abs=1e-14)
     bx = box((0.0, 0.0), (2.0, 1.0))
-    assert bx.signed_distance((1.0, 0.5)) == pytest.approx(0.5, abs=1e-14)
-    assert bx.signed_distance((3.0, 2.0)) == pytest.approx(-math.sqrt(2.0), abs=1e-14)
-    assert bx.signed_distance((1.0, -0.25)) == pytest.approx(-0.25, abs=1e-14)
+    assert bx.signed_distance(np.array([[1.0, 0.5], [3.0, 2.0], [1.0, -0.25]])) == pytest.approx(
+        [0.5, -math.sqrt(2.0), -0.25], abs=1e-14)
 
 
 def test_signed_distance_lipschitz():
@@ -35,31 +33,40 @@ def test_signed_distance_lipschitz():
     for dom in domains:
         pts = rng.uniform(-4.0, 4.0, size=(10_000, 2, dom.dim))
         x, y = pts[:, 0, :], pts[:, 1, :]
-        dx = np.asarray(dom.signed_distance(x))
-        dy = np.asarray(dom.signed_distance(y))
+        dx = dom.signed_distance(x)
+        dy = dom.signed_distance(y)
         gap = np.linalg.norm(x - y, axis=1)
         assert np.all(np.abs(dx - dy) <= gap + 1e-12)
 
 
 def test_signed_distance_vector_shapes():
+    # one value per row of an (n, N) array; a single point, a grid of
+    # points and points of the wrong dimension are refused
     dom = ball((0.0, 0.0), 1.0)
-    grid = np.zeros((3, 4, 2))
-    out = dom.signed_distance(grid)
-    assert out.shape == (3, 4)
+    out = dom.signed_distance(np.zeros((12, 2)))
+    assert out.shape == (12,)
     assert np.allclose(out, 1.0)
-    assert isinstance(dom.signed_distance((0.0, 0.0)), float)
+    for bad in ((0.0, 0.0), np.zeros((3, 4, 2)), np.zeros((12, 1))):
+        with pytest.raises(ValueError, match=r"\(n, 2\) array"):
+            dom.signed_distance(bad)
+    for bad in (0.5, np.zeros(3)):
+        with pytest.raises(ValueError, match=r"\(n, 1\) array"):
+            interval(0.0, 1.0).signed_distance(bad)
 
 
 def test_basic_measures():
     iv = interval(-1.0, 1.0)
+    assert iv.dim == 1
     assert iv.volume == pytest.approx(2.0)
     assert iv.inradius == pytest.approx(1.0)
     assert iv.boundary_measure == 2.0
     b = ball((0.0, 0.0), 3.0)
+    assert b.dim == 2
     assert b.volume == pytest.approx(9.0 * math.pi, rel=1e-14)
     assert b.circumradius == 3.0
     assert b.boundary_measure == pytest.approx(6.0 * math.pi, rel=1e-14)
     bx = box((0.0, 0.0), (2.0, 1.0))
+    assert bx.dim == 2
     assert bx.volume == pytest.approx(2.0)
     assert bx.inradius == pytest.approx(0.5)
     assert bx.circumradius == pytest.approx(math.hypot(1.0, 0.5), rel=1e-14)
@@ -189,28 +196,28 @@ def test_minimal_c0_at_the_regime_boundary(radius):
 def test_minimal_c0_undefined():
     # no foliation constant in 1D or outside the R/2R sandwich
     assert interval(-1.0, 1.0).minimal_c0() is None
-    assert ball(0.0, 4.0).minimal_c0() is None
     assert box((0.0, 0.0), (1.0, 10.0)).minimal_c0() is None
 
 
 def test_test_function_examples():
     iv = interval(-1.0, 1.0)
     spec = TestFunctionSpec(sigma=0.25)
-    assert iv.test_function(spec, 0.9) == pytest.approx(0.4, abs=1e-14)
-    assert iv.test_function(spec, 0.0) == 1.0
-    assert iv.test_function(spec, 1.2) == 0.0
+    w = iv.test_function(spec, np.array([[0.9], [0.0], [1.2]]))
+    assert w[0] == pytest.approx(0.4, abs=1e-14)
+    assert w[1] == 1.0
+    assert w[2] == 0.0
 
 
 @pytest.mark.parametrize("dom", [interval(-1.0, 1.3), box((0.2, -1.0), (2.0, 1.5)),
                                  ball((0.3, -0.1), 1.7)], ids=["interval", "box", "ball"])
 def test_test_function_on_many_points_matches_single_points(dom):
     # bounds --sigma evaluates all cell centers in one call; each value is
-    # the one a single-point call gives, bit for bit
+    # the one a call on that point alone gives, bit for bit
     spec = TestFunctionSpec(sigma=0.3)
     centers = build_grid(dom, 0.05).centers
     one_call = dom.test_function(spec, centers)
     assert one_call.shape == (centers.shape[0],)
-    assert np.array_equal(one_call, [dom.test_function(spec, tuple(x)) for x in centers])
+    assert np.array_equal(one_call, [dom.test_function(spec, x[np.newaxis])[0] for x in centers])
 
 
 def test_test_function_lipschitz():
@@ -218,8 +225,8 @@ def test_test_function_lipschitz():
     dom = ball((0.0, 0.0), 1.5)
     spec = TestFunctionSpec(sigma=0.4)
     pts = rng.uniform(-2.0, 2.0, size=(5000, 2, 2))
-    wx = np.asarray(dom.test_function(spec, pts[:, 0, :]))
-    wy = np.asarray(dom.test_function(spec, pts[:, 1, :]))
+    wx = dom.test_function(spec, pts[:, 0, :])
+    wy = dom.test_function(spec, pts[:, 1, :])
     gap = np.linalg.norm(pts[:, 0, :] - pts[:, 1, :], axis=1)
     assert np.all(np.abs(wx - wy) <= gap / spec.sigma + 1e-12)
     assert np.all((wx >= 0.0) & (wx <= 1.0))
@@ -246,5 +253,8 @@ def test_constructor_validation():
         ball((0.0, 0.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         interval(0.0, math.inf)
-    assert isinstance(ball(0.0, 1.0), Domain)
-    assert ball(0.0, 1.0).dim == 1
+    # a ball is 2D; a 1D ball is an interval
+    for center in (0.0, (0.0,)):
+        with pytest.raises(ValueError, match="2D point"):
+            ball(center, 1.0)
+    assert isinstance(ball((0.0, 0.0), 1.0), Domain)

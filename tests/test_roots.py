@@ -63,17 +63,17 @@ def test_r_ln_r_sweep():
 
 
 def test_r_ln_r_against_brentq():
-    for c in np.geomspace(1e-3, 1e5, 50):
-        c = float(c)
-        res = solve_r_ln_r(c)
+    targets = np.geomspace(1e-3, 1e5, 50)
+    res = solve_r_ln_r(targets)
+    for c, root, low, high in zip(targets.tolist(), res.root, res.envelope_low, res.envelope_high):
         ref = brentq(
             lambda r: r * math.log(r) - c,
-            max(1.0 / E, 0.5 * res.envelope_low),
-            2.0 * res.envelope_high,
+            max(1.0 / E, 0.5 * low),
+            2.0 * high,
             xtol=1e-14,
             rtol=8.9e-16,
         )
-        assert res.root == pytest.approx(ref, rel=1e-9)
+        assert root == pytest.approx(ref, rel=1e-9)
 
 
 def test_r_ln_r_closes_the_bracket_from_both_sides():
@@ -132,13 +132,12 @@ def test_log_ratio_domain_error():
 
 
 def test_log_ratio_sweep():
-    for t in np.geomspace(8.8301, 1e6, 1000):
-        t = float(t)
-        res = solve_log_ratio(t)
-        assert abs(res.residual) <= 1e-9 * t
-        assert res.envelope_low - 1e-9 <= res.root < res.envelope_high
-        ratio = res.root / (math.log(res.root) - math.log(math.log(res.root)))
-        assert ratio == pytest.approx(t, rel=1e-12)
+    t = np.geomspace(8.8301, 1e6, 1000)
+    res = solve_log_ratio(t)
+    assert np.all(np.abs(res.residual) <= 1e-9 * t)
+    assert np.all((res.envelope_low - 1e-9 <= res.root) & (res.root < res.envelope_high))
+    ratio = res.root / (np.log(res.root) - np.log(np.log(res.root)))
+    assert ratio == pytest.approx(t, rel=1e-12)
 
 
 def test_log_ratio_monotone_in_target():
@@ -155,7 +154,7 @@ def test_log_ratio_near_the_largest_float():
     # when taken as 0.5 (lo + hi)
     t = 2e305
     res = solve_log_ratio(t)
-    assert math.isfinite(res.root) and math.isfinite(res.residual)
+    assert np.isfinite(res.root).all() and np.isfinite(res.residual).all()
     assert abs(res.residual) <= 1e-9 * t
     assert res.envelope_low <= res.root < res.envelope_high
     # from about 2.5e305 on, t ln t itself overflows: no finite bracket
@@ -176,7 +175,7 @@ _near_special = st.one_of(
         lambda p: st.floats(p - 1e-3 * max(1.0, abs(p)), p + 1e-3 * max(1.0, abs(p)))),
     st.floats(-1.0 / E, 1e300),
 )
-_FIELDS = ("target", "root", "residual", "envelope_low", "envelope_high")
+_FIELDS = ("target", "root", "residual", "envelope_low", "envelope_high", "steps")
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,17 +185,16 @@ def test_array_solve_equals_each_target_solved_alone(targets):
                               (solve_log_ratio, lambda t: t > LOG_RATIO_THRESHOLD)):
         kept = [x for x in targets if admissible(x)]
         res = solve(np.array(kept, dtype=float))
-        alone = [solve(x) for x in kept]
+        alone = [solve(np.array([x])) for x in kept]
         for name in _FIELDS:
             got = getattr(res, name)
             assert got.shape == (len(kept),)
-            want = np.array([getattr(one, name) for one in alone], dtype=float)
+            assert all(getattr(one, name).shape == (1,) for one in alone)
+            want = np.array([getattr(one, name)[0] for one in alone], dtype=got.dtype)
             assert got.tobytes() == want.tobytes(), name
-            assert all(type(getattr(one, name)) is float for one in alone)
         assert type(res.iterations) is int
         assert res.iterations == sum(one.iterations for one in alone)
-        assert res.steps.tolist() == [one.steps for one in alone]
-        assert all(type(one.steps) is int and one.steps == one.iterations for one in alone)
+        assert all(one.steps[0] == one.iterations for one in alone)
         json.dumps(0 + res.iterations)
 
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loglap import spectrum as spectrum_module
+from loglap.constants import NumericsError
 from loglap.discretize import Grid, QuadFormMatrix, assemble_form, build_grid, offset_form
 from loglap.geometry import ball, box, interval
-from loglap.specfun import NumericsError
 from loglap.spectrum import (
     eig_symmetric,
     envelope_samples,
@@ -105,15 +105,18 @@ def _lapack_on_the_blocks(form, k):
 
 def _sector_lanczos(form, k, ledger=None):
     """Each sector's Lanczos solve for its first share of k, stepped together
-    on one ledger of k as by eig_symmetric (``ledger=False``: none, so every
-    wanted pair converges): per sector (values, Ritz vectors, converged,
-    restarts, steps orthogonalized twice) in the sectors' order, and the
-    matvecs."""
+    on one ledger of k as by eig_symmetric (``ledger=False``: each on a fresh
+    ledger of its own share, so every wanted pair converges): per sector
+    (values, Ritz vectors, converged, restarts, steps orthogonalized twice)
+    in the sectors' order, and the matvecs."""
     counts = form.sectors.counts
     if ledger is None:
         ledger = spectrum_module._Ledger(k)
-    runs = {i: spectrum_module._thick_restart(count, spectrum_module._first_share(
-        k, count, form.grid.count), ledger or None, i) for i, count in enumerate(counts)}
+    runs = {}
+    for i, count in enumerate(counts):
+        share = spectrum_module._first_share(k, count, form.grid.count)
+        runs[i] = spectrum_module._thick_restart(
+            count, share, ledger or spectrum_module._Ledger(share), i)
     solved, matvecs = spectrum_module._lockstep(form, runs)
     return [solved[i] for i in range(len(counts))], matvecs
 
@@ -152,11 +155,11 @@ def test_lanczos_ritz_vectors_stay_orthonormal_at_a_large_k(ball_3080):
     # orthonormal to rounding
     form, _ = ball_3080
     solved, _ = spectrum_module._lockstep(form, {
-        i: spectrum_module._thick_restart(count, 75)
+        i: spectrum_module._thick_restart(count, 75, spectrum_module._Ledger(75), i)
         for i, count in enumerate(form.sectors.counts)})
     for i in range(len(form.sectors.counts)):
         values, vectors, converged, _, _ = solved[i]
-        assert converged.all()  # without a ledger every pair converges
+        assert converged.all()  # a fresh ledger of 75 certifies no pair
         assert np.max(np.abs(vectors @ vectors.T - np.eye(75))) <= 1e-12
         assert np.max(np.abs(values - np.linalg.eigvalsh(form.block(i))[:75])) <= 1e-12
 
@@ -167,7 +170,7 @@ def test_lanczos_second_pass_restores_orthogonality_after_cancellation():
     # along the basis, the DGKS test asks for the second pass, and the next
     # Lanczos vector is orthogonal to the earlier ones to rounding
     a = np.linspace(1.0, 2.0, 200)
-    run = spectrum_module._thick_restart(200, 2)
+    run = spectrum_module._thick_restart(200, 2, spectrum_module._Ledger(2), 0)
     vectors = [next(run).copy()]
     for _ in range(3):
         vectors.append(run.send(a * vectors[-1]).copy())
@@ -175,6 +178,25 @@ def test_lanczos_second_pass_restores_orthogonality_after_cancellation():
     v = np.array(vectors)
     assert np.max(np.abs(v[:-1] @ v[-1])) <= 1e-14
     run.close()
+
+
+@pytest.mark.parametrize("domain, h, k", [
+    (ball((0.0, 0.0), 4.0), 0.125, 1),
+    (ball((0.0, 0.0), 4.0), 0.125, 10),
+    (ball((0.0, 0.0), 4.0), 0.125, 30),
+    (interval(-1.0, 1.0), 2.0 / 2048.0, 60),
+], ids=["ball-3080-k1", "ball-3080-k10", "ball-3080-k30", "interval-2048-k60"])
+def test_lanczos_on_a_fresh_ledger_converges_every_pair(domain, h, k):
+    # a ledger of k that only this solve posts to bounds by the k-th smallest
+    # of the solve's own m > k Ritz values, which no wanted value exceeds: it
+    # certifies nothing, and every pair comes back converged
+    form = offset_form(build_grid(domain, h))
+    solved, _ = spectrum_module._lockstep(form, {
+        i: spectrum_module._thick_restart(count, k, spectrum_module._Ledger(k), i)
+        for i, count in enumerate(form.sectors.counts)})
+    for i, (values, _, converged, _, _) in solved.items():
+        assert converged.all()
+        assert np.max(np.abs(values - np.linalg.eigvalsh(form.block(i))[:k])) <= 1e-12
 
 
 def test_lanczos_matches_lapack_on_an_interval():
