@@ -35,20 +35,17 @@ FFT length); the circulant's spectrum, ``symbol``, is transformed from the
 table axis by axis, and its column is never formed (Chan & Jin, *An
 Introduction to Iterative Toeplitz Solvers*, SIAM 2007).
 :func:`rayleigh_quotient` is one such product.
-The dense matrix is a view that the form never holds: :func:`assemble_form`
-returns it, gathered in row blocks from the table reflected to all signs
-of the offset, the same way in every dimension; it needs the 8*n*n-byte
-matrix plus that table and two small fixed blocks, and a matrix larger than
-memory is refused first.  Only ``solve --dump-matrix`` asks for it.  The
-eigensolver reads ``QuadFormMatrix.sectors``, built once per form: A
+The eigensolver reads ``QuadFormMatrix.sectors``, built once per form: A
 commutes with the reflection along each mirror axis of the grid (every grid
 :func:`build_grid` makes has all its axes), so it splits into one block per
 sign pattern of those axes, two of about n/2 cells in 1D and four of about
-n/4 in 2D (Fässler & Stiefel, 1992).  :class:`Sectors` is one
-table for all of them, the reflections' orbits and character table, and
-both of its uses read it: ``block`` gathers a sector's block by the same
-row blocks without the n x n matrix, and ``sector_matvec`` applies the
-blocks of several sectors to their own vectors by one FFT pair.
+n/4 in 2D (Fässler & Stiefel, 1992).  :class:`Sectors` is one table for all
+of them, the reflections' orbits and character table.  ``sector_matvec``
+applies the blocks of several sectors to their own vectors by one FFT pair.
+``block`` gathers one dense block for LAPACK, and :func:`assemble_form` the
+n x n matrix for ``solve --dump-matrix`` alone, each as a signed sum of
+window views, one per reflection, of the table reflected to all signs of
+the offset, in every dimension; one larger than memory is refused first.
 """
 
 from __future__ import annotations
@@ -95,10 +92,10 @@ _SEPARATED_GAUSS_N = 10
 # cell (3.69 MB traced).  With all pairs in one call it peaked at 276.
 _GAUSS_BLOCK_PAIRS = 2**13
 
-# Matrix entries gathered per row block; the gather's two block buffers
-# are this size.  From 2^13 to 2^17 the fill times of the 2,048-cell
-# interval's blocks and the 7,020-cell ball's matrix agree within the run
-# to run spread, and peak RSS grows with the size.
+# Entries that _gather sums per block of rows of the cells' box (at least one
+# row), in place or in its one row buffer.  From 2^13 to 2^17 the fill times
+# of the 2,048-cell interval's blocks and the 7,020-cell ball's matrix agree
+# within the run to run spread, and peak RSS grows with the size.
 _FILL_BLOCK_ENTRIES = 2**15
 
 # Unit-cell constant of the 2D diagonal inner integral:
@@ -171,19 +168,20 @@ class Sectors:
     pattern e, -1 on the axes of the e-th subset, in the order of
     ``itertools.product((1, -1), ...)``; ``characters[e, t]`` =
     prod_{d in T} e_d is the reflections' character table (a Hadamard
-    matrix).  ``scale[o]`` = 1/sqrt(|Stab p|) for the reflections that fix
-    p.  Sector e keeps the orbits ``rows[e]`` on whose stabilizer its
-    characters are all +1, and a pattern can keep none; its basis vector at
-    p is sum_T characters[e, T] e_{r_T p} * scale_p / sqrt(2^|axes|).  The
-    basis vectors of all sectors together are an orthonormal basis of the
-    grid's cells (Fässler & Stiefel, 1992).  With no mirror axis the one
-    sector is every cell.
+    matrix), and ``flips[t]`` lists the axes of T.  ``scale[o]`` =
+    1/sqrt(|Stab p|) for the reflections that fix p.  Sector e keeps the
+    orbits ``rows[e]`` on whose stabilizer its characters are all +1, and a
+    pattern can keep none; its basis vector at p is sum_T characters[e, T]
+    e_{r_T p} * scale_p / sqrt(2^|axes|).  The basis vectors of all sectors
+    together are an orthonormal basis of the grid's cells (Fässler &
+    Stiefel, 1992).  With no mirror axis the one sector is every cell.
     """
 
     orbits: np.ndarray
     characters: np.ndarray
     scale: np.ndarray
     rows: tuple[np.ndarray, ...]
+    flips: tuple[tuple[int, ...], ...]
 
     @property
     def counts(self) -> list[int]:
@@ -222,29 +220,34 @@ class QuadFormMatrix:
         first = tuple(slice((size + 1) // 2 if d in axes else size)
                       for d, size in enumerate(mask.shape))
         subsets = np.array(list(itertools.product((0, 1), repeat=len(axes))), dtype=int)
-        flipped = [tuple(d for d, f in zip(axes, t) if f) for t in subsets]
+        flips = tuple(tuple(d for d, f in zip(axes, t) if f) for t in subsets)
         # row t: the numbers of the cells r_T p, read off the numbers flipped along T.
         # The table must be C-ordered: sector_matvec's einsum sums in memory order.
-        orbits = np.array([np.flip(number, t)[first][mask[first]] for t in flipped])
+        orbits = np.array([np.flip(number, t)[first][mask[first]] for t in flips])
         characters = np.where((subsets @ subsets.T) % 2, -1.0, 1.0)
         fixed = orbits == orbits[0]  # fixed[t, o]: r_T fixes orbit o's cell
-        return Sectors(orbits, characters, np.sqrt(1.0 / fixed.sum(axis=0)),
-                       tuple(np.flatnonzero(~fixed[row < 0].any(axis=0)) for row in characters))
+        rows = tuple(np.flatnonzero(~fixed[row < 0].any(axis=0)) for row in characters)
+        return Sectors(orbits, characters, np.sqrt(1.0 / fixed.sum(axis=0)), rows, flips)
 
     def block(self, place: int) -> np.ndarray:
         """The matrix in the basis of the sector at ``place`` in :attr:`sectors`,
-        gathered from the table: entries
-        B[p, q] = sum_T characters[T] A[p, r_T q] / sqrt(|Stab p| |Stab q|)
-        (Cantoni & Butler, Linear Algebra Appl. 13, 1976, for one axis).
-        Raises ``ValueError`` before the gather when the block, LAPACK's
-        copy of it and the reflected table would not fit in memory.
+        B[p, q] = sum_T characters[T] A[p, r_T q] / sqrt(|Stab p| |Stab q|),
+        gathered by :func:`_gather` over the box of the orbits' first cells p.
+        Raises ``ValueError`` before the gather when the block, LAPACK's copy
+        of it and the gather's own arrays would not fit in memory.
         """
         sectors = self.sectors
         rows = sectors.rows[place]
         m = rows.size
-        _require_gather_memory(self.table, m, 2, f"a dense {m} x {m} block plus LAPACK's copy")
-        partners = list(self.grid.indices[sectors.orbits[:, rows]])
-        return _gather(self.table, partners, sectors.characters[place], sectors.scale[rows])
+        if not m:  # a sign pattern that keeps no orbit
+            return np.empty((0, 0))
+        cells = self.grid.indices[sectors.orbits[0, rows]]
+        corner = cells.min(axis=0)
+        shape = tuple((cells.max(axis=0) - corner + 1).tolist())
+        _require_gather_memory(self.table, m, shape, 2,
+                               f"a dense {m} x {m} block plus LAPACK's copy")
+        return _gather(self.table, corner.tolist(), shape, sectors.flips, sectors.characters[place],
+                       np.ravel_multi_index(tuple((cells - corner).T), shape), sectors.scale[rows])
 
     def sector_matvec(self, vectors: dict) -> dict:
         """The products B u of the blocks of several sectors, by one matvec.
@@ -525,87 +528,73 @@ def offset_form(grid: Grid) -> QuadFormMatrix:
 
 
 def assemble_form(form: QuadFormMatrix) -> np.ndarray:
-    """The dense n x n matrix of a form, gathered from its table.
+    """The dense n x n matrix of a form, gathered from its table, for writing
+    it out (``solve --dump-matrix``); solves and Rayleigh quotients need
+    only the table.  Raises ``ValueError`` before anything is allocated
+    when the matrix would not fit in memory."""
+    mask = form.grid.mask
+    n = form.grid.count
+    _require_gather_memory(form.table, n, mask.shape, 1, f"a dense {n} x {n} matrix")
+    return _gather(form.table, (0,) * mask.ndim, mask.shape, [()], [1.0],
+                   np.flatnonzero(mask), np.ones(n))
 
-    For writing the matrix out (``solve --dump-matrix``); solves and
-    Rayleigh quotients need only the table.  Raises ``ValueError`` before
-    anything is allocated when the matrix would not fit in memory.
-    """
-    idx = form.grid.indices
-    n = len(idx)
-    _require_gather_memory(form.table, n, 1, f"a dense {n} x {n} matrix")
-    return _gather(form.table, [idx], [1], np.ones(n))
 
-
-def _require_gather_memory(table: np.ndarray, size: int, copies: int, what: str) -> None:
+def _require_gather_memory(table: np.ndarray, size: int, shape: tuple[int, ...],
+                           copies: int, what: str) -> None:
     """Refuse, by :func:`_require_memory`, a :func:`_gather` of a ``size`` x
-    ``size`` result when ``copies`` of it and the reflected table do not fit."""
+    ``size`` result over a ``shape`` box when ``copies`` of it, the reflected
+    table and, unless the cells fill the box, two row buffers would not fit:
+    a buffer holds _FILL_BLOCK_ENTRIES entries, or one row of the box."""
     reflected = math.prod(2 * s - 1 for s in table.shape)
-    _require_memory(8 * (copies * size * size + reflected), f"{what} and the reflected offset table")
+    box = math.prod(shape)
+    buffer = 0 if size == box else 2 * max(_FILL_BLOCK_ENTRIES, box // shape[0] * box)
+    _require_memory(8 * (copies * size * size + reflected + buffer),
+                    f"{what} and the reflected offset table")
 
 
-def _gather(table: np.ndarray, partners: list, weights, scale: np.ndarray) -> np.ndarray:
-    """Fill a dense block from the offset table: entry (i, j) is
-    scale_i * scale_j * sum_t weights[t] * table[|p_i - partners[t]_j|] for
-    the lattice coordinates (count x dim) of the cells p = ``partners[0]``,
-    whose weight is 1, and each ``partners[t]`` of that shape.
+def _gather(table: np.ndarray, corner, shape, flips, weights, cells, scale) -> np.ndarray:
+    """Fill a dense block from the offset table: entry (a, b) is
+    scale_a * scale_b * sum_t weights[t] * table[|p_a - r_t p_b|] for the
+    cells p at the ascending flat positions ``cells`` of a ``shape`` box with
+    lowest lattice corner ``corner``, and the reflections r_t of the mask
+    (p_d -> S_d - p_d, S = table.shape - 1) along the axes ``flips[t]``; the
+    first flips none and has weight 1.
 
-    The entries are read from the reflected table R, R[S - 1 + o] =
-    table[|o|] per axis (S the table's shape), at R's flat slot
-    base(p_i) + off_t(q_j): one integer add and one ``take`` per partner
-    and row block.  Where base and a partner's off_t both step by 1, as on
-    every interval, its term R[x + i -+ j] is a window view of R (which is
-    centrally symmetric), and a sector block T +- H is one add of two views
-    (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  The terms are summed in the order of
-    ``partners``, and symmetric positions read the same slots, so the
-    result equals its transpose bit for bit.  Peak memory is the result, R
-    and two blocks; callers refuse a result too large for memory first
-    (:func:`_require_gather_memory`).
-    """
-    size = partners[0].shape[0]
-    reflected = table[np.ix_(*(abs(np.arange(1 - s, s)) for s in table.shape))]
-    strides = np.array([math.prod(reflected.shape[d + 1 :]) for d in range(table.ndim)])
-    center = reflected.size // 2  # R's slot of offset 0, its middle
-    reflected = reflected.ravel()
-    base = center + partners[0] @ strides
-    offsets = [-(partner @ strides) for partner in partners]
-    views = [None] * len(partners)  # each partner's term as a view of R's windows, if it is one
-    if size and (np.diff(base) == 1).all():
-        windows = np.lib.stride_tricks.sliding_window_view(reflected, size)
-        for t, off in enumerate(offsets):
-            first = int(base[0] + off[0])
-            step = np.diff(off)
-            if (step == 1).all():  # R[first + i + j]
-                views[t] = windows[first : first + size]
-            elif (step == -1).all():  # R[first + i - j] = R[2 center - first - i + j]
-                top = 2 * center - first
-                views[t] = windows[top - size + 1 : top + 1][::-1]
+    Every term is a window view of the reflected table R, R[S + o] =
+    table[|o|] per axis, at the cells' box coordinates i and j: R[S + i - j]
+    on an axis r_t keeps, R[2 corner + i + j] on one it flips, so a block is
+    a signed sum of Toeplitz and Hankel pieces of R (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976).  The terms are summed in the order of
+    ``flips``, some rows of the box at a time, into the result where the
+    cells fill their box, else into a row buffer that their entries are
+    taken from.  Symmetric positions read the same slots: the result equals
+    its transpose bit for bit."""
+    size = len(cells)
+    box = math.prod(shape)
+    spans = [s - 1 for s in table.shape]
+    reflected = table[np.ix_(*(abs(np.arange(-s, s + 1)) for s in spans))]
+    windows = np.lib.stride_tricks.sliding_window_view(reflected, shape)  # [x, y] = R[x + y]
+    views = []
+    for flip in flips:  # R[S - i + j] = R[S + i - j] on a kept axis, by R's symmetry
+        view = windows[tuple(slice(2 * c, 2 * c + b) if d in flip else slice(s - b + 1, s + 1)
+                             for d, (c, b, s) in enumerate(zip(corner, shape, spans)))]
+        views.append(np.flip(view, [d for d in range(len(shape)) if d not in flip]))
     entries = np.empty((size, size))
-    block = max(1, min(size, _FILL_BLOCK_ENTRIES // max(size, 1)))
-    # Buffers reused by every block: fresh temporaries per block can make the
-    # allocator return pages to the system and fault them in again each time.
-    taken = [view is None for view in views]
-    slot = np.empty((block if any(taken) else 0, size), dtype=np.intp)  # R's slot per entry
-    term = np.empty((block if any(taken[1:]) else 0, size))
-    for s in range(0, size, block):
-        k = min(block, size - s)
-        rows = entries[s : s + k]
-        for t, (off, view, weight) in enumerate(zip(offsets, views, weights)):
-            if view is None:
-                part = term[:k] if t else rows
-                np.add(base[s : s + k, None], off, out=slot[:k])
-                # every slot lies inside R, so "clip" never clips; it also
-                # spares the buffered copy that the default "raise" makes
-                np.take(reflected, slot[:k], out=part, mode="clip")
-            else:
-                part = view[s : s + k]
-            if t:
-                (np.add if weight > 0 else np.subtract)(total, part, out=rows)
-                total = rows
-            else:
-                total = part
-        if total is not rows:
-            rows[...] = total
+    fills = size == box
+    line = box // shape[0]  # positions per row of the box
+    rows = max(1, _FILL_BLOCK_ENTRIES // (line * box))  # rows of the box per block
+    out = entries.reshape(shape + shape) if fills else np.empty((rows, *shape[1:], *shape))
+    for s in range(0, shape[0], rows):
+        part = out[s : s + rows] if fills else out[: min(rows, shape[0] - s)]
+        total = views[0][s : s + rows]
+        for weight, view in zip(weights[1:], views[1:]):
+            total = (np.add if weight > 0 else np.subtract)(total, view[s : s + rows], out=part)
+        if total is not part:
+            part[...] = total
+        if not fills:
+            lo, hi = np.searchsorted(cells, [s * line, (s + rows) * line])
+            np.take(part.reshape(-1, box)[cells[lo:hi] - s * line], cells, axis=1,
+                    out=entries[lo:hi], mode="clip")  # all in range; "clip" is unbuffered
     lined = np.flatnonzero(scale != 1.0)  # cells that a reflection fixes
     entries[lined] *= scale[lined, None]
     entries[:, lined] *= scale[lined]

@@ -8,9 +8,10 @@ The two maps are
 
 Each solver takes a 1-D array of targets (a number is solved as a
 one-element array) and returns 1-D arrays.  Every target is solved by
-bisection seeded with its envelope bracket and polished by safeguarded
-Newton steps; an array runs one loop over all its targets, in which each
-target takes exactly the steps it would take alone.  The
+safeguarded Newton steps in its envelope bracket, from a Lambert W start
+(r ln r) or the midpoint, with bisection as the fallback; an array runs one
+loop over all its targets, in which each target takes exactly the steps it
+would take alone.  The
 envelopes stored on the result are the tightest combination that is
 actually valid for the given target:
 
@@ -87,11 +88,11 @@ def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * lo + 0.5 * hi
 
 
-def _solve_bracketed(f, df, lo: np.ndarray, hi: np.ndarray,
-                     t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_bracketed(f, df, lo: np.ndarray, hi: np.ndarray, t: np.ndarray,
+                     start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Safeguarded Newton for f(r, t) = 0 on each bracket [lo, hi] with
-    f(lo, t) <= 0 <= f(hi, t), elementwise; returns the roots and the steps
-    of each.
+    f(lo, t) <= 0 <= f(hi, t), elementwise, from the first iterates
+    ``start`` inside the brackets; returns the roots and the steps of each.
 
     Each bracket shrinks on every step (bisection fallback), so a target
     stops once its [lo, hi] is a couple of ulps wide; Newton steps merely
@@ -117,8 +118,7 @@ def _solve_bracketed(f, df, lo: np.ndarray, hi: np.ndarray,
         raise NumericsError(f"root bracket [{lo[i]}, {hi[i]}] of target {t[i]} does not "
                             f"enclose a sign change")
     idx = np.flatnonzero(open_)
-    lo, hi, flo, fhi, t = lo[idx], hi[idx], flo[idx], fhi[idx], t[idx]
-    r = _midpoint(lo, hi)
+    lo, hi, flo, fhi, t, r = lo[idx], hi[idx], flo[idx], fhi[idx], t[idx], start[idx]
     for it in range(1, _MAX_ITER + 1):
         fr = f(r, t)
         below = fr < 0.0
@@ -169,7 +169,15 @@ def solve_r_ln_r(c) -> RootResult:
     inner = ~edge
     lo = np.maximum(1.0 / _E, np.nextafter(env_low[inner], 0.0))
     hi = np.nextafter(env_high[inner], math.inf)
-    root[inner], its[inner] = _solve_bracketed(_r_ln_r, _r_ln_r_slope, lo, hi, c[inner])
+    # Start one Newton step from exp(W(c)) by the Lambert W branch-point series
+    # (Corless et al., Adv. Comput. Math. 5, 1996), exact to O(p^4) near -1/e,
+    # where r ln r is flat; at the midpoint where the step leaves the bracket.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p = np.sqrt(2.0 * (_E * c + 1.0))
+        r0 = np.exp(-1.0 + p - p**2 / 3.0 + 11.0 * p**3 / 72.0)
+        step = (r0 - _r_ln_r(r0, c) / _r_ln_r_slope(r0, c))[inner]
+    start = np.where((lo < step) & (step < hi), step, _midpoint(lo, hi))
+    root[inner], its[inner] = _solve_bracketed(_r_ln_r, _r_ln_r_slope, lo, hi, c[inner], start)
     return RootResult(c, root, _r_ln_r(root, c), env_low, env_high, its)
 
 
@@ -210,7 +218,8 @@ def solve_log_ratio(t) -> RootResult:
     lo = np.nextafter(env_low, 0.0)
     hi = np.nextafter(env_high, math.inf)
     _refuse(t, ~np.isfinite(hi), "target too large: its bracket end t ln t overflows float64")
-    root, its = _solve_bracketed(_log_ratio_gap, _log_ratio_gap_slope, lo, hi, t)
+    root, its = _solve_bracketed(_log_ratio_gap, _log_ratio_gap_slope, lo, hi, t,
+                                 _midpoint(lo, hi))
     lr = np.log(root)
     residual = root / (lr - np.log(lr)) - t
     return RootResult(t, root, residual, env_low, env_high, its)

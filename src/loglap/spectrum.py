@@ -181,8 +181,9 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
             pairs[i] = values, vectors, converged
             restarts[i].append(restart)
             reorthogonalized[i].append(second)
+        # >= k values: each sector returns its ask, and sum_c min(ceil(1.15 k c/n) + 1, c) >= k
         merged = np.concatenate([values for values, _, _ in pairs])
-        kth = np.sort(merged)[k - 1] if merged.size >= k else math.inf
+        kth = np.sort(merged)[k - 1]
         grow = [i for i, (values, _, converged) in enumerate(pairs)
                 if values.size < counts[i] and converged.all() and values[-1] < kth]
         for i in grow:

@@ -608,16 +608,21 @@ _LOPSIDED = _without_cells(build_grid(ball((0.0, 0.0), 1.0), 0.25), 1)
 
 @pytest.mark.parametrize("grid", [
     *(build_grid(interval(-1.0, 1.0), 2.0 / n) for n in (2048, 2047, 5, 4)),
+    # one cell, on the mirror line: the minus sector keeps no orbit
+    build_grid(interval(0.0, 0.5), 0.5),
     # cells on the mirror lines scale by 1/sqrt(2), the center cell by 1/2
     build_grid(box((0.0, 0.0), (1.9375, 1.9375)), 1.0 / 16.0),
     build_grid(ball((0.0, 0.0), 4.0), 0.125),
+    # the 5 x 3 box less two corners, mirrored along its first axis only
+    _without_cells(build_grid(box((0.0, 0.0), (1.25, 0.75)), 0.25), 0, 12),
     _LOPSIDED,
-], ids=["interval-2048", "interval-2047", "interval-5", "interval-4", "square-31x31",
-        "ball-3080", "no-mirror-axis"])
+], ids=["interval-2048", "interval-2047", "interval-5", "interval-4", "interval-1",
+        "square-31x31", "ball-3080", "box-5x3-one-mirror", "no-mirror-axis"])
 def test_blocks_are_the_plain_sums_of_table_slots_bit_for_bit(grid):
-    # the reflected-table gather (window views on intervals, one offset add
-    # per entry elsewhere) reads the same slots and sums them in the same
-    # order as table[|p - q|] term by term, so every block is bit-identical
+    # each term of the gather is a window view of the reflected table, the
+    # slot at |p - r_T q| of every pair, and the terms are summed in the
+    # order of the reflections, as table[|p - r_T q|] term by term here, so
+    # every block is bit-identical
     form = offset_form(grid)
     blocks = [form.block(e) for e in range(len(form.sectors.counts))]
     for block, want in zip(blocks, _reference_blocks(form), strict=True):
@@ -634,6 +639,51 @@ def test_assembled_matrix_is_the_plain_sum_of_table_slots_bit_for_bit(grid):
     form = offset_form(grid)
     want = oracles.gathered_block(form.table, [grid.indices], [1.0], np.ones(grid.count))
     assert np.array_equal(assemble_form(form), want)
+
+
+def test_sector_flips_are_the_reflections_of_the_character_table():
+    # reflection t flips the axes flips[t]: it maps each orbit's first cell
+    # to the cell in row t of the orbits, and its character in the sector of
+    # sign pattern e is the product of e over those axes
+    for grid in (build_grid(interval(-1.0, 1.0), 2.0 / 5.0),
+                 build_grid(box((0.0, 0.0), (1.9375, 1.9375)), 1.0 / 16.0),
+                 _without_cells(build_grid(box((0.0, 0.0), (1.25, 0.75)), 0.25), 0, 12),
+                 _LOPSIDED):
+        sectors = offset_form(grid).sectors
+        axes = grid.mirror_axes
+        assert sectors.flips[0] == () and len(sectors.flips) == 2 ** len(axes)
+        first = grid.indices[sectors.orbits[0]]
+        for t, flip in enumerate(sectors.flips):
+            reflected = first.copy()
+            axes_t = list(flip)
+            reflected[:, axes_t] = np.array(grid.mask.shape)[axes_t] - 1 - first[:, axes_t]
+            assert np.array_equal(grid.indices[sectors.orbits[t]], reflected)
+            for e, signs in enumerate(itertools.product((1, -1), repeat=len(axes))):
+                want = math.prod(sign for d, sign in zip(axes, signs) if d in flip)
+                assert sectors.characters[e, t] == want
+
+
+def test_ball_sector_block_peaks_at_the_block_the_table_and_the_row_buffer(monkeypatch):
+    # the 7,020-cell ball's sector 0: 1,755 cells of a 47 x 47 box, which
+    # they do not fill.  Beyond the 24.6 MB block the gather holds the
+    # reflected table and its row buffer with the cells' entries taken from
+    # it, all of which the refusal counts, and index arrays the size of the
+    # cells
+    form = offset_form(build_grid(ball((0.0, 0.0), 6.0), 0.125))
+    form.sectors
+    counted = []
+    monkeypatch.setattr(discretize_module, "_require_memory",
+                        lambda nbytes, what: counted.append(nbytes))
+    m = form.sectors.counts[0]
+    tracemalloc.start()
+    try:
+        form.block(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (nbytes,) = counted
+    own = nbytes - 8 * m * m  # the refusal's count less LAPACK's copy
+    assert 8 * m * m < own and peak <= own + 2**18
 
 
 def test_grid_without_a_mirror_axis_is_one_block():

@@ -89,6 +89,18 @@ def test_r_ln_r_closes_the_bracket_from_both_sides():
     assert np.all(np.abs(res.residual) <= 2.0 * np.spacing(res.root))
 
 
+def test_r_ln_r_starts_near_the_branch_point_from_the_lambert_series():
+    # within 1e-2 of -1/e the slope ln r + 1 nearly vanishes at the root, and
+    # from the bracket's midpoint Newton's candidates leave the bracket, so
+    # the solver bisects (up to 27 steps).  One Newton step from the branch
+    # series of W lands close enough for a few more to finish
+    targets = -1.0 / E + np.geomspace(1e-15, 1e-2, 500)
+    res = solve_r_ln_r(targets)
+    assert res.steps.max() <= 6
+    assert np.all(np.abs(res.residual) <= np.maximum(1e-10, 4.0 * np.spacing(np.abs(targets))))
+    assert np.all(np.abs(res.residual) <= 2.0 * np.spacing(res.root))
+
+
 def test_r_ln_r_monotone_in_target():
     rng = np.random.default_rng(7)
     for _ in range(100):

@@ -13,6 +13,11 @@ The record holds, for the checkout at DIR (default: this repository):
   ``timings_sec.total`` of three fresh processes with two BLAS threads,
   again with the load before and after.
 
+Every run measures the checkout in one bytecode state, none: ``__pycache__``
+under its ``src/`` and ``perfbench/`` is deleted before the harness and
+before each solve, and every child process runs with
+``PYTHONDONTWRITEBYTECODE=1`` (the record's ``"bytecode": "none"``).
+
 The file goes to ``BENCH_<label>.json`` at the root of this repository.  A
 before/after pair is two records of two checkouts taken one after the other
 on one machine; compare them, never records of different machines.
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -45,6 +51,7 @@ SOLVES = {
                       "--num-eigs", "10"],
 }
 THREADS = {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+NO_BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def _git(checkout: Path, *args: str) -> str | None:
@@ -55,12 +62,21 @@ def _git(checkout: Path, *args: str) -> str | None:
         return None
 
 
+def clear_bytecode(checkout: Path) -> None:
+    """Delete every ``__pycache__`` directory under the checkout's ``src/`` and ``perfbench/``."""
+    for top in ("src", "perfbench"):
+        for cache in sorted((checkout / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
+
+
 def harness(checkout: Path) -> dict:
     """The environment and last line of the checkout's ``perfbench/run.py``."""
+    clear_bytecode(checkout)
     before = os.getloadavg()
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", "all",
            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
-    out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True,
+                         env={**os.environ, **NO_BYTECODE}).stdout.splitlines()
     after = os.getloadavg()
     env = next(line for line in out if line.startswith("environment: "))
     return {"command": ["python3", "perfbench/run.py", *cmd[2:]],
@@ -70,12 +86,13 @@ def harness(checkout: Path) -> dict:
 
 def solve(checkout: Path, argv: list[str]) -> dict:
     """The manifest of the fastest of ``BEST_OF`` fresh processes running ``argv``."""
-    env = {**os.environ, **THREADS, "PYTHONPATH": str(checkout / "src")}
+    env = {**os.environ, **THREADS, **NO_BYTECODE, "PYTHONPATH": str(checkout / "src")}
     before = os.getloadavg()
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run.csv"
         for _ in range(BEST_OF):
+            clear_bytecode(checkout)
             subprocess.run([sys.executable, "-m", "loglap.cli", *argv, "--out", str(out)],
                            env=env, stdout=subprocess.DEVNULL, check=True)
             runs.append(json.loads(out.with_suffix(".json").read_text()))
@@ -98,6 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         "uncommitted_changes": bool(_git(checkout, "status", "--porcelain", "--", "src")),
         "seed": SEED,
         "seconds": SECONDS,
+        "bytecode": "none",
         "harness": harness(checkout),
         "solves": {name: solve(checkout, cmd) for name, cmd in SOLVES.items()},
     }
