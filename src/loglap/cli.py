@@ -71,13 +71,16 @@ __all__ = ["main"]
 SCHEMA_LINE = "#schema=1"
 
 
+def _kind_format(kind: type) -> str:
+    """The %-format of every CSV value of this type: text as is, integers
+    (bools among them) in decimal and every other number to 17 significant digits."""
+    return ("%s" if issubclass(kind, str) else "%d" if issubclass(kind, (int, np.integer))
+            else "%.17g")
+
+
 def _fmt(x) -> str:
-    """17-significant-digit rendering used for every CSV number."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    """The CSV rendering of one value."""
+    return _kind_format(type(x)) % x
 
 
 def _open_out(out: str | None):
@@ -87,11 +90,8 @@ def _open_out(out: str | None):
 
 @functools.lru_cache(maxsize=8)
 def _row_format(kinds: tuple) -> str:
-    """One %-format for a CSV line of values of these types, each rendered as
-    :func:`_fmt` renders it: text as is, integers in decimal and every other
-    number by ``%.17g``."""
-    return ",".join("%s" if issubclass(kind, str) else "%d" if issubclass(kind, (int, np.integer))
-                    else "%.17g" for kind in kinds) + "\n"
+    """One %-format for a CSV line of values of these types."""
+    return ",".join(map(_kind_format, kinds)) + "\n"
 
 
 def _emit_csv(out: str | None, header: list[str], rows: Iterable) -> None:
@@ -745,22 +745,18 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its failures map to the exit codes here and nowhere else."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        argv = _expand_config(argv)
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_expand_config(argv))
         # refused before any work; the envelope CSV and manifest go beside --out
         outputs = {"--out": args.out, "--dump-matrix": getattr(args, "dump_matrix", None)}
         for flag, path in outputs.items():
             if path and not Path(path).parent.is_dir():
                 raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
+        return args.func(args)
     except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
         return int(exc.code or 0)
-    except (OSError, ValueError) as exc:
-        print(f"loglap: error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
     except NumericsError as exc:
         print(f"loglap: numerical failure: {exc}", file=sys.stderr)
         return 2

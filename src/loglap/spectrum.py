@@ -77,14 +77,12 @@ __all__ = [
 # of the faster solver.  Left beyond 1.2x (11 of 77): at 256 cells c/j
 # 24-12 run Lanczos 1.25-1.8x slower, at 294 cells c/j 20-12 1.3-2.8x, at
 # 424 cells c/j 12 1.4x, c/j 10 leaves 1.3x (1,755) and 1.8x (2,048) to
-# LAPACK, and two values at 183 cells 1.3x.  Before the gather read a
-# reflected table, the LAPACK column read 2.3-1,543 ms on these rows, and
-# the 256-cell c/j 24 and 20, 294-cell c/j 20 and 424-cell c/j 12 entries
-# were inside the band.  Of this rule's form, a floor of 295 leaves the
-# fewest (six), but sends two values at 256 and 294 cells to LAPACK, 2.2x
-# and 2.5x slower, and `perfbench/run.py --workload verify-all` read wall_s
-# 57.9 ms with it against 54.2 ms at 256 (medians of 10 alternating pairs,
-# two cores); a ratio of 10 leaves 15.  So the rule stays.
+# LAPACK, and two values at 183 cells 1.3x.  Of this rule's form, a floor
+# of 295 leaves the fewest (six), but sends two values at 256 and 294 cells
+# to LAPACK, 2.2x and 2.5x slower, and `perfbench/run.py --workload
+# verify-all` read wall_s 57.9 ms with it against 54.2 ms at 256 (medians
+# of 10 alternating pairs, two cores); a ratio of 10 leaves 15.  So the
+# rule stays.
 _LANCZOS_MIN_SECTOR = 256
 _LANCZOS_CELLS_PER_VALUE = 12
 # Sector solves on grids of 2,048-50,920 cells at k = 10-400 end in 2-52

@@ -199,6 +199,54 @@ def separated_pair_unit_2d_mp(a, b, digits=32):
         return float(value)
 
 
+def interval_indicator_row_sums(radius, cells, digits=30):
+    """Integrals of rho_1 - ln(R^2 - x^2) over the cells of (-R, R) split in ``cells``.
+
+    That function is L 1_(-R,R): the power of the point x, d(x, -R) d(x, R)
+    = R^2 - x^2.  ln(R^2 - x^2) = ln(R + x) + ln(R - x) has the antiderivative
+    G(R + x) - G(R - x) with G(u) = u ln u - u, differenced at ``digits``
+    significant digits so that nothing cancels.  rho_1 = -2 gamma.  Returns floats.
+    """
+    with mpmath.workdps(digits):
+        r = mpmath.mpf(radius)
+        h = 2 * r / cells
+
+        def antiderivative(x):
+            return sum(s * (u * mpmath.log(u) - u) for s, u in ((1, r + x), (-1, r - x)) if u)
+
+        edges = [antiderivative(-r + i * h) for i in range(cells + 1)]
+        return np.array([float(-2 * mpmath.euler * h - (hi - lo))
+                         for lo, hi in zip(edges, edges[1:])])
+
+
+def rectangle_energy_2d(a, b, digits=30):
+    """The energy E(1_Q, 1_Q) of the indicator of an a x b rectangle Q.
+
+    For convex Q it is |Q| (rho_2 + 2) - c_2 times the integral over the
+    directions theta of C(theta), the integral of L ln L over the chords L
+    of Q in direction theta (ROADMAP item 1), with c_2 = 1/pi and
+    rho_2 = 2 ln 2 - 2 gamma.  A rectangle's chords in direction theta form
+    a trapezoid in their offset: ramps of width min(a sin, b cos) up to
+    the longest chord min(a / cos, b / sin) and a plateau of width
+    |a sin - b cos|, so C(theta) has a closed form.  The reflections of Q
+    make the integral over the circle 4 times that over [0, pi/2], done by
+    tanh-sinh quadrature split at the kink atan(b / a), all at ``digits``
+    significant digits.  Returns a float.
+    """
+    with mpmath.workdps(digits):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+
+        def chord_integral(theta):
+            c, s = mpmath.cos(theta), mpmath.sin(theta)
+            top = min(a / c, b / s)
+            ramps = min(a * s, b * c) * top * (mpmath.log(top) - mpmath.mpf(1) / 2)
+            return ramps + abs(a * s - b * c) * top * mpmath.log(top)
+
+        chords = mpmath.quad(chord_integral, [0, mpmath.atan(b / a), mpmath.pi / 2])
+        rho2 = 2 * mpmath.log(2) - 2 * mpmath.euler
+        return float(a * b * (rho2 + 2) - 4 / mpmath.pi * chords)
+
+
 def diagonal_inner_2d(h, angular=2048, levels=16, gauss_n=8):
     """Integral over a side-h square of int over B_1(x) minus the cell of |x-y|^(-2).
 

@@ -406,6 +406,18 @@ def test_bounds_refuses_a_circulant_larger_than_memory(monkeypatch, tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+def test_overflow_in_config_expansion_exits_1(monkeypatch, capsys):
+    # every failure of main, config expansion included, goes through one map
+    # to exit codes: an overflow there exits 1 with the overflow message
+    def overflow(argv):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr("loglap.cli._expand_config", overflow)
+    assert main(["constants", "--dim", "2"]) == 1
+    assert capsys.readouterr().err == ("loglap: error: a value overflows the float range "
+                                       "(Numerical result out of range)\n")
+
+
 def test_out_of_memory_exits_1_without_a_traceback():
     # a sweep of 4e8 values needs 3 GiB for the values alone, within physical
     # memory but beyond a 1.5 GiB address-space limit: numpy's MemoryError

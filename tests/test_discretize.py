@@ -174,6 +174,22 @@ def test_assembly_deterministic():
     assert np.array_equal(assemble_form(offset_form(g)), assemble_form(offset_form(g)))
 
 
+@pytest.mark.parametrize("cells", [64, 2048])
+@pytest.mark.parametrize("radius", [0.25, 1.0, 8.0])
+def test_1d_rows_are_the_cell_integrals_of_the_operator_on_the_indicator(radius, cells):
+    # The interval's cells tile it, so each row sum of A, E(1_cell, 1_Omega),
+    # is the cell integral of L 1_Omega = rho_1 - ln(R^2 - x^2) with no
+    # discretization error, and 1^T A 1 = 2R (rho_1 + 2 - 2 ln 2R).  Measured:
+    # 4.9e-16 of the row's absolute sum and 5.4e-15 relative at most.
+    grid = build_grid(interval(-radius, radius), 2.0 * radius / cells)
+    assert grid.count == cells
+    a = assemble_form(offset_form(grid))
+    rows = oracles.interval_indicator_row_sums(radius, cells)
+    assert np.max(np.abs(a.sum(axis=1) - rows) / np.abs(a).sum(axis=1)) <= 1e-13
+    total = 2.0 * radius * (2.0 - 2.0 * EULER_GAMMA - 2.0 * math.log(2.0 * radius))
+    assert abs(a.sum() - total) <= 1e-14 * abs(total)
+
+
 # ------------------------------------------------------- 2D assembly
 
 
@@ -212,6 +228,21 @@ def test_2d_entries_match_reduced_oracles():
         c2.kernel_constant * oracles.diagonal_inner_2d(h) + c2.zero_order_shift * h * h
     )
     assert abs(a[0, 0] - diag_ref) <= 1e-4 * abs(diag_ref)
+
+
+@pytest.mark.parametrize("sides, h", [((1.0, 1.0), 1 / 16), ((1.0, 1.0), 1 / 64),
+                                      ((2.0, 1.0), 1 / 32), ((4.0, 4.0), 1 / 16),
+                                      ((0.5, 0.5), 1 / 128)])
+def test_box_energy_of_the_indicator_is_the_chord_integral(sides, h):
+    # The box's cells tile it, so 1^T A 1 is the energy of its indicator,
+    # |Q| (rho_2 + 2) - (4/pi) int_0^(pi/2) C(theta) with C the chord
+    # integral of L ln L, exactly; A 1 comes from the FFT product, with no
+    # dense matrix.  Measured: 1.8e-14 relative at most (the 4 x 4 box).
+    grid = build_grid(box((0.0, 0.0), sides), h)
+    assert grid.count == round(sides[0] / h) * round(sides[1] / h)
+    energy = offset_form(grid).matvec(np.ones(grid.count)).sum()
+    exact = oracles.rectangle_energy_2d(*sides)
+    assert abs(energy - exact) <= 1e-13 * abs(exact)
 
 
 @pytest.mark.parametrize(

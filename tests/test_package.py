@@ -1,7 +1,9 @@
 """The package's public namespace, the names the benchmark's tracer wraps, and
 the benchmark's correctness gate on the current code."""
 
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -25,6 +27,17 @@ def _load_perfbench(monkeypatch, name):
 def test_every_exported_name_resolves():
     missing = [name for name in loglap.__all__ if not hasattr(loglap, name)]
     assert missing == []
+
+
+def test_package_exports_each_library_module_public_names_once():
+    # the package's names are its library modules' __all__ and its version;
+    # cli is the front end, whose one name is its entry point
+    modules = [importlib.import_module(f"loglap.{info.name}")
+               for info in pkgutil.iter_modules(loglap.__path__) if info.name != "cli"]
+    assert len(modules) == 6
+    names = [name for module in modules for name in module.__all__] + ["__version__"]
+    assert len(set(names)) == len(names)
+    assert sorted(loglap.__all__) == sorted(names)
 
 
 def test_benchmark_tracer_wraps_names_the_cli_has(monkeypatch):
