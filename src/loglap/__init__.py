@@ -6,7 +6,8 @@ solved for a 1-D array of targets (`roots`), domain geometry with the collar
 ramp test function on an (n, N) array of points (`geometry`),
 piecewise-constant Galerkin assembly (`discretize`), eigensolves and
 spectral diagnostics (`spectrum`), the closed-form bound formulas
-(`bounds`), and a CLI harness (`cli`).
+(`bounds`), and a CLI harness (`cli`).  The package exports the names in
+the library modules' `__all__`, which list them once.
 """
 
 from . import bounds, constants, discretize, geometry, roots, spectrum

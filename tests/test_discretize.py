@@ -180,7 +180,7 @@ def test_1d_rows_are_the_cell_integrals_of_the_operator_on_the_indicator(radius,
     # The interval's cells tile it, so each row sum of A, E(1_cell, 1_Omega),
     # is the cell integral of L 1_Omega = rho_1 - ln(R^2 - x^2) with no
     # discretization error, and 1^T A 1 = 2R (rho_1 + 2 - 2 ln 2R).  Measured:
-    # 4.9e-16 of the row's absolute sum and 5.4e-15 relative at most.
+    # 4.9e-16 of the row's absolute sum and 5.3e-15 relative at most.
     grid = build_grid(interval(-radius, radius), 2.0 * radius / cells)
     assert grid.count == cells
     a = assemble_form(offset_form(grid))
