@@ -50,10 +50,10 @@ from .bounds import (
 from .constants import EULER_GAMMA, NumericsError, dimension_constants
 from .discretize import (
     MAX_CELL_SIDE,
+    _require_dense_memory,
     assemble_form,
     build_grid,
     offset_form,
-    plane_wave_symbol_1d,
     rayleigh_quotient,
 )
 from .geometry import Domain, TestFunctionSpec, ball, box, interval
@@ -304,10 +304,9 @@ def _cmd_solve(args) -> int:
     t1 = time.perf_counter()
     if args.num_eigs > grid.count:  # refused before the table and a dumped matrix
         raise ValueError(f"--num-eigs {args.num_eigs} exceeds the grid's {grid.count} cells")
-    # --dump-matrix gathers before the solve: a matrix too large for memory
-    # is refused before any output.
     form = offset_form(grid)
-    dense = assemble_form(form) if args.dump_matrix else None
+    if args.dump_matrix:  # a matrix too large for memory is refused before the solve
+        _require_dense_memory(form)
     t2 = time.perf_counter()
     spectrum = eig_symmetric(form, args.num_eigs)
     t3 = time.perf_counter()
@@ -315,8 +314,8 @@ def _cmd_solve(args) -> int:
     _emit_csv(args.out, ["k", "lambda", "lambda_over_log_k", "partial_sum",
                          "partial_sum_over_k_log_k"], zip(*weyl_diagnostics(spectrum).values()))
 
-    if args.dump_matrix:
-        _emit_csv(args.dump_matrix, [f"col{j}" for j in range(grid.count)], dense)
+    if args.dump_matrix:  # gathered after the solve, so the solve's blocks are gone
+        _emit_csv(args.dump_matrix, [f"col{j}" for j in range(grid.count)], assemble_form(form))
 
     if args.delta is not None:
         env_out = None
@@ -396,8 +395,12 @@ def _suite_roots(seed: int) -> Iterator[dict]:
 
 
 def _suite_symbol(seed: int) -> Iterator[dict]:
-    worst = max(abs(plane_wave_symbol_1d(float(t)) - 2.0 * math.log(t))
-                for t in np.geomspace(0.1, 100.0, 50))
+    # The plane wave's energy density: the kernel's near integral,
+    # 2 c_1 (gamma + ln t - Ci t), plus its far tail, 2 c_1 Ci t, plus rho_1.
+    # With c_1 = 1 and rho_1 = -2 gamma it is the symbol 2 ln t exactly.
+    c = dimension_constants(1)
+    worst = max(abs(c.kernel_constant * 2.0 * (EULER_GAMMA + math.log(t)) + c.zero_order_shift
+                    - 2.0 * math.log(t)) for t in np.geomspace(0.1, 100.0, 50).tolist())
     yield _check("symbol.plane_wave_identity", worst <= 1e-8,
                  f"sup |symbol(t) - 2 ln t| = {worst:.3e} on 50 log-spaced t in [0.1, 100]")
 

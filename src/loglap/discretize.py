@@ -56,9 +56,11 @@ import math
 import os
 from dataclasses import dataclass
 
+# resource is POSIX only, as are the os.sysconf page counts that _require_memory
+# reads: without it, import loglap and the commands that build no grid still work.
 try:
     import resource
-except ImportError:  # POSIX only: elsewhere physical memory is the one bound
+except ImportError:
     resource = None
 
 import numpy as np
@@ -67,7 +69,7 @@ import numpy as np
 # from numpy.polynomial, whose import costs about 0.8 MB and 4 ms per process.
 import numpy.fft
 
-from .constants import CATALAN, EULER_GAMMA, TI2_HALF, DimensionConstants, dimension_constants
+from .constants import CATALAN, TI2_HALF, DimensionConstants, dimension_constants
 from .geometry import Domain
 
 __all__ = [
@@ -78,7 +80,6 @@ __all__ = [
     "offset_form",
     "assemble_form",
     "rayleigh_quotient",
-    "plane_wave_symbol_1d",
 ]
 
 MAX_CELL_SIDE = 0.5
@@ -532,11 +533,18 @@ def assemble_form(form: QuadFormMatrix) -> np.ndarray:
     it out (``solve --dump-matrix``); solves and Rayleigh quotients need
     only the table.  Raises ``ValueError`` before anything is allocated
     when the matrix would not fit in memory."""
+    _require_dense_memory(form)
     mask = form.grid.mask
-    n = form.grid.count
-    _require_gather_memory(form.table, n, mask.shape, 1, f"a dense {n} x {n} matrix")
     return _gather(form.table, (0,) * mask.ndim, mask.shape, [()], [1.0],
-                   np.flatnonzero(mask), np.ones(n))
+                   np.flatnonzero(mask), np.ones(form.grid.count))
+
+
+def _require_dense_memory(form: QuadFormMatrix) -> None:
+    """Raise ``ValueError`` when :func:`assemble_form`'s matrix would not fit
+    in memory: ``solve --dump-matrix`` asks before its eigensolve and
+    gathers the matrix after it."""
+    n = form.grid.count
+    _require_gather_memory(form.table, n, form.grid.mask.shape, 1, f"a dense {n} x {n} matrix")
 
 
 def _require_gather_memory(table: np.ndarray, size: int, shape: tuple[int, ...],
@@ -628,19 +636,3 @@ def rayleigh_quotient(matrix: QuadFormMatrix, coefficients) -> float:
         raise ValueError("coefficient vector must not be identically zero")
     return float(v @ matrix.matvec(v)) / (matrix.mass_scale * denom)
 
-
-def plane_wave_symbol_1d(t: float) -> float:
-    """Closed-form energy density of a 1D plane wave with frequency t > 0.
-
-    Splitting the kernel's range at 1 gives the oscillatory near integral,
-    2 c_1 (gamma + ln t - Ci t), and the far tail, 2 c_1 Ci t; their sum
-    cancels the cosine integral, leaving 2 c_1 (gamma + ln t) + rho_1.  With
-    c_1 = 1 and rho_1 = -2 gamma this is 2 ln t exactly, the operator's
-    Fourier symbol.  Evaluating it this way (instead of returning 2 ln t)
-    is the point: it cross-checks the kernel constant and the zero-order
-    shift end to end.
-    """
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"frequency must be positive and finite, got {t!r}")
-    c = dimension_constants(1)
-    return c.kernel_constant * 2.0 * (EULER_GAMMA + math.log(t)) + c.zero_order_shift

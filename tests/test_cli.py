@@ -682,6 +682,18 @@ def test_dump_matrix_holds_the_matrix_and_one_line(tmp_path):
         assert sum(1 for _ in fh) == 2 + n
 
 
+def test_dump_matrix_is_refused_before_the_solve_and_gathered_after_it(tmp_path, monkeypatch):
+    # the dumped matrix and the solve's blocks are never held together
+    calls = []
+    for name in ("_require_dense_memory", "eig_symmetric", "assemble_form"):
+        real = getattr(loglap.cli, name)
+        monkeypatch.setattr(loglap.cli, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert main(["solve", "--domain", "interval", "--length", "2", "--cells", "64",
+                 "--num-eigs", "2", "--dump-matrix", str(tmp_path / "matrix.csv")]) == 0
+    assert calls == ["_require_dense_memory", "eig_symmetric", "assemble_form"]
+
+
 def test_solve_tiling_error_names_plain_numbers(capsys):
     assert main(["solve", "--domain", "box", "--side", "1,0.3", "--h", "0.25",
                  "--num-eigs", "1"]) == 1
@@ -871,7 +883,7 @@ def test_symbol_suite_fails_on_wrong_one_dimensional_constants(wrong, monkeypatc
         c = dimension_constants(n)
         return wrong(c) if n == 1 else c
 
-    monkeypatch.setattr("loglap.discretize.dimension_constants", wrong_in_one_dimension)
+    monkeypatch.setattr("loglap.cli.dimension_constants", wrong_in_one_dimension)
     assert main(["verify", "--suite", "symbol"]) == 2
     assert json.loads(capsys.readouterr().out)["passed"] is False
 

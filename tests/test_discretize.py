@@ -17,7 +17,6 @@ from loglap.discretize import (
     assemble_form,
     build_grid,
     offset_form,
-    plane_wave_symbol_1d,
     rayleigh_quotient,
 )
 from loglap.geometry import TestFunctionSpec, ball, box, interval
@@ -807,26 +806,3 @@ def test_rayleigh_validation():
         rayleigh_quotient(m, np.zeros(m.grid.count))
     with pytest.raises(ValueError):
         rayleigh_quotient(m, np.ones(m.grid.count + 1))
-
-
-# ------------------------------------------------- plane-wave symbol
-
-
-def test_symbol_pinned_values():
-    assert plane_wave_symbol_1d(1.0) == pytest.approx(0.0, abs=1e-8)
-    assert plane_wave_symbol_1d(math.e) == pytest.approx(2.0, abs=1e-8)
-    assert plane_wave_symbol_1d(10.0) == pytest.approx(2.0 * math.log(10.0), abs=1e-8)
-
-
-def test_symbol_identity_on_log_grid():
-    worst = 0.0
-    for t in np.geomspace(0.1, 100.0, 50):
-        t = float(t)
-        worst = max(worst, abs(plane_wave_symbol_1d(t) - 2.0 * math.log(t)))
-    assert worst <= 1e-8
-
-
-def test_symbol_validation():
-    for bad in (0.0, -2.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            plane_wave_symbol_1d(bad)

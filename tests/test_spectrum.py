@@ -643,6 +643,51 @@ def test_lapack_solve_holds_one_block_at_a_time():
     assert peak < 2 * 8 * 1024 * 1024
 
 
+def test_interval_spectrum_lies_within_the_range_of_its_toeplitz_symbol():
+    # The matrix is the n x n section of the Toeplitz matrix of its table a,
+    # so its eigenvalues over h lie between the extremes of the symbol
+    # f(theta) = (a_0 + 2 sum_m a_m cos(m theta)) / h (Grenander & Szegő,
+    # Toeplitz Forms, 1958).  Every a_m with m > 0 is negative, so f is
+    # least at 0; on a grid it is greatest at pi.  Measured: lambda_max =
+    # 16.8302259, 4.9e-4 below f(pi) = 16.8307156; lambda_min = -0.688 above
+    # f(0) = -2.540.  Both values come from LAPACK on the two sector blocks.
+    form = offset_form(build_grid(interval(-1.0, 1.0), 2.0 / 2048))
+    a, h = form.table, form.grid.h
+    m = np.arange(1, a.size)
+    theta = np.linspace(0.0, math.pi, 1025)
+    f = (a[0] + 2.0 * np.cos(np.outer(theta, m)) @ a[1:]) / h
+    top = (a[0] + 2.0 * np.sum((-1.0) ** m * a[1:])) / h
+    assert np.argmax(f) == theta.size - 1 and abs(f[-1] - top) <= 1e-13 * top
+    s = eig_symmetric(form, form.grid.count)
+    assert s.source["solvers"] == ["lapack", "lapack"]
+    assert (a[0] + 2.0 * np.sum(a[1:])) / h <= s.eigenvalues[0]
+    assert 0.0 < top - s.eigenvalues[-1] <= 1e-3
+
+
+def test_ball_spectrum_lies_below_its_box_symbol_at_pi_pi(ball_3080):
+    # The ball's matrix is a principal submatrix of its box's block-Toeplitz
+    # section, so its eigenvalues over h^2 lie within the range of the
+    # table's symbol f(theta) = sum_{a,b} w_a w_b table[a, b] cos(a theta_1)
+    # cos(b theta_2) / h^2, w = 1 at offset 0 and 2 elsewhere: least at
+    # (0, 0), where every off-diagonal slot is negative, and on a grid
+    # greatest at (pi, pi).  Measured: lambda_max = 8.192168, 1.45e-3 below
+    # f(pi, pi) = 8.193621, from LAPACK on the four sector blocks.
+    form = ball_3080[0]
+    t, h = form.table, form.grid.h
+    theta = np.linspace(0.0, math.pi, 129)
+    w0, w1 = (np.where(np.arange(size) == 0, 1.0, 2.0) for size in t.shape)
+    c0, c1 = (w * np.cos(np.outer(theta, np.arange(w.size))) for w in (w0, w1))
+    f = c0 @ t @ c1.T / h**2
+    s0, s1 = (w * (-1.0) ** np.arange(w.size) for w in (w0, w1))  # cos(a pi) = (-1)^a
+    top = float(s0 @ t @ s1) / h**2
+    assert np.unravel_index(np.argmax(f), f.shape) == (128, 128)
+    assert abs(f[-1, -1] - top) <= 1e-13 * top
+    s = eig_symmetric(form, form.grid.count)
+    assert s.source["solvers"] == ["lapack"] * 4
+    assert float(w0 @ t @ w1) / h**2 <= s.eigenvalues[0]
+    assert 0.0 < top - s.eigenvalues[-1] <= 2e-3
+
+
 @pytest.mark.parametrize("small, large, k", [
     (interval(-0.5, 0.5), interval(-1.0, 1.0), 8),        # LAPACK, 64 cells
     (ball((0.0, 0.0), 1.0), ball((0.0, 0.0), 2.0), 8),    # LAPACK, 180 cells
