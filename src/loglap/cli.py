@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Six subcommands: ``constants`` (dimension constants table), ``roots``
-(scalar root solves), ``bounds`` (closed-form bound report for a domain),
-``solve`` (assemble + eigensolve, CSV output), ``verify`` (self-checking
-suites), and ``sweep`` (one CSV row per parameter value).
+(root solves for arrays of targets), ``bounds`` (closed-form bound report
+for a domain), ``solve`` (assemble + eigensolve, CSV output), ``verify``
+(self-checking suites), and ``sweep`` (one CSV row per parameter value).
 
 Conventions shared by every subcommand:
 
@@ -107,21 +107,19 @@ def _emit_csv(out: str | None, header: list[str], rows: Iterable) -> None:
 
 
 def _emit_json(out: str | None, payload: dict) -> None:
+    """Write ``payload`` as JSON; a NaN or infinite value raises ``ValueError``
+    before the file is opened, since JSON has no token for it."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with _open_out(out) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; the contract says 1.  Flags
-    match in full only: as a prefix, ``--h`` reads as ``--help`` where no ``--h`` exists."""
+    """An argument parser whose flags match in full only: as a prefix, ``--h``
+    reads as ``--help`` where no ``--h`` exists."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def _resolve_h(args, domain: Domain) -> float:
         return args.h
     if args.cells < 1:
         raise ValueError(f"--cells must be >= 1, got {args.cells}")
-    return domain.sides[0] / args.cells
+    return float(domain.sides[0] / args.cells)
 
 
 def _peak_rss_mb() -> float:
@@ -758,9 +756,9 @@ def main(argv: list[str] | None = None) -> int:
             if path and not Path(path).parent.is_dir():
                 raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
         return args.func(args)
-    except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
-        return int(exc.code or 0)
-    except NumericsError as exc:
+    except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on a usage error
+        return 1 if exc.code else 0
+    except (NumericsError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"loglap: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:

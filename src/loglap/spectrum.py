@@ -148,8 +148,9 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
     the Lanczos sectors' unit Ritz vectors among the k as ``max_residual``
     (None when no Lanczos sector holds one).  Raises ``ValueError`` before
     allocating a block plus LAPACK's copy, or a round's bases, larger than
-    memory, and ``NumericsError`` when a solver fails or the merge would
-    take an open value.
+    memory, ``NumericsError`` when a Lanczos solve fails or the merge would
+    take an open value, and ``np.linalg.LinAlgError`` when LAPACK fails, on a
+    block or on a Lanczos solve's projected matrix.
     """
     n = form.grid.count
     if not (1 <= k <= n):
@@ -169,7 +170,7 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
                         f"a round of {len(lanczos)} Lanczos bases")
         for i in grow:
             if i not in lanczos:
-                values = _lapack(form.block(i))
+                values = np.linalg.eigvalsh(form.block(i))
                 ledger.post(i, values)
                 pairs[i] = values, None, np.ones(values.size, dtype=bool)
         solved, steps = _lockstep(form, {
@@ -205,14 +206,6 @@ def eig_symmetric(form: QuadFormMatrix, k: int) -> Spectrum:
               "max_residual": max(residuals.values(), default=None)}
     return Spectrum(eigenvalues=np.ascontiguousarray(merged[chosen] / form.mass_scale),
                     source=source)
-
-
-def _lapack(a: np.ndarray) -> np.ndarray:
-    """LAPACK's eigenvalues of a symmetric matrix, ascending."""
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NumericsError(f"symmetric eigensolver failed to converge: {exc}") from exc
 
 
 def _start_vector(n: int) -> np.ndarray:

@@ -271,6 +271,7 @@ def test_solve_usage_errors(tmp_path, capsys):
         (square + ["1,0"], "--side lengths must be positive, got '1,0'"),
         (square + ["1,2,3"], "boxes are two-dimensional: --side A or --side A,B"),
         (base + ["--cells", "0", "--num-eigs", "2"], "--cells must be >= 1, got 0"),
+        (base + ["--cells", "1", "--num-eigs", "1"], "cell side must lie in (0, 0.5], got 2.0"),
         (base + ["--cells", "8", "--num-eigs", "0"], "--num-eigs must be >= 1"),
         (["solve", "--domain", "interval", "--length", "-2", "--cells", "8", "--num-eigs", "2"],
          "--length must be positive, got -2.0"),
@@ -482,6 +483,27 @@ def test_failed_lanczos_certificate_exits_2(monkeypatch, capsys):
     assert main(["solve", "--domain", "interval", "--length", "2", "--cells", "2048",
                  "--num-eigs", "10"]) == 2
     assert "certified above the k-th eigenvalue" in capsys.readouterr().err
+
+
+def _linalg_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("routine, argv", [
+    ("eigh", ["solve", "--domain", "interval", "--length", "2", "--cells", "2048",
+              "--num-eigs", "10"]),
+    ("eigh", ["bounds", "--domain", "ball", "--radius", "2", "--h", "0.125", "--sigma", "0.5"]),
+    ("eigvalsh", ["solve", "--domain", "interval", "--length", "2", "--cells", "64",
+                  "--num-eigs", "4"]),
+], ids=["lanczos-projection", "gauss-rule", "lapack-block"])
+def test_lapack_failure_exits_2(routine, argv, monkeypatch, capsys):
+    # LAPACK failing in a Lanczos solve's projected matrix, in the Gauss
+    # rule of a 2D offset table or on a dense block is a numerical failure,
+    # though LinAlgError is a ValueError
+    monkeypatch.setattr(np.linalg, routine, _linalg_failure)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "loglap: numerical failure: Eigenvalues did not converge\n")
 
 
 def test_solve_fewer_than_three_eigenvalues(tmp_path):
@@ -1086,6 +1108,25 @@ def test_version_and_usage(capsys):
     assert main(["--version"]) == 0
     assert "loglap" in capsys.readouterr().out
     assert main([]) == 1                              # subcommand required
+
+
+def test_bounds_that_are_no_json_numbers_exit_1_and_write_nothing(tmp_path, capsys):
+    # on a ball of radius 1e-160 the refined bounds are NaN and the upper
+    # ones infinite; JSON has no token for either
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--domain", "ball", "--radius", "1e-160", "--num-eigs", "2",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "loglap: error: Out of range float values are not JSON compliant: nan\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_usage_errors_print_the_usage_and_exit_1(capsys):
+    # argparse's own message; main turns its exit code 2 into 1
+    assert main(["constants"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: loglap constants [-h] --dim DIM")
+    assert err.endswith("\nloglap constants: error: the following arguments are required: --dim\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -375,6 +375,18 @@ def test_sector_merge_solves_a_short_sector_again(monkeypatch, ball_3080):
     assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
 
 
+def test_sector_merge_asks_again_under_the_first_share_rule(ball_3080):
+    # the rule's own first shares at k = 16 leave sector 0's largest value
+    # below the merged 16th, so sector 0 is solved in a second round and
+    # the others in one
+    form, _ = ball_3080
+    s = eig_symmetric(form, 16)
+    assert s.source["solvers"] == ["lanczos"] * 4
+    assert [len(solves) for solves in s.source["restarts"]] == [2, 1, 1, 1]
+    want = _lapack_on_the_blocks(form, 16)
+    assert np.max(np.abs(s.eigenvalues - want) / np.abs(want)) <= 1e-12
+
+
 def test_sectors_up_to_twice_the_lanczos_basis_are_solved_by_lapack(monkeypatch):
     # a row of 512 cells on the first axis's mirror line, with five cells at
     # each end of the rows above and below it: the sign patterns with -1 on
